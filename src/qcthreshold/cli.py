@@ -11,11 +11,10 @@ command-line flags override file entries.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .errors import InvalidParameterError
-from .sweep import RunConfig, run_experiment
+from .sweep import RunConfig, bound_passed, run_experiment
 
 __all__ = ["main", "parse_d_rule", "load_config_file", "build_config"]
 
@@ -145,8 +144,8 @@ def main(argv=None) -> int:
         return 2
     failures = [
         r for r in records
-        if r.measured_quantum_l1 > r.quantum_bound + 5e-3
-        or r.measured_classical_l1 > r.classical_bound + 5e-3]
+        if not (bound_passed(r.measured_quantum_l1, r.quantum_bound)
+                and bound_passed(r.measured_classical_l1, r.classical_bound))]
     for r in failures:
         print(f"BOUND FAIL h={r.h} D={r.D}: measured "
               f"({r.measured_quantum_l1:.4g}, {r.measured_classical_l1:.4g}) "

@@ -25,19 +25,11 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.signal import fftconvolve
-from scipy.special import erf as _erf_vec
+from scipy.special import erf as _erf_vec, ive as _ive, kve as _kve
 
 from .core import MomentRecord, Schedule, is_standard_schedule
 from .errors import InvalidParameterError, RangeError, ValidityError
-from .specialfn import (
-    PCF_MAX_ARG,
-    QuadratureSpec,
-    adaptive_integral,
-    airy_ai,
-    airy_ai_prime,
-    erf,
-    parabolic_cylinder_D,
-)
+from .specialfn import airy_ai, airy_ai_prime, erf
 
 __all__ = [
     "BoundConstants",
@@ -52,6 +44,8 @@ __all__ = [
 _EXP_OVERFLOW = 700.0
 #: Airy arguments past this are evaluated as negligible or rejected.
 _AIRY_CUT = 50.0
+#: D_{-1/2}(0) = sqrt(pi) / (2^(1/4) Gamma(3/4)).
+_PCF_HALF_AT_ZERO = math.sqrt(math.pi) / (2.0 ** 0.25 * math.gamma(0.75))
 
 
 def _scales(tau1: float, tau2: float, tau3: float, h: float):
@@ -103,48 +97,39 @@ def quantum_momentum_pdf(p, tau1: float, tau2: float, tau3: float, h: float):
     return float(out) if np.isscalar(p) or arr.ndim == 0 else out
 
 
-def _classical_unit_pdf_point(P: float, g: float) -> float:
-    """Density of Z + g*Xi^2 at P by direct quadrature (any P)."""
-    upper = max(4.0, P + 40.0)
-
-    def f(s):
-        return math.exp(-0.5 * (P - s) ** 2 - s / (2.0 * g)) / math.sqrt(s)
-
-    res = adaptive_integral(f, (0.0, upper),
-                            QuadratureSpec(abs_tol=1e-14, rel_tol=1e-11,
-                                           max_subdivisions=400,
-                                           substitution="sqrt_lower"))
-    return res.value / (2.0 * math.pi * math.sqrt(g))
-
-
 def classical_momentum_pdf(p, tau1: float, tau2: float, tau3: float, h: float):
     """Final-time classical momentum density.
 
     In scaled units P = p/S the density is
-        (1 / (2 sqrt(pi g))) * exp[-P^2/2 + (P - 1/(2g))^2 / 4] * D_{-1/2}(1/(2g) - P),
-    divided by S to return to lab momentum. Where the parabolic cylinder
-    argument leaves the supported range the integral representation is
-    evaluated directly instead. Accepts scalar or array p.
+        (1 / (2 sqrt(pi g))) * exp[-P^2/2 + z^2/4] * D_{-1/2}(z),  z = 1/(2g) - P,
+    divided by S to return to lab momentum. D_{-1/2} is evaluated through
+    its Bessel forms (DLMF 12.7.10) with exponentially scaled Bessel
+    functions, so the large factor e^{z^2/4} cancels analytically:
+        z > 0:  e^{z^2/4} D_{-1/2}(z) = sqrt(z/(2 pi)) kve(1/4, z^2/4),
+        z < 0:  e^{-z^2/4} D_{-1/2}(z)
+                    = (sqrt(pi w)/2) [ive(-1/4, w^2/4) + ive(1/4, w^2/4)],
+    with w = -z; in the second case the leftover exponent
+    -P^2/2 + w^2/2 = 1/(8g^2) - P/(2g) is formed without cancellation.
+    Where z^2/4 vanishes the limit D_{-1/2}(0) is used. Accepts scalar or
+    array p.
     """
     S, g = _scales(tau1, tau2, tau3, h)
-    arr = np.atleast_1d(np.asarray(p, dtype=float))
-    P = arr / S
+    arr = np.asarray(p, dtype=float)
+    P = np.atleast_1d(arr) / S
     z = 1.0 / (2.0 * g) - P
-    out = np.empty_like(P)
-
-    near = np.abs(z) <= PCF_MAX_ARG
-    if np.any(near):
-        Pn, zn = P[near], z[near]
-        out[near] = (np.exp(-0.5 * Pn * Pn + 0.25 * zn * zn)
-                     * parabolic_cylinder_D(-0.5, zn)
-                     / (2.0 * math.sqrt(math.pi * g)))
-    idx = np.nonzero(~near)[0]
-    for i in idx:
-        out.flat[i] = _classical_unit_pdf_point(float(P.flat[i]), g)
-    out = out / S
-    if np.isscalar(p) or np.asarray(p).ndim == 0:
+    x = 0.25 * z * z
+    right = (z > 0) & (x > 0)
+    left = (z < 0) & (x > 0)
+    scaled = np.full_like(P, _PCF_HALF_AT_ZERO)
+    scaled[right] = (np.sqrt(z[right] / (2.0 * math.pi))
+                     * _kve(0.25, x[right]))
+    scaled[left] = (0.5 * np.sqrt(-math.pi * z[left])
+                    * (_ive(-0.25, x[left]) + _ive(0.25, x[left])))
+    expo = np.where(z < 0, 1.0 / (8.0 * g * g) - P / (2.0 * g), -0.5 * P * P)
+    out = np.exp(expo) * scaled / (2.0 * math.sqrt(math.pi * g) * S)
+    if arr.ndim == 0:
         return float(out[0])
-    return out.reshape(np.asarray(p).shape)
+    return out
 
 
 def _gauss_kernel(t: np.ndarray, deriv: int) -> np.ndarray:

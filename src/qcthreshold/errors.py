@@ -21,14 +21,6 @@ class GridMismatchError(ValueError):
     """Two distributions live on incompatible grids even after resampling."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative or adaptive routine failed to reach its tolerance."""
-
-    def __init__(self, message, partial_result=None):
-        super().__init__(message)
-        self.partial_result = partial_result
-
-
 class ResolutionError(RuntimeError):
     """Spectral content reaches the grid Nyquist band; results untrustworthy."""
 

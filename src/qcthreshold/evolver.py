@@ -18,11 +18,11 @@ the classical Fokker-Planck equation; both share every other term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import AffineFrame, PhaseSpaceField, Schedule, SemiclassicalParams, \
+from .core import PhaseSpaceField, Schedule, SemiclassicalParams, \
     l1_distance, momentum_marginal
 from .errors import InvalidParameterError, ResolutionError, SolverFailureError
 
@@ -31,7 +31,6 @@ __all__ = [
     "EvolveResult",
     "ConvergenceReport",
     "evolve",
-    "linear_frame_substep",
     "cubic_kick_substep",
     "diffusion_substep",
     "convergence_check",
@@ -57,7 +56,6 @@ class EvolverConfig:
     substeps_per_unit: int = 200
     splitting_order: int = 2
     frame_policy: str = "co-moving"
-    diagnostics_cadence: int = 1
 
     def __post_init__(self):
         if self.substeps_per_unit < 1:
@@ -83,11 +81,6 @@ class ConvergenceReport:
     passed: bool
     base_substeps: int
     refined_substeps: int
-
-
-def linear_frame_substep(frame: AffineFrame, da: float) -> AffineFrame:
-    """Advance the frame by the integrated bump increment; values untouched."""
-    return frame.shifted(da)
 
 
 def _k_axis(n: int, spacing: float) -> np.ndarray:
@@ -208,8 +201,8 @@ def _stretch_window(field: PhaseSpaceField, schedule: Schedule, i: int,
                 [schedule.bump_integral(i, start, t) for t in t_nodes])
             I_u += dt * float((_GL_W * np.exp(-2.0 * a_nodes)).sum())
             I_v += dt * float((_GL_W * np.exp(2.0 * a_nodes)).sum())
-    field = field.with_frame(linear_frame_substep(
-        field.frame, sign * schedule.bump_integral(i, start, start + tau)))
+    field = field.with_frame(field.frame.shifted(
+        sign * schedule.bump_integral(i, start, start + tau)))
     return _integrated_diffusion(field, params, I_u, I_v)
 
 
@@ -276,10 +269,7 @@ def convergence_check(field: PhaseSpaceField, schedule: Schedule,
     """Compare final momentum marginals at the configured substep count and
     at twice that count."""
     coarse = evolve(field, schedule, params, config)
-    fine_cfg = EvolverConfig(substeps_per_unit=2 * config.substeps_per_unit,
-                             splitting_order=config.splitting_order,
-                             frame_policy=config.frame_policy,
-                             diagnostics_cadence=config.diagnostics_cadence)
+    fine_cfg = replace(config, substeps_per_unit=2 * config.substeps_per_unit)
     fine = evolve(field, schedule, params, fine_cfg)
     diff = l1_distance(momentum_marginal(coarse.final),
                        momentum_marginal(fine.final))

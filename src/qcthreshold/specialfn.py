@@ -1,26 +1,20 @@
-"""Special functions and quadrature used by the closed-form evaluators.
+"""Special functions used by the closed-form evaluators and their tests.
 
 Airy Ai, the parabolic cylinder function D_ell (via its real integral
-representation, valid for ell < 0), Gamma, erf, and a thin adaptive
-quadrature wrapper with endpoint-singularity substitutions.
+representation, valid for ell < 0), Gamma and erf.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Tuple
 
 import numpy as np
 from scipy import integrate
 from scipy import special as _sp
 
-from .errors import ConvergenceError, DomainError, RangeError
+from .errors import DomainError, RangeError
 
 __all__ = [
-    "QuadratureSpec",
-    "IntegralResult",
-    "adaptive_integral",
     "airy_ai",
     "airy_ai_prime",
     "parabolic_cylinder_D",
@@ -36,75 +30,6 @@ AIRY_MAX_ARG = 50.0
 
 #: |z| beyond which the D_ell integrand would overflow double precision.
 PCF_MAX_ARG = 36.0
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and subdivision budget for adaptive integration.
-
-    ``substitution`` handles integrable endpoint singularities:
-      - "none": integrand is smooth on the (open) domain
-      - "sqrt_lower": integrand behaves like s**(-1/2) at the lower endpoint;
-        the change of variables s = a + u**2 removes it.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 200
-    substitution: str = "none"
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-        if self.substitution not in ("none", "sqrt_lower"):
-            raise DomainError(f"unknown substitution {self.substitution!r}")
-
-
-@dataclass(frozen=True)
-class IntegralResult:
-    value: float
-    error_estimate: float
-
-
-def adaptive_integral(
-    f: Callable[[float], float],
-    domain: Tuple[float, float],
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> IntegralResult:
-    """Adaptively integrate ``f`` over ``domain`` (upper bound may be inf).
-
-    Returns the estimate together with the achieved error estimate. Raises
-    ConvergenceError (carrying the partial result) if the subdivision budget
-    is exhausted before the tolerance is met.
-    """
-    a, b = domain
-    g = f
-    if spec.substitution == "sqrt_lower":
-        if not math.isfinite(a):
-            raise DomainError("sqrt_lower substitution needs a finite lower endpoint")
-
-        def g(u, _f=f, _a=a):
-            return 2.0 * u * _f(_a + u * u)
-
-        a, b = 0.0, math.sqrt(b - a) if math.isfinite(b) else math.inf
-
-    out = integrate.quad(
-        g, a, b,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
-        full_output=1,
-    )
-    value, err = out[0], out[1]
-    ier = 0 if len(out) < 4 else 1
-    if ier or err > max(spec.abs_tol, spec.rel_tol * abs(value)) * 50:
-        raise ConvergenceError(
-            f"quadrature did not converge (estimate {value}, error {err})",
-            partial_result=IntegralResult(value, err),
-        )
-    return IntegralResult(value, err)
 
 
 def airy_ai(z):

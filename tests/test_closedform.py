@@ -46,10 +46,14 @@ class TestSpecialValues:
         assert quantum(0.25) == pytest.approx(exact, rel=1e-12)
 
     def test_classical_at_half(self):
-        # at p = 1/2 the parabolic cylinder argument vanishes (g = 1)
-        exact = math.exp(-1.0 / 8.0) * parabolic_cylinder_D(-0.5, 0.0) \
-            / (2.0 * math.sqrt(math.pi))
-        assert classical(0.5) == pytest.approx(exact, rel=1e-10)
+        # at p = 1/2 the parabolic cylinder argument vanishes (g = 1); the
+        # other points check the Bessel forms on both sides of z = 0 against
+        # the quadrature representation of D_{-1/2}
+        for z in (-30.0, -5.0, -0.3, 0.0, 0.3, 5.0, 30.0):
+            P = 0.5 - z
+            exact = math.exp(-0.5 * P * P + 0.25 * z * z) \
+                * parabolic_cylinder_D(-0.5, z) / (2.0 * math.sqrt(math.pi))
+            assert classical(P) == pytest.approx(exact, rel=1e-10), z
 
     def test_classical_convolution_oracle(self):
         # density of Z + Xi^2 at P by direct 1d quadrature
@@ -244,6 +248,21 @@ class TestRangeGuards:
         assert quantum(80.0) == 0.0
 
     def test_classical_far_tail_fallback(self):
-        # beyond the parabolic cylinder range the quadrature route takes over
+        # past |z| = 36, where the quadrature form of D_{-1/2} would overflow
         val = classical(45.0)
         assert 0.0 < val < 1e-8
+
+    @pytest.mark.parametrize("tau2,p", [(10.0, 261.19), (4.0, 176.6)])
+    def test_classical_far_right_tail_against_mpmath(self, tau2, p):
+        # far out in the right tail the density is a narrow peak of the
+        # chi-squared component at s ~ P, which a per-point quadrature of
+        # the convolution can miss entirely
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            g = mpmath.mpf(tau2)  # S = 1 and g = tau2 at the standard schedule
+            z = 1 / (2 * g) - p
+            exact = float(mpmath.exp(-mpmath.mpf(p) ** 2 / 2 + z * z / 4)
+                          * mpmath.pcfd(-0.5, z)
+                          / (2 * mpmath.sqrt(mpmath.pi * g)))
+        got = classical_momentum_pdf(p, SCH.tau1, tau2, SCH.tau3, H)
+        assert got == pytest.approx(exact, rel=1e-10)

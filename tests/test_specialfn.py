@@ -9,13 +9,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from qcthreshold.errors import ConvergenceError, DomainError, RangeError
+from qcthreshold.errors import DomainError, RangeError
 from qcthreshold.specialfn import (
-    QuadratureSpec,
-    adaptive_integral,
     airy_ai,
     airy_ai_prime,
     erf,
@@ -137,58 +134,3 @@ class TestParabolicCylinder:
         exact = math.exp(z * z / 4.0) * math.sqrt(math.pi / 2.0) \
             * (1.0 - erf(z / math.sqrt(2.0)))
         assert parabolic_cylinder_D(-1.0, z) == pytest.approx(exact, rel=1e-9)
-
-
-class TestAdaptiveIntegral:
-    def test_unit_interval(self):
-        res = adaptive_integral(lambda s: 1.0, (0.0, 1.0))
-        assert res.value == pytest.approx(1.0, abs=1e-12)
-
-    def test_gamma_form_with_singularity(self):
-        spec = QuadratureSpec(substitution="sqrt_lower")
-        res = adaptive_integral(
-            lambda s: math.exp(-s * s / 2.0) / math.sqrt(s),
-            (0.0, math.inf), spec)
-        exact = 2.0 ** (-0.75) * gamma(0.25)
-        assert exact == pytest.approx(2.15580, abs=1e-5)
-        assert res.value == pytest.approx(exact, rel=1e-10)
-
-    def test_bump_shape_against_riemann_oracle(self):
-        def raw(s):
-            return math.exp(1.0 / (4.0 * s * (s - 1.0))) if 0 < s < 1 else 0.0
-
-        n = 400_000
-        xs = (np.arange(n) + 0.5) / n
-        oracle = float(np.exp(1.0 / (4.0 * xs * (xs - 1.0))).sum() / n)
-        res = adaptive_integral(raw, (0.0, 1.0))
-        assert res.value == pytest.approx(oracle, rel=1e-8)
-
-    def test_nonconvergence_carries_partial(self):
-        spec = QuadratureSpec(max_subdivisions=1)
-        with pytest.raises(ConvergenceError) as exc:
-            adaptive_integral(lambda s: math.sin(200.0 * s) ** 2,
-                              (0.0, 50.0), spec)
-        assert exc.value.partial_result is not None
-
-    def test_invalid_spec(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(substitution="cubic")
-
-    @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
-    @settings(max_examples=25, deadline=None)
-    def test_linearity(self, a, b):
-        f = lambda s: a * s + b * s * s
-        g = lambda s: math.cos(s)
-        lhs = adaptive_integral(lambda s: f(s) + g(s), (0.0, 2.0)).value
-        rhs = adaptive_integral(f, (0.0, 2.0)).value \
-            + adaptive_integral(g, (0.0, 2.0)).value
-        assert lhs == pytest.approx(rhs, abs=1e-9)
-
-    @given(st.floats(0.0, 2.0))
-    @settings(max_examples=25, deadline=None)
-    def test_monotone_for_nonnegative(self, a):
-        small = adaptive_integral(lambda s: a * s * s, (0.0, 1.0)).value
-        large = adaptive_integral(lambda s: a * s * s + 0.5, (0.0, 1.0)).value
-        assert large >= small
