@@ -178,8 +178,9 @@ class Schedule:
         start, tau = self.window(i)
         return self.bump.value((np.asarray(t, dtype=float) - start) / tau)
 
-    def bump_integral(self, i: int, ta: float, tb: float) -> float:
-        """int_ta^tb chi_i(t) dt, exact at window boundaries."""
+    def bump_integral(self, i: int, ta, tb):
+        """int_ta^tb chi_i(t) dt, exact at window boundaries; elementwise
+        (one spline evaluation per array) when ta or tb is an array."""
         start, tau = self.window(i)
         return tau * (self.bump.cumulative((tb - start) / tau)
                       - self.bump.cumulative((ta - start) / tau))

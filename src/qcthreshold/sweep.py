@@ -256,6 +256,12 @@ def write_artifacts(config: RunConfig, records) -> None:
                        config, records, extra)
     if config.figures:
         emit_figures(config.out_dir, tau2=config.tau2)
+    write_bounds_csv(os.path.join(config.out_dir, "bounds.csv"),
+                     _bound_rows(records))
+
+
+def _bound_rows(records) -> list:
+    """One bound report row per record and side, quantum first."""
     rows = []
     for r in records:
         for side, meas, bound in (
@@ -263,7 +269,7 @@ def write_artifacts(config: RunConfig, records) -> None:
                 ("classical", r.measured_classical_l1, r.classical_bound)):
             rows.append({"h": r.h, "D": r.D, "side": side, "measured": meas,
                          "bound": bound, "passed": bound_passed(meas, bound)})
-    write_bounds_csv(os.path.join(config.out_dir, "bounds.csv"), rows)
+    return rows
 
 
 def crossing_estimates(records) -> dict:
@@ -309,27 +315,10 @@ def threshold_sweep(h_list, exponent_list, config: RunConfig = None):
 def bound_check(h_list, D_list, tau2: float = 1.0, substeps: int = 200):
     """Measured solver-vs-closed-form L1 distances against the analytic
     bounds; returns one report row per (h, D, side)."""
-    rows = []
-    for h in h_list:
-        sch = _schedule_for(h, tau2)
-        for D in D_list:
-            cfg = RunConfig(h_list=(h,), tau2=tau2, substeps=substeps)
-            grid = _grid_for(h, D, cfg)
-            params = SemiclassicalParams(hbar=2.0 * h, D=D)
-            for kind, side, pdf in (
-                    ("wigner", "quantum", quantum_momentum_pdf),
-                    ("classical", "classical", classical_momentum_pdf)):
-                f0 = initial_coherent_field(params, grid, kind)
-                md = momentum_marginal(
-                    evolve(f0, sch, params,
-                           EvolverConfig(substeps_per_unit=substeps)).final)
-                ref = pdf(md.p, sch.tau1, sch.tau2, sch.tau3, h)
-                measured = float(np.abs(md.q - ref).sum() * md.dp)
-                bound = duhamel_bound(side, h, D, sch)
-                rows.append({"h": h, "D": D, "side": side,
-                             "measured": measured, "bound": bound,
-                             "passed": bound_passed(measured, bound)})
-    return rows
+    return _bound_rows(
+        run_point(h, D, math.nan,
+                  RunConfig(h_list=(h,), tau2=tau2, substeps=substeps))
+        for h in h_list for D in D_list)
 
 
 def write_bounds_csv(path, rows) -> None:
