@@ -5,7 +5,8 @@ Usage:
                 --out results/ --figures
 
 Options may also come from a flat key = value config file (--config);
-command-line flags override file entries.
+command-line flags override file entries. An unknown config key or a value
+that cannot be read ends the run with "error: ..." and exit code 2.
 """
 
 from __future__ import annotations
@@ -27,11 +28,44 @@ def parse_d_rule(text: str):
     kind = {"exp": "exponent", "abs": "absolute"}.get(kind.strip())
     if kind is None:
         raise InvalidParameterError("d-rule kind must be exp or abs")
-    return (kind, tuple(float(v) for v in values.split(",") if v.strip()))
+    return (kind, _floats(values))
+
+
+def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+def _grid(text: str) -> tuple:
+    n_u, sep, n_v = text.partition("x")
+    if not sep:
+        raise ValueError("expected N_UxN_V")
+    return int(n_u), int(n_v)
+
+
+def _switch(text: str) -> bool:
+    word = text.lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError("expected true/false, yes/no, on/off or 1/0")
+    return word in ("1", "true", "yes", "on")
+
+
+#: Every option a config file may set, with the reader of its value.
+_READERS = {
+    "h_list": _floats,
+    "d_rule": parse_d_rule,
+    "tau2": float,
+    "grid": _grid,
+    "substeps": int,
+    "out": str,
+    "seed": int,
+    "oracle": _switch,
+    "figures": _switch,
+}
 
 
 def load_config_file(path) -> dict:
-    """Flat key = value lines; '#' starts a comment; blank lines ignored."""
+    """Flat key = value lines; '#' starts a comment; blank lines ignored.
+    Keys are option names, with '-' or '_'; any other key is an error."""
     out = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -42,7 +76,11 @@ def load_config_file(path) -> dict:
                 raise InvalidParameterError(
                     f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
-            out[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in _READERS:
+                raise InvalidParameterError(
+                    f"{path}:{lineno}: unknown key {key!r}")
+            out[key] = value.strip()
     return out
 
 
@@ -55,54 +93,41 @@ def _parser():
     p.add_argument("--h-list", help="comma-separated h values")
     p.add_argument("--d-rule",
                    help="exp:p1,p2,... for D = h^p or abs:D1,D2,...")
-    p.add_argument("--tau2", type=float, help="kick window duration")
+    p.add_argument("--tau2", help="kick window duration")
     p.add_argument("--grid", help="grid as N_UxN_V, e.g. 512x1024")
-    p.add_argument("--substeps", type=int, help="substeps per unit time")
+    p.add_argument("--substeps", help="substeps per unit time")
     p.add_argument("--out", help="output directory for artifacts")
-    p.add_argument("--seed", type=int, help="seed recorded in outputs")
-    p.add_argument("--oracle", action="store_true", default=None,
+    p.add_argument("--seed", help="seed recorded in outputs")
+    p.add_argument("--oracle", action="store_const", const="true",
                    help="also run the oracle cross-checks")
-    p.add_argument("--figures", action="store_true", default=None,
+    p.add_argument("--figures", action="store_const", const="true",
                    help="emit fig2.svg / fig3.svg")
     return p
 
 
 def build_config(argv=None) -> RunConfig:
+    """RunConfig from the command line over the --config file's entries;
+    a value that cannot be read raises InvalidParameterError naming it."""
     args = _parser().parse_args(argv)
     merged = {}
     if args.config:
         merged.update(load_config_file(args.config))
-    for key in ("h_list", "d_rule", "tau2", "grid", "substeps", "out",
-                "seed", "oracle", "figures"):
+    for key in _READERS:
         val = getattr(args, key)
         if val is not None:
             merged[key] = val
 
     kwargs = {}
-    if "h_list" in merged:
-        kwargs["h_list"] = tuple(
-            float(v) for v in str(merged["h_list"]).split(",") if v.strip())
-    if "d_rule" in merged:
-        kwargs["d_rule"] = (merged["d_rule"]
-                            if isinstance(merged["d_rule"], tuple)
-                            else parse_d_rule(str(merged["d_rule"])))
-    if "tau2" in merged:
-        kwargs["tau2"] = float(merged["tau2"])
-    if "grid" in merged:
-        n_u, _, n_v = str(merged["grid"]).partition("x")
-        kwargs["n_u"] = int(n_u)
-        kwargs["n_v"] = int(n_v)
-    if "substeps" in merged:
-        kwargs["substeps"] = int(merged["substeps"])
-    if "out" in merged:
-        kwargs["out_dir"] = str(merged["out"])
-    if "seed" in merged:
-        kwargs["seed"] = int(merged["seed"])
-    for flag in ("oracle", "figures"):
-        if flag in merged:
-            v = merged[flag]
-            kwargs[flag] = v if isinstance(v, bool) else \
-                str(v).lower() in ("1", "true", "yes", "on")
+    for key, value in merged.items():
+        try:
+            read = _READERS[key](value)
+        except ValueError as exc:
+            raise InvalidParameterError(
+                f"--{key.replace('_', '-')} {value!r}: {exc}") from None
+        if key == "grid":
+            kwargs["n_u"], kwargs["n_v"] = read
+        else:
+            kwargs["out_dir" if key == "out" else key] = read
     return RunConfig(**kwargs)
 
 

@@ -15,6 +15,8 @@ Scaled variables used throughout: with
 the final classical momentum is S * (Z + g*Xi^2). At the standard
 durations tau1 = (1/6)log(1/h), tau3 = (2/3)log(1/h) both S = 1 and
 g = tau2, which is why the final densities are h-independent there.
+Both densities are evaluated in (P = p/S, g); the quantum one only by
+_quantum_unit_curve, for quantum_momentum_pdf and constants() alike.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.signal import fftconvolve
-from scipy.special import erf as _erf_vec, ive as _ive, kve as _kve
+from scipy.special import airy as _airy, erf as _erf_vec
+from scipy.special import ive as _ive, kve as _kve
 
 from .core import MomentRecord, Schedule, is_standard_schedule
 from .errors import InvalidParameterError, RangeError, ValidityError
-from .specialfn import airy_ai, airy_ai_prime, erf
+from .specialfn import erf
 
 __all__ = [
     "BoundConstants",
@@ -57,32 +60,18 @@ def _scales(tau1: float, tau2: float, tau3: float, h: float):
 
 
 def quantum_momentum_pdf(p, tau1: float, tau2: float, tau3: float, h: float):
-    """Final-time quantum momentum density.
+    """Final-time quantum momentum density _quantum_unit_curve(p/S, g) / S.
 
-    Equals (2^(1/6) sqrt(pi) / (tau2^(2/3) h^(5/6) e^(tau1+tau3)))
-    * exp[(E - 6p) / (12 tau2 h e^(2 tau1 + tau3))] * Ai(zeta)^2 with
-    E = e^(tau3 - 4 tau1) / tau2 and
-    zeta = (E - 4p) / (2^(8/3) tau2^(1/3) h^(2/3) e^(tau3)).
-    Accepts scalar or array p.
+    Accepts scalar or array p. Raises RangeError where the exponential factor
+    would overflow, or where the unit curve would zero a point of
+    non-negligible weight because its Airy argument is past |zeta| = 50.
     """
-    if h <= 0 or min(tau1, tau2, tau3) <= 0:
-        raise InvalidParameterError("need h > 0 and all durations positive")
+    S, g = _scales(tau1, tau2, tau3, h)
     arr = np.asarray(p, dtype=float)
-    E = math.exp(tau3 - 4.0 * tau1) / tau2
-    denom_exp = 12.0 * tau2 * h * math.exp(2.0 * tau1 + tau3)
-    denom_ai = 2.0 ** (8.0 / 3.0) * tau2 ** (1.0 / 3.0) * h ** (2.0 / 3.0) \
-        * math.exp(tau3)
-    amp = 2.0 ** (1.0 / 6.0) * math.sqrt(math.pi) / (
-        tau2 ** (2.0 / 3.0) * h ** (5.0 / 6.0) * math.exp(tau1 + tau3))
-
-    expo = (E - 6.0 * arr) / denom_exp
-    zeta = (E - 4.0 * arr) / denom_ai
+    P = np.atleast_1d(arr) / S
+    expo, zeta = _quantum_args(P, g)
     if np.any(expo > _EXP_OVERFLOW):
         raise RangeError("momentum so negative the exponential factor overflows")
-
-    out = np.zeros_like(arr)
-    near = np.abs(zeta) <= _AIRY_CUT
-    out[near] = amp * np.exp(expo[near]) * airy_ai(zeta[near]) ** 2
     # Past the Airy evaluation range the density must be negligible to be
     # safely zeroed. For zeta > 50 (momentum far below the support) Ai^2
     # decays like exp(-(4/3) zeta^(3/2)), which dominates any exponential
@@ -94,7 +83,8 @@ def quantum_momentum_pdf(p, tau1: float, tau2: float, tau3: float, h: float):
     low = zeta < -_AIRY_CUT
     if np.any(expo[low] > -30.0):
         raise RangeError("Airy argument out of range at non-negligible weight")
-    return float(out) if np.isscalar(p) or arr.ndim == 0 else out
+    out = _quantum_unit_curve(P, g) / S
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def classical_momentum_pdf(p, tau1: float, tau2: float, tau3: float, h: float):
@@ -160,27 +150,34 @@ def _classical_unit_curve(P: np.ndarray, g: float, deriv: int = 0) -> np.ndarray
     return fftconvolve(kernel, masses, mode="valid")
 
 
-def _quantum_unit_curve(p: np.ndarray, tau2: float, deriv: int = 0) -> np.ndarray:
-    """Standard-schedule quantum density (h-independent form) or its second
-    derivative, from the analytic differentiation of exp * Ai^2."""
-    amp = 2.0 ** (1.0 / 6.0) * math.sqrt(math.pi) / tau2 ** (2.0 / 3.0)
-    beta = -1.0 / (2.0 * tau2)
-    dz = 2.0 ** (8.0 / 3.0) * tau2 ** (1.0 / 3.0)
-    zp = -4.0 / dz
-    zeta = (1.0 / tau2 - 4.0 * p) / dz
-    # outside |zeta| <= 50 the density is negligible: for zeta > 50 the Airy
-    # factor is exponentially small, for zeta < -50 the envelope is
-    expo = np.exp((1.0 / tau2 - 6.0 * p) / (12.0 * tau2))
+def _quantum_args(P: np.ndarray, g: float):
+    """The exponent and the Airy argument of the quantum density at P."""
+    expo = (1.0 / g - 6.0 * P) / (12.0 * g)
+    zeta = (1.0 / g - 4.0 * P) / (2.0 ** (8.0 / 3.0) * g ** (1.0 / 3.0))
+    return expo, zeta
+
+
+def _quantum_unit_curve(P: np.ndarray, g: float, deriv: int = 0) -> np.ndarray:
+    """Quantum density 2^(1/6) sqrt(pi) g^(-2/3) exp(expo) Ai(zeta)^2 in the
+    scaled momentum P, or its second derivative in P from the analytic
+    differentiation of exp * Ai^2; zeta and expo are linear in P."""
+    amp = 2.0 ** (1.0 / 6.0) * math.sqrt(math.pi) / g ** (2.0 / 3.0)
+    beta = -1.0 / (2.0 * g)
+    zp = -4.0 / (2.0 ** (8.0 / 3.0) * g ** (1.0 / 3.0))
+    expo, zeta = _quantum_args(P, g)
+    # outside |zeta| <= 50 the density is negligible or rejected by the
+    # caller: for zeta > 50 the Airy factor is exponentially small, for
+    # zeta < -50 the envelope is
     near = np.abs(zeta) <= _AIRY_CUT
     zeta = np.where(near, zeta, 0.0)
-    ai = np.where(near, airy_ai(zeta), 0.0)
-    q = amp * expo * ai * ai
+    ai, aip = np.where(near, _airy(zeta)[:2], 0.0)
+    ea = amp * np.exp(expo)
+    q = ea * ai * ai
     if deriv == 0:
         return q
-    aip = np.where(near, airy_ai_prime(zeta), 0.0)
-    cross = amp * expo * ai * aip
-    prime_sq = amp * expo * aip * aip
-    # (e^{beta p} Ai^2)'' with Ai'' = zeta * Ai
+    cross = ea * ai * aip
+    prime_sq = ea * aip * aip
+    # (e^{beta P} Ai^2)'' with Ai'' = zeta * Ai
     return (beta * beta * q + 4.0 * beta * zp * cross
             + 2.0 * zp * zp * (prime_sq + zeta * q))
 
@@ -259,8 +256,7 @@ def predicted_moments(checkpoint: int, tau1: float, tau2: float, tau3: float,
         raise InvalidParameterError("checkpoint must be 0..3")
     if kind not in ("wigner", "quantum", "classical"):
         raise InvalidParameterError(f"unknown kind {kind!r}")
-    if h <= 0 or min(tau1, tau2, tau3) <= 0:
-        raise InvalidParameterError("need h > 0 and all durations positive")
+    _scales(tau1, tau2, tau3, h)
     quantum = kind in ("wigner", "quantum")
 
     if checkpoint == 0:

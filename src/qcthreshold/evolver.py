@@ -66,17 +66,12 @@ _V_EDGE_TOL = 1e-6
 class EvolverConfig:
     substeps_per_unit: int = 200
     splitting_order: int = 2
-    frame_policy: str = "co-moving"
 
     def __post_init__(self):
         if self.substeps_per_unit < 1:
             raise InvalidParameterError("substeps_per_unit must be >= 1")
         if self.splitting_order not in (1, 2):
             raise InvalidParameterError("splitting order must be 1 or 2")
-        if self.frame_policy != "co-moving":
-            # A fixed-frame path would need semi-Lagrangian transport, which
-            # this engine deliberately does not contain.
-            raise InvalidParameterError("only the co-moving frame policy is supported")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Special functions used by the closed-form evaluators and their tests.
 
-Airy Ai, the parabolic cylinder function D_ell (via its real integral
-representation, valid for ell < 0), Gamma and erf.
+The parabolic cylinder function D_ell (via its real integral
+representation, valid for ell < 0), the tests' quadrature reference for
+the classical density, and Gamma and erf. The closed forms take Airy Ai
+and Ai' from scipy.special.airy directly.
 """
 
 from __future__ import annotations
@@ -10,13 +12,10 @@ import math
 
 import numpy as np
 from scipy import integrate
-from scipy import special as _sp
 
 from .errors import DomainError, RangeError
 
 __all__ = [
-    "airy_ai",
-    "airy_ai_prime",
     "parabolic_cylinder_D",
     "gamma",
     "erf",
@@ -25,34 +24,8 @@ __all__ = [
 gamma = math.gamma
 erf = math.erf
 
-#: |z| beyond which airy_ai refuses to evaluate (deep under/overflow regime).
-AIRY_MAX_ARG = 50.0
-
 #: |z| beyond which the D_ell integrand would overflow double precision.
 PCF_MAX_ARG = 36.0
-
-
-def airy_ai(z):
-    """Airy function Ai(z) for real z with |z| <= AIRY_MAX_ARG.
-
-    Accepts scalars or arrays. Backed by the library implementation; the
-    test suite cross-checks it against quadrature of the oscillatory
-    integral representation along a rotated contour.
-    """
-    arr = np.asarray(z, dtype=float)
-    if np.any(np.abs(arr) > AIRY_MAX_ARG):
-        raise RangeError(f"airy_ai argument exceeds |z| = {AIRY_MAX_ARG}")
-    ai = _sp.airy(arr)[0]
-    return float(ai) if np.isscalar(z) or arr.ndim == 0 else ai
-
-
-def airy_ai_prime(z):
-    """Derivative Ai'(z), same domain policy as :func:`airy_ai`."""
-    arr = np.asarray(z, dtype=float)
-    if np.any(np.abs(arr) > AIRY_MAX_ARG):
-        raise RangeError(f"airy_ai_prime argument exceeds |z| = {AIRY_MAX_ARG}")
-    aip = _sp.airy(arr)[1]
-    return float(aip) if np.isscalar(z) or arr.ndim == 0 else aip
 
 
 def _pcf_integral(ell: float, z: float) -> float:

@@ -68,6 +68,15 @@ class TestConfigFile:
         with pytest.raises(InvalidParameterError):
             load_config_file(cfg_file)
 
+    @pytest.mark.parametrize("line", ["substep = 80", "figures = ture"])
+    def test_unknown_key_or_unreadable_value(self, tmp_path, line):
+        # a misspelt key or switch value must not be dropped or read as off
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(line + "\n")
+        with pytest.raises(InvalidParameterError, match=line.split()[0]):
+            build_config(["--config", str(cfg_file)])
+        assert main(["--config", str(cfg_file)]) == 2
+
     def test_defaults(self):
         cfg = build_config([])
         assert cfg.h_list == (0.2, 0.1, 0.05)
@@ -112,6 +121,11 @@ class TestMain:
     def test_config_error_exit_code(self, tmp_path):
         assert main(["--config", str(tmp_path / "missing.cfg")]) == 2
         assert main(["--d-rule", "nonsense"]) == 2
+        assert main(["--grid", "512"]) == 2
+        assert main(["--h-list", "0.2,x"]) == 2
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("tau2 = abc\n")
+        assert main(["--config", str(cfg_file)]) == 2
 
     @pytest.mark.skipif(not _installed(),
                         reason="qcthreshold is not installed (no distribution "

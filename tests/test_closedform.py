@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import airy
 
 from qcthreshold.closedform import (
     BoundConstants,
@@ -22,7 +23,7 @@ from qcthreshold.closedform import (
 )
 from qcthreshold.core import Schedule, standard_schedule
 from qcthreshold.errors import InvalidParameterError, RangeError, ValidityError
-from qcthreshold.specialfn import airy_ai, parabolic_cylinder_D
+from qcthreshold.specialfn import parabolic_cylinder_D
 
 
 H = 0.05
@@ -42,7 +43,7 @@ class TestSpecialValues:
     def test_quantum_at_quarter(self):
         # at p = 1/4 the Airy argument vanishes for the standard schedule
         exact = 2.0 ** (1.0 / 6.0) * math.sqrt(math.pi) \
-            * math.exp(-1.0 / 24.0) * airy_ai(0.0) ** 2
+            * math.exp(-1.0 / 24.0) * airy(0.0)[0] ** 2
         assert quantum(0.25) == pytest.approx(exact, rel=1e-12)
 
     def test_classical_at_half(self):
@@ -240,9 +241,13 @@ class TestDuhamelBound:
 
 
 class TestRangeGuards:
-    def test_overflowing_negative_momentum(self):
+    @pytest.mark.parametrize("p,tau2", [(-1e4, 1.0), (150.0, 4.0)],
+                             ids=["exp-overflow", "airy-range"])
+    def test_overflowing_negative_momentum(self, p, tau2):
+        # at p = 150, tau2 = 4 the Airy argument is -59.5, past |zeta| = 50,
+        # where the exponential envelope is still e^-18.7
         with pytest.raises(RangeError):
-            quantum_momentum_pdf(-1e4, *ARGS)
+            quantum_momentum_pdf(p, SCH.tau1, tau2, SCH.tau3, H)
 
     def test_far_positive_tail_is_zero(self):
         assert quantum(80.0) == 0.0

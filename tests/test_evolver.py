@@ -260,8 +260,6 @@ class TestGuards:
             EvolverConfig(substeps_per_unit=0)
         with pytest.raises(InvalidParameterError):
             EvolverConfig(splitting_order=3)
-        with pytest.raises(InvalidParameterError):
-            EvolverConfig(frame_policy="fixed")
 
     def test_unnormalized_input_rejected(self):
         field, params = _initial("classical")

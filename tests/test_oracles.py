@@ -14,6 +14,7 @@ import pytest
 from qcthreshold.closedform import classical_momentum_pdf, quantum_momentum_pdf
 from qcthreshold.core import (
     GridSpec,
+    Schedule,
     SemiclassicalParams,
     initial_coherent_field,
     momentum_marginal,
@@ -54,16 +55,19 @@ class TestSchrodinger:
         assert np.abs(np.abs(cps[2].values) - np.abs(cps[1].values)).max() \
             < 1e-14
 
-    def test_final_matches_airy_closed_form(self):
-        cps = schrodinger_closed(coherent_wavefunction(H), SCH, H)
+    @pytest.mark.parametrize("sch", [SCH, Schedule(0.4, 0.5, 1.2),
+                                     Schedule(0.3, 2.0, 1.5)],
+                             ids=["standard", "0.4-0.5-1.2", "0.3-2.0-1.5"])
+    def test_final_matches_airy_closed_form(self, sch):
+        # the two other schedules have momentum scale S != 1
+        cps = schrodinger_closed(coherent_wavefunction(H), sch, H)
         md = momentum_distribution(cps[3], H)
         mask = (md.p > -14.0) & (md.p < 46.0)
-        ref = quantum_momentum_pdf(md.p[mask], SCH.tau1, SCH.tau2, SCH.tau3, H)
+        ref = quantum_momentum_pdf(md.p[mask], sch.tau1, sch.tau2, sch.tau3, H)
         assert float(np.abs(md.q[mask] - ref).sum() * md.dp) < 1e-9
 
     def test_weak_kick_gaussian_limit(self):
         # tau2 -> 0 leaves a squeezed Gaussian of variance h e^{2(tau3-tau1)}
-        from qcthreshold.core import Schedule
         sch = Schedule(tau1=0.3, tau2=1e-4, tau3=0.5)
         cps = schrodinger_closed(coherent_wavefunction(H), sch, H)
         md = momentum_distribution(cps[3], H)
