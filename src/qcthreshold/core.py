@@ -50,6 +50,10 @@ __all__ = [
 
 FieldKind = Literal["wigner", "classical"]
 
+# 5-point Gauss-Legendre nodes and weights on [0, 1]
+_GL_X = (np.polynomial.legendre.leggauss(5)[0] + 1.0) / 2.0
+_GL_W = np.polynomial.legendre.leggauss(5)[1] / 2.0
+
 
 @dataclass(frozen=True)
 class SemiclassicalParams:
@@ -59,10 +63,10 @@ class SemiclassicalParams:
     D: float = 0.0
 
     def __post_init__(self):
-        if not self.hbar > 0:
-            raise InvalidParameterError("hbar must be positive")
-        if self.D < 0:
-            raise InvalidParameterError("diffusion strength D must be >= 0")
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise InvalidParameterError("hbar must be positive and finite")
+        if not (math.isfinite(self.D) and self.D >= 0):
+            raise InvalidParameterError("D must be finite and >= 0")
 
     @property
     def h(self) -> float:
@@ -184,6 +188,18 @@ class Schedule:
         start, tau = self.window(i)
         return tau * (self.bump.cumulative((tb - start) / tau)
                       - self.bump.cumulative((ta - start) / tau))
+
+    def stretch_integrals(self, i: int, sign: float, a0: float, n: int):
+        """(int e^(-2a) dt, int e^(2a) dt) over window i for the log-scale
+        a(t) = a0 + sign * int_start^t chi_i, by composite 5-point
+        Gauss-Legendre on n equal panels."""
+        start, tau = self.window(i)
+        dt = tau / n
+        # the nodes of every panel, one row per panel
+        t_nodes = (start + tau * np.arange(n) / n)[:, None] + dt * _GL_X
+        a_nodes = a0 + sign * self.bump_integral(i, start, t_nodes)
+        return (dt * float((np.exp(-2.0 * a_nodes) @ _GL_W).sum()),
+                dt * float((np.exp(2.0 * a_nodes) @ _GL_W).sum()))
 
 
 def standard_schedule(h: float) -> Schedule:

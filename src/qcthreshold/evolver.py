@@ -41,11 +41,6 @@ __all__ = [
     "convergence_check",
 ]
 
-# Gauss-Legendre nodes/weights on [0, 1], used to time-integrate the
-# frame-dependent diffusion coefficients across a substep.
-_GL_X = (np.polynomial.legendre.leggauss(5)[0] + 1.0) / 2.0
-_GL_W = np.polynomial.legendre.leggauss(5)[1] / 2.0
-
 #: Relative spectral mass allowed in the top tenth of the momentum band.
 _TAIL_TOL = 1e-8
 #: Relative spectral mass allowed in the top tenth of the position band,
@@ -215,16 +210,10 @@ def _stretch_window(field: PhaseSpaceField, schedule: Schedule, i: int,
                     config: EvolverConfig) -> PhaseSpaceField:
     """Window 1 or 3: exact frame transport plus integrated diffusion."""
     start, tau = schedule.window(i)
-    a0 = field.frame.a
     I_u = I_v = 0.0
     if params.D > 0.0:
-        n = _window_substeps(tau, config)
-        dt = tau / n
-        # Gauss-Legendre nodes of every substep, one row per substep
-        t_nodes = (start + tau * np.arange(n) / n)[:, None] + dt * _GL_X
-        a_nodes = a0 + sign * schedule.bump_integral(i, start, t_nodes)
-        I_u = dt * float((np.exp(-2.0 * a_nodes) @ _GL_W).sum())
-        I_v = dt * float((np.exp(2.0 * a_nodes) @ _GL_W).sum())
+        I_u, I_v = schedule.stretch_integrals(i, sign, field.frame.a,
+                                              _window_substeps(tau, config))
     field = field.with_frame(field.frame.shifted(
         sign * schedule.bump_integral(i, start, start + tau)))
     return _integrated_diffusion(field, params, I_u, I_v)

@@ -3,7 +3,9 @@ evolver: a closed-system Schrodinger solver, a position-basis Lindblad
 density-matrix solver, and a Langevin Monte-Carlo sampler.
 
 These are deliberately different discretizations of the same dynamics; they
-trade speed for independence and run at modest scales only.
+trade speed for independence and run at modest scales only. Windows 1 and 3
+are linear, so both open-system oracles take them exactly; only window 2 at
+D > 0 is stepped.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.fft as sfft
 
 from .core import BumpProfile, MomentumDistribution, Schedule, SemiclassicalParams
 from .errors import InvalidParameterError, ResolutionError, SolverFailureError
@@ -47,9 +50,6 @@ class WavefunctionField:
     @property
     def dxi(self) -> float:
         return float(self.xi[1] - self.xi[0])
-
-    def norm_sq(self) -> float:
-        return float((np.abs(self.values) ** 2).sum() * self.dxi)
 
     def lab_x(self) -> np.ndarray:
         return self.scale * self.xi
@@ -154,74 +154,61 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
                        params: SemiclassicalParams, steps: int = 100):
     """Position-basis Lindblad evolution; returns the four checkpoints.
 
-    Dilations are carried by the scale; decoherence acts as the diagonal
-    multiplier exp[-(D/2 hbar^2)(x-x')^2 dt] plus the double-Fourier
-    multiplier exp[-(D/2)(k+k')^2 dt], Strang-split per substep. The cubic
-    phase of window 2 is diagonal in position and commutes with the
-    x-decoherence factor.
+    Dilations are carried by the scale; decoherence is the diagonal
+    multiplier exp[-(D/2 hbar^2)(x-x')^2 dt] times the double-Fourier one
+    exp[-(D/2)(k+k')^2 dt]. The two commute, so each stretch window is one
+    exact step with time-integrated coefficients; window 2 is Strang-split
+    into ``steps`` substeps against the cubic phase (one phase at D = 0).
     """
     hbar = params.hbar
     D = params.D
     xi = rho0.xi
-    diff = xi[:, None] - xi[None, :]
+    k = 2.0 * math.pi * np.fft.fftfreq(len(xi), d=rho0.dxi)
+    n = max(1, steps)
 
-    def substep_windows(i, sign):
-        start, tau = schedule.window(i)
-        n = max(1, steps)
-        return [(start + tau * j / n, start + tau * (j + 1) / n) for j in range(n)]
+    def dampings(I_x, I_p):
+        # the x- and k-decoherence multipliers in frame coordinates
+        return (np.exp(-(D / (2.0 * hbar ** 2)) * I_x
+                       * np.subtract.outer(xi, xi) ** 2),
+                np.exp(-(D / 2.0) * I_p * np.add.outer(k, k) ** 2))
 
-    def gauss_int(i, sign, a0, ta, tb, expfac):
-        # integral of exp(expfac * a(t)) over [ta, tb], 5-point Gauss
-        nodes = ta + (tb - ta) * _GL_X
-        start, _ = schedule.window(i)
-        a_nodes = a0 + sign * np.array(
-            [schedule.bump_integral(i, start, t) for t in nodes])
-        return (tb - ta) * float((_GL_W * np.exp(expfac * a_nodes)).sum())
-
-    def p_decoherence(vals, coeff):
-        if coeff == 0.0:
-            return vals
-        k = 2.0 * math.pi * np.fft.fftfreq(len(xi), d=rho0.dxi)
-        spec = np.fft.fft2(vals)
-        spec *= np.exp(-coeff * (k[:, None] + k[None, :]) ** 2)
-        return np.fft.ifft2(spec)
+    def p_decoherence(vals, k_damp):
+        # overwrites vals
+        spec = sfft.fft2(vals, overwrite_x=True)
+        spec *= k_damp
+        return sfft.ifft2(spec, overwrite_x=True)
 
     def stretch_window(rho, i, sign):
         a0 = math.log(rho.scale)
+        scale = math.exp(a0 + sign * schedule.window(i)[1])
         if D == 0.0:
-            _, tau = schedule.window(i)
-            return replace(rho, scale=math.exp(a0 + sign * tau))
-        vals = rho.values
-        for ta, tb in substep_windows(i, sign):
-            I_x = gauss_int(i, sign, a0, ta, tb, 2.0)    # int s^2 dt
-            I_p = gauss_int(i, sign, a0, ta, tb, -2.0)   # int s^-2 dt
-            xdec = np.exp(-(D / (2.0 * hbar ** 2)) * diff ** 2 * (I_x / 2.0))
-            vals = vals * xdec
-            vals = p_decoherence(vals, (D / 2.0) * I_p)
-            vals = vals * xdec
-        start, tau = schedule.window(i)
-        return replace(rho, values=vals, scale=math.exp(a0 + sign * tau))
+            return replace(rho, scale=scale)
+        I_p, I_x = schedule.stretch_integrals(i, sign, a0, n)
+        x_damp, k_damp = dampings(I_x, I_p)
+        return replace(rho, values=p_decoherence(rho.values * x_damp, k_damp),
+                       scale=scale)
 
     def kick_window(rho):
         start, tau = schedule.window(2)
         s = rho.scale
-        x = s * xi
-        vals = rho.values
-        n = max(1, steps)
-        phase_unit = (x[:, None] ** 3 - x[None, :] ** 3) / (3.0 * hbar)
-        for j in range(n):
-            ta = start + tau * j / n
-            tb = start + tau * (j + 1) / n
-            delta = schedule.bump_integral(2, ta, tb)
-            dt = tb - ta
-            half = np.exp(1j * phase_unit * (delta / 2.0))
-            if D > 0.0:
-                half = half * np.exp(-(D / (2.0 * hbar ** 2))
-                                     * (s * diff) ** 2 * (dt / 2.0))
-            vals = vals * half
-            if D > 0.0:
-                vals = p_decoherence(vals, (D / 2.0) * dt / s ** 2)
-            vals = vals * half
+        # (x^3 - x'^3) / 3 hbar is a difference, so each phase multiplier is
+        # a column times its conjugate row
+        f = (s * xi) ** 3 / (3.0 * hbar)
+        if D == 0.0:
+            col = np.exp(1j * tau * f)
+            return replace(rho, values=rho.values * np.outer(col, col.conj()))
+        edges = start + tau * np.arange(n + 1) / n
+        deltas = schedule.bump_integral(2, edges[:-1], edges[1:])
+        # neighbouring Strang half-phases fused: d0/2, (d0+d1)/2, ..., d_n-1/2
+        cols = np.exp(1j * np.convolve(deltas, [0.5, 0.5])[:, None] * f)
+        x_full, k_full = dampings(s ** 2 * tau / n, tau / (n * s ** 2))
+        vals = rho.values * np.sqrt(x_full)
+        for j, col in enumerate(cols):
+            if j:
+                vals = p_decoherence(vals, k_full)
+                vals *= x_full if j < n else np.sqrt(x_full)
+            vals *= col[:, None]
+            vals *= col.conj()
         return replace(rho, values=vals)
 
     cp0 = rho0
@@ -300,36 +287,47 @@ class TrajectoryEnsemble:
 
 def langevin_sample(m: int, schedule: Schedule, params: SemiclassicalParams,
                     dt: float = 1e-3, seed: int = 0):
-    """Euler-Maruyama sampling of the classical dynamics; returns the four
-    checkpoint ensembles. All samples start from the coherent-state
-    Gaussian with sigma_x = sigma_p = sqrt(h)."""
+    """Sampling of the classical dynamics; returns the four checkpoint
+    ensembles. All samples start from the coherent-state Gaussian with
+    sigma_x = sigma_p = sqrt(h). The linear windows 1 and 3 are one exact
+    Gaussian step each; window 2 is p += tau2 x^2 at D = 0 and
+    Euler-Maruyama in steps of at most dt at D > 0."""
     if m < 1:
         raise InvalidParameterError("need at least one sample")
-    if dt > 1e-3:
-        raise InvalidParameterError("dt must be <= 1e-3 for this oracle")
+    if not 0.0 < dt <= 1e-3:
+        raise InvalidParameterError("dt must lie in (0, 1e-3] for this oracle")
     rng = np.random.Generator(np.random.PCG64(seed))
     sig = math.sqrt(params.h)
     x = rng.normal(0.0, sig, m)
     p = rng.normal(0.0, sig, m)
-    root_D_dt = math.sqrt(params.D * dt)
+    D = params.D
+    noise = np.empty((2, m))
     out = [TrajectoryEnsemble(x.copy(), p.copy(), seed)]
-    for i in (1, 2, 3):
+    for i, sign in ((1, 1.0), (2, 0.0), (3, -1.0)):
         start, tau = schedule.window(i)
         n = int(math.ceil(tau / dt))
-        step = tau / n
-        rd = math.sqrt(params.D * step)
-        for j in range(n):
-            t = start + (j + 0.5) * step
-            c1 = float(schedule.chi(1, t))
-            c2 = float(schedule.chi(2, t))
-            c3 = float(schedule.chi(3, t))
-            dx = (c1 - c3) * x * step
-            dp = (c3 - c1) * p * step + c2 * x * x * step
-            x = x + dx
-            p = p + dp
-            if params.D > 0.0:
-                x = x + rd * rng.standard_normal(m)
-                p = p + rd * rng.standard_normal(m)
+        if i != 2:
+            # x -> e^A x plus variance D int e^{2(A - a)} dt, p -> e^-A p plus
+            # D int e^{2(a - A)} dt; a(t) is the log-stretch reached at t
+            A = sign * tau
+            x *= math.exp(A)
+            p *= math.exp(-A)
+            if D > 0.0:
+                var_x, var_p = schedule.stretch_integrals(i, sign, -A, n)
+                rng.standard_normal(out=noise)
+                x += math.sqrt(D * var_x) * noise[0]
+                p += math.sqrt(D * var_p) * noise[1]
+        elif D == 0.0:
+            p += tau * x * x
+        else:
+            step = tau / n
+            rd = math.sqrt(D * step)
+            for c in step * schedule.chi(2, start + (np.arange(n) + 0.5) * step):
+                p += c * x * x
+                rng.standard_normal(out=noise)
+                noise *= rd
+                x += noise[0]
+                p += noise[1]
         if np.abs(x).max() > 50.0:
             raise SolverFailureError("trajectory ran away past |x| = 50")
         out.append(TrajectoryEnsemble(x.copy(), p.copy(), seed))
@@ -345,6 +343,3 @@ def histogram_distribution(samples: np.ndarray, bins: int,
     q = counts / (len(samples) * width)
     return MomentumDistribution(p=centers, q=q)
 
-
-_GL_X = (np.polynomial.legendre.leggauss(5)[0] + 1.0) / 2.0
-_GL_W = np.polynomial.legendre.leggauss(5)[1] / 2.0

@@ -249,7 +249,7 @@ def write_artifacts(config: RunConfig, records) -> None:
     os.makedirs(config.out_dir, exist_ok=True)
     write_records_csv(os.path.join(config.out_dir, "records.csv"), records)
     extra = {}
-    crossings = crossing_estimates(records)
+    crossings = crossing_estimates(records, config.tau2)
     if crossings:
         extra["crossings"] = {repr(h): v for h, v in sorted(crossings.items())}
     write_summary_json(os.path.join(config.out_dir, "summary.json"),
@@ -272,10 +272,10 @@ def _bound_rows(records) -> list:
     return rows
 
 
-def crossing_estimates(records) -> dict:
-    """Per-h estimate of the D where discrepancy falls to c0/2, by
+def crossing_estimates(records, tau2: float) -> dict:
+    """Per-h estimate of the D where discrepancy falls to c0(tau2)/2, by
     log-linear interpolation across the sweep's D > 0 points."""
-    half = constants(1.0).c0 / 2.0
+    half = constants(tau2).c0 / 2.0
     out = {}
     by_h = {}
     for r in records:
@@ -306,7 +306,7 @@ def threshold_sweep(h_list, exponent_list, config: RunConfig = None):
                   d_rule=("exponent", tuple(exponent_list)),
                   include_zero=True)
     records = run_experiment(cfg)
-    crossings = crossing_estimates(records)
+    crossings = crossing_estimates(records, cfg.tau2)
     ratios = {h: (d / h ** (4.0 / 3.0) if not math.isnan(d) else math.nan)
               for h, d in crossings.items()}
     return records, ratios

@@ -38,10 +38,10 @@ class TestParams:
         assert p.h == 0.05
 
     def test_invalid(self):
-        with pytest.raises(InvalidParameterError):
-            SemiclassicalParams(hbar=0.0)
-        with pytest.raises(InvalidParameterError):
-            SemiclassicalParams(hbar=1.0, D=-0.1)
+        for hbar, D in ((0.0, 0.0), (1.0, -0.1), (math.inf, 0.0),
+                        (math.nan, 0.0), (1.0, math.inf), (1.0, math.nan)):
+            with pytest.raises(InvalidParameterError):
+                SemiclassicalParams(hbar=hbar, D=D)
 
     def test_decoherence_length(self):
         assert decoherence_length(

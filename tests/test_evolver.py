@@ -32,8 +32,6 @@ from qcthreshold.errors import (
     SolverFailureError,
 )
 from qcthreshold.evolver import (
-    _GL_W,
-    _GL_X,
     _U_TAIL_TOL,
     ConvergenceReport,
     EvolverConfig,
@@ -48,6 +46,9 @@ from qcthreshold.evolver import (
 
 H = 0.05
 SCH = standard_schedule(H)
+# 5-point Gauss-Legendre nodes and weights on [0, 1]
+_GL_X = (np.polynomial.legendre.leggauss(5)[0] + 1.0) / 2.0
+_GL_W = np.polynomial.legendre.leggauss(5)[1] / 2.0
 
 
 def _initial(kind, D=0.0, grid=None):

@@ -7,9 +7,11 @@ quantum), and a Langevin sampler (open classical).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from qcthreshold.closedform import classical_momentum_pdf, quantum_momentum_pdf
 from qcthreshold.core import (
@@ -37,6 +39,9 @@ from qcthreshold.oracles import (
 
 H = 0.05
 SCH = standard_schedule(H)
+# 5-point Gauss-Legendre nodes and weights on [0, 1]
+_GL_X = (np.polynomial.legendre.leggauss(5)[0] + 1.0) / 2.0
+_GL_W = np.polynomial.legendre.leggauss(5)[1] / 2.0
 PARAMS0 = SemiclassicalParams(hbar=2 * H)
 
 
@@ -81,6 +86,51 @@ class TestSchrodinger:
             schrodinger_closed(psi, SCH, H)
 
 
+def _lindblad_substep_window(rho, schedule, params, i, steps):
+    """Window i of the Lindblad solver as a loop of Strang substeps, each
+    with its own Gauss-Legendre coefficient integrals (the solver's former
+    implementation, kept as the reference for its exact windows)."""
+    hbar, D = params.hbar, params.D
+    xi = rho.xi
+    diff = xi[:, None] - xi[None, :]
+    k = 2.0 * math.pi * np.fft.fftfreq(len(xi), d=rho.dxi)
+    s = rho.scale
+    a0 = math.log(s)
+    sign = {1: 1.0, 2: 0.0, 3: -1.0}[i]
+    start, tau = schedule.window(i)
+
+    def gauss_int(ta, tb, expfac):
+        nodes = ta + (tb - ta) * _GL_X
+        a_nodes = a0 + sign * np.array(
+            [schedule.bump_integral(i, start, t) for t in nodes])
+        return (tb - ta) * float((_GL_W * np.exp(expfac * a_nodes)).sum())
+
+    def p_decoherence(vals, coeff):
+        spec = np.fft.fft2(vals)
+        spec *= np.exp(-coeff * (k[:, None] + k[None, :]) ** 2)
+        return np.fft.ifft2(spec)
+
+    phase_unit = ((s * xi)[:, None] ** 3 - (s * xi)[None, :] ** 3) / (3.0 * hbar)
+    vals = rho.values
+    for j in range(steps):
+        ta = start + tau * j / steps
+        tb = start + tau * (j + 1) / steps
+        if i == 2:
+            half = np.exp(1j * phase_unit
+                          * (schedule.bump_integral(2, ta, tb) / 2.0))
+            half = half * np.exp(-(D / (2.0 * hbar ** 2)) * (s * diff) ** 2
+                                 * ((tb - ta) / 2.0))
+            coeff = (D / 2.0) * (tb - ta) / s ** 2
+        else:
+            half = np.exp(-(D / (2.0 * hbar ** 2)) * diff ** 2
+                          * (gauss_int(ta, tb, 2.0) / 2.0))
+            coeff = (D / 2.0) * gauss_int(ta, tb, -2.0)
+        vals = vals * half
+        vals = p_decoherence(vals, coeff)
+        vals = vals * half
+    return replace(rho, values=vals, scale=math.exp(a0 + sign * tau))
+
+
 @pytest.fixture(scope="module")
 def dm_run():
     params = SemiclassicalParams(hbar=2 * H, D=H ** (4.0 / 3.0))
@@ -117,6 +167,33 @@ class TestLindbladDensityMatrix:
         ref = resample_distribution(sp, md.p[mask])
         assert float(np.abs(md.q[mask] - ref.q).sum() * md.dp) < 1e-4
 
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_window_matches_substep_loop(self, dm_run, window):
+        # the stretch windows are one exact step; the kick window fuses
+        # neighbouring Strang half-phases
+        params, cps = dm_run
+        ref = _lindblad_substep_window(cps[window - 1], SCH, params, window,
+                                       steps=60)
+        assert cps[window].scale == pytest.approx(ref.scale, rel=1e-14)
+        got = dm_momentum_marginal(cps[window], params).q
+        want = dm_momentum_marginal(ref, params).q
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_closed_run_is_pure_kicked_state(self):
+        # at D = 0 the stretch windows only rescale and the kick window is
+        # the one exact phase exp(i tau2 x^3 / 3 hbar) on each factor of
+        # rho = psi psi^*
+        rho0 = coherent_density_matrix(H, n=256)
+        cps = lindblad_dm_evolve(rho0, SCH, PARAMS0, steps=10)
+        assert cps[3].scale == pytest.approx(
+            math.exp(SCH.tau1 - SCH.tau3), rel=1e-14)
+        x = math.exp(SCH.tau1) * rho0.xi
+        psi = rho0.values[:, 128] / math.sqrt(rho0.values[128, 128].real) \
+            * np.exp(1j * SCH.tau2 * x ** 3 / (3.0 * PARAMS0.hbar))
+        want = np.outer(psi, psi.conj())
+        assert np.abs(cps[3].values - want).max() \
+            <= 1e-12 * np.abs(want).max()
+
     def test_initial_wigner_is_isotropic_gaussian(self):
         rho = coherent_density_matrix(H, n=512)
         x, p, W = wigner_from_dm(rho, PARAMS0)
@@ -147,15 +224,42 @@ class TestLangevin:
         x1, p1 = ens[1].x, ens[1].p
         x2, p2 = ens[2].x, ens[2].p
         assert np.abs(x2 - x1).max() < 1e-12
-        assert np.abs(p2 - p1 - SCH.tau2 * x1 ** 2).max() < 1e-5
+        assert np.abs(p2 - p1 - SCH.tau2 * x1 ** 2).max() < 1e-12
 
     def test_closed_stretch_map(self):
         ens = langevin_sample(2000, SCH, PARAMS0, seed=3)
         x0, p0 = ens[0].x, ens[0].p
-        # Euler integration of dx = chi x dt has O(dt) global error ~6e-4
         ratio = ens[1].x / x0
-        assert np.abs(ratio - math.exp(SCH.tau1)).max() < 2e-3
-        assert np.abs(ens[1].p * math.exp(SCH.tau1) - p0).max() < 2e-3
+        assert np.abs(ratio - math.exp(SCH.tau1)).max() < 1e-12
+        assert np.abs(ens[1].p * math.exp(SCH.tau1) - p0).max() < 1e-12
+
+    def test_stretch_windows_match_ou_moments(self):
+        # windows 1 and 3 are linear: dz = sign chi_i z dt + sqrt(D) dW
+        # takes var z to e^{2A} var z + D int e^{2(A - a(t))} dt, with
+        # a(t) = sign int chi_i and A = a(end). A short kick keeps the
+        # Euler-Maruyama window 2 cheap; checkpoint 3 starts from the
+        # sample's own checkpoint-2 variances.
+        D = H ** (4.0 / 3.0)
+        sch = Schedule(SCH.tau1, 0.05, SCH.tau3)
+
+        def ou_var(var0, i, sign):
+            start, tau = sch.window(i)
+            A = sign * tau
+            noise, _ = quad(lambda t: math.exp(
+                2.0 * (A - sign * sch.bump_integral(i, start, t))),
+                start, start + tau, epsabs=0.0, epsrel=1e-12, limit=200)
+            return math.exp(2.0 * A) * var0 + D * noise
+
+        ens = langevin_sample(400_000, sch,
+                              SemiclassicalParams(hbar=2 * H, D=D), seed=11)
+        assert float(ens[1].x.var()) == pytest.approx(ou_var(H, 1, 1.0),
+                                                      rel=1e-2)
+        assert float(ens[1].p.var()) == pytest.approx(ou_var(H, 1, -1.0),
+                                                      rel=1e-2)
+        assert float(ens[3].x.var()) == pytest.approx(
+            ou_var(float(ens[2].x.var()), 3, -1.0), rel=1e-2)
+        assert float(ens[3].p.var()) == pytest.approx(
+            ou_var(float(ens[2].p.var()), 3, 1.0), rel=1e-2)
 
     def test_diffusion_broadens(self):
         d_params = SemiclassicalParams(hbar=2 * H, D=H ** (4.0 / 3.0))
@@ -172,5 +276,6 @@ class TestLangevin:
     def test_invalid_arguments(self):
         with pytest.raises(InvalidParameterError):
             langevin_sample(0, SCH, PARAMS0)
-        with pytest.raises(InvalidParameterError):
-            langevin_sample(10, SCH, PARAMS0, dt=0.01)
+        for dt in (0.01, 0.0, -1e-3, math.nan):
+            with pytest.raises(InvalidParameterError):
+                langevin_sample(10, SCH, PARAMS0, dt=dt)

@@ -12,6 +12,7 @@ from qcthreshold.errors import InvalidParameterError
 from qcthreshold.sweep import (
     CSV_COLUMNS,
     RunConfig,
+    SweepRecord,
     bound_check,
     crossing_estimates,
     emit_figures,
@@ -19,6 +20,7 @@ from qcthreshold.sweep import (
     run_experiment,
     run_point,
     threshold_sweep,
+    write_artifacts,
     write_records_csv,
 )
 
@@ -133,13 +135,33 @@ class TestArtifacts:
 
 class TestCrossing:
     def test_interpolates_between_points(self, small_records):
-        _, records = small_records
-        est = crossing_estimates(records)
+        cfg, records = small_records
+        est = crossing_estimates(records, cfg.tau2)
         assert set(est) == {0.2}
         d_star = est[0.2]
         # the crossing must sit inside the swept D range
         ds = sorted(r.D for r in records if r.D > 0)
         assert ds[0] < d_star < ds[-1]
+
+    @pytest.mark.parametrize("tau2, bracket", [(1.0, (0.02, 0.04)),
+                                               (2.0, (0.01, 0.02))])
+    def test_threshold_follows_tau2(self, tmp_path, tau2, bracket):
+        # c0/2 is 0.0321 at tau2 = 1 and 0.0405 at tau2 = 2, so the
+        # synthetic discrepancies cross them in different D intervals
+        records = [SweepRecord(h=0.1, D=D, exponent=math.nan,
+                               discrepancy_g0=g, l1=0.1, quantum_bound=1.0,
+                               classical_bound=1.0, grid="64x128",
+                               substeps=25, wall_time=0.0,
+                               measured_quantum_l1=0.0,
+                               measured_classical_l1=0.0)
+                   for D, g in ((0.01, 0.06), (0.02, 0.038), (0.04, 0.025),
+                                (0.08, 0.01))]
+        assert bracket[0] < crossing_estimates(records, tau2)[0.1] \
+            < bracket[1]
+        cfg = RunConfig(h_list=(0.1,), tau2=tau2, out_dir=str(tmp_path))
+        write_artifacts(cfg, records)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert bracket[0] < summary["crossings"]["0.1"] < bracket[1]
 
     def test_threshold_sweep_ratio(self):
         records, ratios = threshold_sweep(
