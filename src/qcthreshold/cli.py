@@ -6,7 +6,10 @@ Usage:
 
 Options may also come from a flat key = value config file (--config);
 command-line flags override file entries. An unknown config key or a value
-that cannot be read ends the run with "error: ..." and exit code 2.
+that cannot be read ends the run with "error: ..." and exit code 2; a sweep
+point that the solver cannot resolve or that fails a solver diagnostic ends
+it with "error: <class>: ..." and exit code 3. Exit code 1 means a bound or
+oracle check failed.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ResolutionError, SolverFailureError
 from .sweep import RunConfig, bound_passed, run_experiment
 
 __all__ = ["main", "parse_d_rule", "load_config_file", "build_config"]
@@ -95,7 +98,10 @@ def _parser():
                    help="exp:p1,p2,... for D = h^p or abs:D1,D2,...")
     p.add_argument("--tau2", help="kick window duration")
     p.add_argument("--grid", help="grid as N_UxN_V, e.g. 512x1024")
-    p.add_argument("--substeps", help="substeps per unit time")
+    p.add_argument("--substeps",
+                   help="quadrature panels per unit time for the stretch-"
+                        "window diffusion integrals (the kick window is "
+                        "exact)")
     p.add_argument("--out", help="output directory for artifacts")
     p.add_argument("--seed", help="seed recorded in outputs")
     p.add_argument("--oracle", action="store_const", const="true",
@@ -167,6 +173,9 @@ def main(argv=None) -> int:
     except (InvalidParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ResolutionError, SolverFailureError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     failures = [
         r for r in records
         if not (bound_passed(r.measured_quantum_l1, r.quantum_bound)

@@ -149,8 +149,9 @@ class Schedule:
     technical_ok: Optional[bool] = None
 
     def __post_init__(self):
-        if min(self.tau1, self.tau2, self.tau3) <= 0:
-            raise InvalidParameterError("all schedule durations must be positive")
+        if not all(math.isfinite(t) and t > 0 for t in self.taus()):
+            raise InvalidParameterError(
+                "all schedule durations must be positive and finite")
 
     @property
     def t0(self) -> float:

@@ -1,20 +1,27 @@
-"""Split-step spectral evolution of Wigner and classical phase-space
-densities through the three-window schedule with isotropic diffusion.
+"""Spectral evolution of Wigner and classical phase-space densities through
+the three-window schedule with isotropic diffusion.
 
 The co-moving frame absorbs the stretch/squeeze transport exactly, so every
-grid operation is a Fourier or diagonal multiplier:
+grid operation is a Fourier or diagonal multiplier, and every window is
+taken in one step:
 
   windows 1 and 3:  frame log-scale update (exact) plus diffusion with
                     time-integrated lab coefficients (exact per window,
-                    since all multipliers commute);
+                    since all multipliers commute; the integrals take
+                    substeps_per_unit Gauss-Legendre panels per unit
+                    time);
   window 2:         cubic kick as a momentum-direction Fourier multiplier
                     exp[-i k (x^2 + kappa (h^2/3) k^2) delta]. The frame is
                     static there, so at D = 0 the multipliers commute and
-                    one kick over the whole window is exact; at D > 0 the
-                    kick is Lie- or Strang-split against diffusion in the
-                    (u, k_v) representation, where the kick and the k_v
-                    damping are diagonal and each substep needs one
-                    complex FFT pair along u.
+                    one kick over the whole window is exact. At D > 0 each
+                    k_v column of the (u, k_v) representation evolves under
+                    -i c(t) u^2 + d d^2/du^2 plus a scalar: the generator
+                    lies in sl(2), so the window's propagator is a linear
+                    canonical transform. Its 2x2 matrix comes from a
+                    4th-order Magnus integration, and it factors as chirp,
+                    heat kernel, chirp: two diagonal multipliers around one
+                    complex FFT pair along u (Healy, Kutay, Ozaktas &
+                    Sheridan, Linear Canonical Transforms, Springer 2016).
 
 kappa = 1 evolves the truncated quantum (Wigner-Moyal) equation, kappa = 0
 the classical Fokker-Planck equation; both share every other term.
@@ -55,18 +62,34 @@ _U_TAIL_TOL = 1e-4
 #: the momentum-edge band gets a looser hard limit of its own.
 _EDGE_TOL = 1e-10
 _V_EDGE_TOL = 1e-6
+#: Window-2 columns whose k_v damping exp(-(D/2) e^(2a) tau2 k_v^2) lies
+#: below e^-46 (about 1e-20) are set to zero: the rest of their propagator
+#: is a contraction, so their true output is below roundoff.
+_DAMP_CUT = 46.0
+#: Step-doubling tolerance on the relative error of the window-2 matrices.
+#: It bounds the coarser of the last pair, and the finer one is used: on
+#: the default sweep that is 256-1024 slices, and the final marginal moves
+#: by under 1e-12 when the tolerance is tightened to 1e-12.
+_MAGNUS_TOL = 1e-9
+_MAGNUS_START = 32
+_MAGNUS_MAX = 1 << 14
+#: Largest number of equal pieces the window may be cut into so that no
+#: chirp or heat factor grows, and the largest log-modulus a factor may
+#: reach on the grid before it counts as growing.
+_MAX_PIECES = 64
+_GROWTH_TOL = 1e-12
+#: Magnus slices exponentiated at once (bounds the working memory).
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
 class EvolverConfig:
+    #: quadrature panels per unit time for the stretch-window integrals
     substeps_per_unit: int = 200
-    splitting_order: int = 2
 
     def __post_init__(self):
         if self.substeps_per_unit < 1:
             raise InvalidParameterError("substeps_per_unit must be >= 1")
-        if self.splitting_order not in (1, 2):
-            raise InvalidParameterError("splitting order must be 1 or 2")
 
 
 @dataclass(frozen=True)
@@ -163,10 +186,6 @@ def diffusion_substep(field: PhaseSpaceField, params: SemiclassicalParams,
                                  math.exp(2.0 * a) * dt)
 
 
-def _window_substeps(tau: float, config: EvolverConfig) -> int:
-    return max(1, int(math.ceil(config.substeps_per_unit * tau)))
-
-
 def _edge_metrics(field: PhaseSpaceField) -> dict:
     cell = field.du * field.dv
     a = np.abs(field.values)
@@ -212,57 +231,161 @@ def _stretch_window(field: PhaseSpaceField, schedule: Schedule, i: int,
     start, tau = schedule.window(i)
     I_u = I_v = 0.0
     if params.D > 0.0:
-        I_u, I_v = schedule.stretch_integrals(i, sign, field.frame.a,
-                                              _window_substeps(tau, config))
+        panels = max(1, math.ceil(config.substeps_per_unit * tau))
+        I_u, I_v = schedule.stretch_integrals(i, sign, field.frame.a, panels)
     field = field.with_frame(field.frame.shifted(
         sign * schedule.bump_integral(i, start, start + tau)))
     return _integrated_diffusion(field, params, I_u, I_v)
 
 
-def _kick_window(field: PhaseSpaceField, schedule: Schedule,
-                 params: SemiclassicalParams, config: EvolverConfig,
-                 kappa: int) -> tuple[PhaseSpaceField, int]:
-    """Window 2: the cubic kick, split against diffusion when D > 0.
+def _compose(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(I + A)(I + B) - I for stacks of 2x2 matrices held as I + A and
+    I + B, with their entries (00, 01, 10, 11) along axis 0. Carrying
+    M - I keeps the small entries M00 - 1 and M11 - 1 exact to roundoff
+    when D is small."""
+    return A + B + np.stack([A[0] * B[0] + A[1] * B[2],
+                             A[0] * B[1] + A[1] * B[3],
+                             A[2] * B[0] + A[3] * B[2],
+                             A[2] * B[1] + A[3] * B[3]])
 
-    Returns the kicked field and the number of kick substeps applied. The
-    frame is static in this window. At D = 0 the kick multipliers commute
-    and their phase is linear in delta, so one kick by the whole window's
-    bump integral is exact. At D > 0 the state stays in the (u, k_v)
-    representation for the whole window: the kick and the k_v damping are
-    diagonal there, and the k_u damping takes one complex FFT pair along u
-    per substep.
+
+def _magnus_pieces(schedule: Schedule, kx: np.ndarray, d: float, n: int,
+                   m: int) -> np.ndarray:
+    """M - I for the propagators of M' = [[0, -2i d], [-2 chi_2(t) kx, 0]] M
+    over each of m equal pieces of window 2 and every column kx, shape
+    (m, 4, len(kx)) with the entries (00, 01, 10, 11) along axis 1.
+
+    Each of the n slices (n / m per piece) is one 4th-order Magnus step on
+    its Gauss pair, exponentiated in closed form: a traceless 2x2 Omega
+    has Omega^2 = q^2 I, so exp(Omega) = cosh(q) I + (sinh(q)/q) Omega.
     """
     start, tau = schedule.window(2)
-    if params.D == 0.0:
-        delta = schedule.bump_integral(2, start, start + tau)
-        return cubic_kick_substep(field, delta, params, kappa), 1
-    n = _window_substeps(tau, config)
-    edges = start + tau * np.arange(n + 1) / n
-    deltas = schedule.bump_integral(2, edges[:-1], edges[1:])
-    dt = tau / n
+    per = max(1, n // m)
+    width = tau / (m * per)
+    mid = start + width * (np.arange(m * per) + 0.5)
+    off = width / (2.0 * math.sqrt(3.0))
+    chi_a, chi_b = schedule.chi(2, mid - off), schedule.chi(2, mid + off)
+    b = -2j * d * width
+    out = np.empty((m, 4, len(kx)), dtype=complex)
+    for j in range(m):
+        prod = np.zeros((4, len(kx)), dtype=complex)
+        for lo in range(j * per, (j + 1) * per, _CHUNK):
+            hi = min(lo + _CHUNK, (j + 1) * per)
+            ca, cb = chi_a[lo:hi, None], chi_b[lo:hi, None]
+            c = -width * (ca + cb) * kx
+            w = (1j * math.sqrt(3.0) / 3.0) * width ** 2 * d * (ca - cb) * kx
+            q = np.sqrt(w * w + b * c)
+            zero = q == 0.0
+            sh = np.sinh(q) / np.where(zero, 1.0, q)
+            sh[zero] = 1.0
+            ch1 = 2.0 * np.sinh(q / 2.0) ** 2  # cosh(q) - 1
+            E = np.stack([ch1 + sh * w, sh * b, sh * c, ch1 - sh * w])
+            while E.shape[1] > 1:  # pairwise, later slices on the left
+                half = E.shape[1] // 2
+                pairs = _compose(E[:, 1:2 * half:2], E[:, 0:2 * half:2])
+                E = np.concatenate([pairs, E[:, 2 * half:]], axis=1)
+            prod = _compose(E[:, 0], prod)
+        out[j] = prod
+    return out
+
+
+def _window_factors(field: PhaseSpaceField, schedule: Schedule,
+                    params: SemiclassicalParams, kappa: int):
+    """The D > 0 window-2 propagator in factored form.
+
+    Returns (keep, scalar, beta, g_in, g_out, info): the kept k_v columns,
+    their scalar factor exp(-(D/2) e^(2a) tau2 k_v^2 - i kappa (h^2/3) k^3
+    delta), and per piece (rows) and kept column the heat parameter beta
+    and the chirps g_in, g_out. Each piece maps a column by
+    exp(i g_in u^2/2), then exp(-i beta k_u^2/2) in Fourier space, then
+    exp(i g_out u^2/2). With the piece's matrix M (M' = [[0, -2i d],
+    [-2 c(t), 0]] M for c(t) = chi_2(t) k s_x^2 and d = (D/2) e^(-2a)),
+    beta = M01, g_in = (M00 - 1)/beta and g_out = (M11 - 1)/beta. The
+    window is one piece unless a factor would grow on the grid; then it is
+    the fewest equal pieces (a power of two) for which none does.
+    """
+    start, tau = schedule.window(2)
     a = field.frame.a
-    full, half = (_damping(field, params, math.exp(-2.0 * a) * t,
-                           math.exp(2.0 * a) * t) for t in (dt, dt / 2.0))
-    s_x, s_p = field.frame.s_x, field.frame.s_p
-    k_lab = _rk_axis(len(field.v), field.dv)[None, :] / s_p
-    x = (s_x * field.u)[:, None]
-    phi = k_lab * (x * x)
-    if kappa:
-        phi = phi + kappa * (params.h ** 2 / 3.0) * k_lab ** 3
+    kv = _rk_axis(len(field.v), field.dv)
+    k = kv / field.frame.s_p
+    log_damp = (params.D / 2.0) * math.exp(2.0 * a) * tau * kv ** 2
+    keep = log_damp < _DAMP_CUT
+    kx = k[keep] * field.frame.s_x ** 2
+    d = (params.D / 2.0) * math.exp(-2.0 * a)
 
-    def diffuse(spec, damp):
-        return np.fft.ifft(np.fft.fft(spec, axis=0) * damp, axis=0)
+    # M holds M - I, one row per piece
+    n, err = _MAGNUS_START, math.inf
+    M = _magnus_pieces(schedule, kx, d, n, 1)
+    while err > _MAGNUS_TOL:
+        if n >= _MAGNUS_MAX:
+            raise SolverFailureError(
+                f"window-2 matrices reach only {err:.1e} relative error "
+                f"in {n} Magnus slices")
+        M2 = _magnus_pieces(schedule, kx, d, 2 * n, 1)
+        scale = np.abs(M2[0] + np.array([1.0, 0.0, 0.0, 1.0])[:, None])
+        err = float((np.abs(M2 - M)[0].max(axis=0) / scale.max(axis=0)).max())
+        n, M = 2 * n, M2
 
+    log_u = float(np.abs(field.u).max()) ** 2 / 2.0
+    log_k = float(np.abs(_k_axis(len(field.u), field.du)).max()) ** 2 / 2.0
+    m = 1
+    while True:
+        beta = M[:, 1]
+        g_in, g_out = M[:, 0] / beta, M[:, 3] / beta
+        growth = max(log_k * float(beta.imag.max()),
+                     -log_u * float(min(g_in.imag.min(), g_out.imag.min())))
+        if growth <= _GROWTH_TOL:
+            break
+        m *= 2
+        if m > _MAX_PIECES:
+            raise SolverFailureError(
+                f"window-2 propagator still grows in {_MAX_PIECES} pieces")
+        M = _magnus_pieces(schedule, kx, d, n, m)
+    delta = schedule.bump_integral(2, start, start + tau)
+    scalar = np.exp(-log_damp[keep] - 1j * kappa * (params.h ** 2 / 3.0)
+                    * k[keep] ** 3 * delta)
+    info = {"kick_substeps": m, "magnus_slices": n, "magnus_error": err,
+            "kept_columns": int(keep.sum())}
+    return keep, scalar, beta, g_in, g_out, info
+
+
+def _kick_window(field: PhaseSpaceField, schedule: Schedule,
+                 params: SemiclassicalParams,
+                 kappa: int) -> tuple[PhaseSpaceField, dict]:
+    """Window 2: the cubic kick, exact at every D.
+
+    Returns the kicked field and its diagnostics. The frame is static in
+    this window. At D = 0 the kick multipliers commute and their phase is
+    linear in delta, so one kick by the whole window's bump integral is
+    exact. At D > 0 the state stays in the (u, k_v) representation, where
+    each column takes its exact propagator from _window_factors: two
+    chirps around one complex FFT pair along u per piece (one piece on
+    every default-sweep point), then its scalar factor; columns damped
+    below e^-46 are set to zero. The momentum tail is checked on the
+    window's input and output.
+    """
+    n_cols = len(field.v) // 2 + 1
+    if params.D == 0.0:
+        start, tau = schedule.window(2)
+        delta = schedule.bump_integral(2, start, start + tau)
+        return cubic_kick_substep(field, delta, params, kappa), \
+            {"kick_substeps": 1, "magnus_slices": 0, "magnus_error": 0.0,
+             "kept_columns": n_cols}
+    keep, scalar, beta, g_in, g_out, info = _window_factors(
+        field, schedule, params, kappa)
     spec = np.fft.rfft(field.values, axis=1)
-    # Strang: half diffusion at the ends, full in between
-    strang = config.splitting_order == 2
-    if strang:
-        spec = diffuse(spec, half)
-    for j, delta in enumerate(deltas):
-        _check_v_tail(spec)
-        spec *= np.exp(-1j * delta * phi)
-        spec = diffuse(spec, half if strang and j == n - 1 else full)
-    return field.with_values(np.fft.irfft(spec, n=len(field.v), axis=1)), n
+    _check_v_tail(spec)
+    u2 = (field.u ** 2 / 2.0)[:, None]
+    ku2 = (_k_axis(len(field.u), field.du) ** 2 / 2.0)[:, None]
+    cols = spec[:, keep]
+    for b, gi, go in zip(beta, g_in, g_out):
+        cols = np.fft.fft(cols * np.exp(1j * gi * u2), axis=0)
+        cols = np.fft.ifft(cols * np.exp(-1j * b * ku2), axis=0)
+        cols *= np.exp(1j * go * u2)
+    spec = np.zeros_like(spec)
+    spec[:, keep] = cols * scalar
+    _check_v_tail(spec)
+    return field.with_values(np.fft.irfft(spec, n=len(field.v), axis=1)), info
 
 
 def evolve(field: PhaseSpaceField, schedule: Schedule,
@@ -282,9 +405,9 @@ def evolve(field: PhaseSpaceField, schedule: Schedule,
     _check_field(field, mass0, "t1", diagnostics)
     cp1 = field
 
-    field, kick_substeps = _kick_window(field, schedule, params, config, kappa)
+    field, window = _kick_window(field, schedule, params, kappa)
     _check_field(field, mass0, "t2", diagnostics)
-    diagnostics["t2"]["kick_substeps"] = kick_substeps
+    diagnostics["t2"].update(window)
     cp2 = field
 
     field = _stretch_window(field, schedule, 3, -1.0, params, config)
@@ -302,7 +425,12 @@ def convergence_check(field: PhaseSpaceField, schedule: Schedule,
                       config: EvolverConfig = EvolverConfig(),
                       tol: float = 1e-4) -> ConvergenceReport:
     """Compare final momentum marginals at the configured substep count and
-    at twice that count."""
+    at twice that count.
+
+    Every window is taken in one step, so doubling the substeps refines
+    only the quadrature of the stretch-window diffusion integrals; the
+    window-2 propagator sets its own Magnus slice count by step doubling.
+    """
     coarse = evolve(field, schedule, params, config)
     fine_cfg = replace(config, substeps_per_unit=2 * config.substeps_per_unit)
     fine = evolve(field, schedule, params, fine_cfg)

@@ -104,8 +104,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.h_list:
             raise InvalidParameterError("h list must be nonempty")
-        if self.tau2 <= 0:
-            raise InvalidParameterError("tau2 must be positive")
+        if not (math.isfinite(self.tau2) and self.tau2 > 0):
+            raise InvalidParameterError("tau2 must be positive and finite")
         if self.d_rule[0] not in ("exponent", "absolute"):
             raise InvalidParameterError("d_rule must be exponent or absolute")
 

@@ -127,6 +127,19 @@ class TestMain:
         cfg_file.write_text("tau2 = abc\n")
         assert main(["--config", str(cfg_file)]) == 2
 
+    @pytest.mark.parametrize("tau2", ["nan", "inf"])
+    def test_non_finite_tau2_exit_code(self, tau2, capsys):
+        argv = ["--h-list", "0.2", "--d-rule", "abs:", "--tau2", tau2,
+                "--grid", "256x512"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_solver_failure_exit_code(self, capsys):
+        # 64 u-points cannot hold the kicked state
+        argv = ["--h-list", "0.2", "--d-rule", "abs:1.0", "--grid", "64x128"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: ResolutionError: ")
+
     @pytest.mark.skipif(not _installed(),
                         reason="qcthreshold is not installed (no distribution "
                                "metadata); install it to check its entry point")

@@ -98,6 +98,12 @@ class TestSchedule:
         with pytest.raises(InvalidParameterError):
             standard_schedule(1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_invalid_durations(self, bad):
+        for taus in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+            with pytest.raises(InvalidParameterError):
+                Schedule(*taus)
+
     def test_checkpoints_increase(self):
         sch = standard_schedule(0.05)
         assert sch.t0 < sch.t1 < sch.t2 < sch.t3

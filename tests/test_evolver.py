@@ -7,6 +7,7 @@ diffusive and diagnostic paths.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from qcthreshold.errors import (
     ResolutionError,
     SolverFailureError,
 )
+from qcthreshold import evolver
 from qcthreshold.evolver import (
     _U_TAIL_TOL,
     ConvergenceReport,
@@ -57,22 +59,39 @@ def _initial(kind, D=0.0, grid=None):
         params
 
 
-def _composed_kick_window(field, params, n, order, kappa):
-    """Window 2 as a loop of the public substeps: n kicks, Lie- or
-    Strang-split against diffusion when D > 0."""
-    start, tau = SCH.window(2)
+def _composed_kick_window(field, params, n, kappa, schedule=SCH):
+    """Window 2 as a loop of the public substeps: n kicks, Strang-split
+    against diffusion when D > 0."""
+    start, tau = schedule.window(2)
     edges = [start + tau * j / n for j in range(n + 1)]
-    deltas = [SCH.bump_integral(2, edges[j], edges[j + 1]) for j in range(n)]
+    deltas = [schedule.bump_integral(2, edges[j], edges[j + 1])
+              for j in range(n)]
     dt = tau / n
-    if params.D > 0.0 and order == 2:
+    if params.D > 0.0:
         field = diffusion_substep(field, params, dt / 2.0)
     for j, d in enumerate(deltas):
         field = cubic_kick_substep(field, d, params, kappa)
         if params.D > 0.0:
-            last_half = order == 2 and j == n - 1
             field = diffusion_substep(field, params,
-                                      dt / 2.0 if last_half else dt)
+                                      dt / 2.0 if j == n - 1 else dt)
     return field
+
+
+def _strang_errors(h, D, schedule, kind):
+    """L1 distance at t2 between the momentum marginals of the exact
+    window and of 200 and 400 Strang substeps per unit time, on the
+    256x512 grid; also returns the window's diagnostics."""
+    params = SemiclassicalParams(hbar=2 * h, D=D)
+    grid = GridSpec.for_h(h, n_u=256, n_v=512)
+    field = initial_coherent_field(params, grid, kind)
+    kappa = 1 if kind == "wigner" else 0
+    t1 = _stretch_window(field, schedule, 1, +1.0, params, EvolverConfig())
+    got, info = _kick_window(t1, schedule, params, kappa)
+    md = momentum_marginal(got)
+    errs = [l1_distance(md, momentum_marginal(_composed_kick_window(
+        t1, params, round(per_unit * schedule.tau2), kappa, schedule)))
+        for per_unit in (200, 400)]
+    return errs, info
 
 
 def _rel_max_abs(got, want):
@@ -127,9 +146,9 @@ class TestClosedEvolution:
         t1 = closed_runs[kind].checkpoints[1]
         params = SemiclassicalParams(hbar=2 * H)
         kappa = 1 if kind == "wigner" else 0
-        got, substeps = _kick_window(t1, SCH, params, EvolverConfig(), kappa)
-        ref = _composed_kick_window(t1, params, 200, 2, kappa)
-        assert substeps == 1
+        got, info = _kick_window(t1, SCH, params, kappa)
+        ref = _composed_kick_window(t1, params, 200, kappa)
+        assert info["kick_substeps"] == 1
         assert closed_runs[kind].diagnostics["t2"]["kick_substeps"] == 1
         assert _rel_max_abs(got.values, ref.values) <= 1e-12
 
@@ -214,36 +233,49 @@ class TestDiffusiveEvolution:
         D = 0.01 * H ** (4.0 / 3.0)
         field, params = _initial("classical", D=D)
         result = evolve(field, SCH, params)
-        assert result.diagnostics["t2"]["kick_substeps"] == 200
+        assert result.diagnostics["t2"]["kick_substeps"] == 1
         md = momentum_marginal(result.final)
         md0 = momentum_marginal(closed_runs["classical"].final)
         dist = l1_distance(md, md0)
         assert 0.0 < dist < 0.02
 
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_window_matches_substep_composition(self, order):
-        # the (u, k_v) window against the public substeps it replaces
-        D = 0.1 * H ** (4.0 / 3.0)
-        field, params = _initial("wigner", D=D)
-        cfg = EvolverConfig(substeps_per_unit=25, splitting_order=order)
-        t1 = _stretch_window(field, SCH, 1, +1.0, params, cfg)
-        got, substeps = _kick_window(t1, SCH, params, cfg, kappa=1)
-        ref = _composed_kick_window(t1, params, 25, order, kappa=1)
-        assert substeps == 25
-        assert _rel_max_abs(got.values, ref.values) <= 1e-12
+    def test_window_is_the_strang_limit(self):
+        # Strang's error is second order, so against the exact window it
+        # must fall about fourfold when the substeps double
+        (e200, e400), info = _strang_errors(H, H ** (4.0 / 3.0), SCH,
+                                            "wigner")
+        assert info["kick_substeps"] == 1
+        assert info["magnus_error"] <= 1e-9
+        assert 3.0 <= e200 / e400 <= 5.0
+        assert e400 <= 1e-8
 
-    def test_strang_beats_lie(self):
-        D = 0.1 * H ** (4.0 / 3.0)
-        field, params = _initial("wigner", D=D)
-        fine = evolve(field, SCH, params,
-                      EvolverConfig(substeps_per_unit=400)).final
-        ref = momentum_marginal(fine)
-        err = {}
-        for order in (1, 2):
-            cfg = EvolverConfig(substeps_per_unit=25, splitting_order=order)
-            got = momentum_marginal(evolve(field, SCH, params, cfg).final)
-            err[order] = l1_distance(got, ref)
-        assert err[2] < err[1]
+    def test_split_window_is_the_strang_limit(self):
+        # at tau2 = 2 one piece would have a growing heat factor, so the
+        # window is cut into two exact pieces
+        h = 0.1
+        sch = replace(standard_schedule(h), tau2=2.0)
+        (e200, e400), info = _strang_errors(h, h ** (4.0 / 3.0), sch,
+                                            "classical")
+        assert info["kick_substeps"] == 2
+        assert 3.0 <= e200 / e400 <= 5.0
+        assert e400 <= 1e-8
+
+    def test_zeroed_columns_below_roundoff(self):
+        # a dropped k_v column would have been damped by its scalar factor
+        # at least, since the rest of its propagator is a contraction
+        D = H
+        grid = GridSpec.for_h(H, n_u=256, n_v=512)
+        field, params = _initial("classical", D=D, grid=grid)
+        t1 = _stretch_window(field, SCH, 1, +1.0, params, EvolverConfig())
+        _, info = _kick_window(t1, SCH, params, kappa=0)
+        spec = np.abs(np.fft.rfft(t1.values, axis=1))
+        kv = 2.0 * math.pi * np.fft.rfftfreq(len(t1.v), d=t1.dv)
+        damp = np.exp(-(D / 2.0) * math.exp(2.0 * t1.frame.a) * SCH.tau2
+                      * kv ** 2)
+        kept = info["kept_columns"]
+        assert 0 < kept < len(kv)
+        dropped = (spec[:, kept:] * damp[kept:]).sum() / spec.sum()
+        assert dropped < 1e-20
 
     def test_convergence_check(self):
         D = 0.1 * H ** (4.0 / 3.0)
@@ -259,8 +291,20 @@ class TestGuards:
     def test_invalid_config(self):
         with pytest.raises(InvalidParameterError):
             EvolverConfig(substeps_per_unit=0)
-        with pytest.raises(InvalidParameterError):
-            EvolverConfig(splitting_order=3)
+
+    @pytest.mark.parametrize("cap, match", [
+        ("_MAX_PIECES", "still grows"), ("_MAGNUS_MAX", "Magnus slices")])
+    def test_window_caps_raise(self, monkeypatch, cap, match):
+        # tau2 = 2 needs two pieces; 64 Magnus slices miss the tolerance
+        h = 0.1
+        sch = replace(standard_schedule(h), tau2=2.0)
+        params = SemiclassicalParams(hbar=2 * h, D=h ** (4.0 / 3.0))
+        field = initial_coherent_field(
+            params, GridSpec.for_h(h, n_u=256, n_v=512), "classical")
+        t1 = _stretch_window(field, sch, 1, +1.0, params, EvolverConfig())
+        monkeypatch.setattr(evolver, cap, 1 if cap == "_MAX_PIECES" else 64)
+        with pytest.raises(SolverFailureError, match=match):
+            _kick_window(t1, sch, params, kappa=0)
 
     def test_unnormalized_input_rejected(self):
         field, params = _initial("classical")
@@ -271,7 +315,7 @@ class TestGuards:
     def test_coarse_grid_raises_resolution_error(self):
         grid = GridSpec.for_h(H, n_u=256, n_v=256, widths_u=16.0,
                               widths_v=64.0)
-        # both window-2 paths check the momentum tail before each kick
+        # both window-2 paths check the momentum tail on the window's input
         for D in (0.0, 0.01 * H ** (4.0 / 3.0)):
             field, params = _initial("classical", D=D, grid=grid)
             with pytest.raises(ResolutionError, match="momentum spectral tail"):

@@ -54,8 +54,9 @@ class TestRunConfig:
             RunConfig(h_list=())
         with pytest.raises(InvalidParameterError):
             RunConfig(d_rule=("scaled", (1.0,)))
-        with pytest.raises(InvalidParameterError):
-            RunConfig(tau2=0.0)
+        for tau2 in (0.0, math.nan, math.inf):
+            with pytest.raises(InvalidParameterError):
+                RunConfig(tau2=tau2)
 
     def test_memory_gate(self):
         cfg = RunConfig(n_u=1 << 14, n_v=1 << 15)
