@@ -239,24 +239,22 @@ class TestDiffusiveEvolution:
         dist = l1_distance(md, md0)
         assert 0.0 < dist < 0.02
 
-    def test_window_is_the_strang_limit(self):
-        # Strang's error is second order, so against the exact window it
-        # must fall about fourfold when the substeps double
-        (e200, e400), info = _strang_errors(H, H ** (4.0 / 3.0), SCH,
-                                            "wigner")
-        assert info["kick_substeps"] == 1
-        assert info["magnus_error"] <= 1e-9
-        assert 3.0 <= e200 / e400 <= 5.0
-        assert e400 <= 1e-8
-
-    def test_split_window_is_the_strang_limit(self):
-        # at tau2 = 2 one piece would have a growing heat factor, so the
-        # window is cut into two exact pieces
-        h = 0.1
-        sch = replace(standard_schedule(h), tau2=2.0)
-        (e200, e400), info = _strang_errors(h, h ** (4.0 / 3.0), sch,
-                                            "classical")
-        assert info["kick_substeps"] == 2
+    @pytest.mark.parametrize("pieces", [1, 2])
+    def test_window_matches_substep_composition(self, pieces):
+        # the exact window against the public substeps it replaces: Strang's
+        # error is second order, so it must fall about fourfold when the
+        # substeps double. At tau2 = 2 one piece would have a growing heat
+        # factor, so the window is cut into two exact pieces.
+        if pieces == 1:
+            (e200, e400), info = _strang_errors(H, H ** (4.0 / 3.0), SCH,
+                                                "wigner")
+            assert info["magnus_error"] <= 1e-9
+        else:
+            h = 0.1
+            sch = replace(standard_schedule(h), tau2=2.0)
+            (e200, e400), info = _strang_errors(h, h ** (4.0 / 3.0), sch,
+                                                "classical")
+        assert info["kick_substeps"] == pieces
         assert 3.0 <= e200 / e400 <= 5.0
         assert e400 <= 1e-8
 
