@@ -5,11 +5,12 @@ Usage:
                 --out results/ --figures
 
 Options may also come from a flat key = value config file (--config);
-command-line flags override file entries. An unknown config key or a value
-that cannot be read ends the run with "error: ..." and exit code 2; a sweep
-point that the solver cannot resolve or that fails a solver diagnostic ends
-it with "error: <class>: ..." and exit code 3. Exit code 1 means a bound or
-oracle check failed.
+command-line flags override file entries. An unknown config key, a value
+that cannot be read, or a grid too coarse to hold the initial state ends
+the run with "error: ..." and exit code 2; a sweep point that the solver
+cannot resolve or that fails a solver diagnostic ends it with
+"error: <class>: ..." and exit code 3. Exit code 1 means a bound or oracle
+check failed; each failure is printed as a BOUND FAIL or ORACLE FAIL line.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import InvalidParameterError, ResolutionError, SolverFailureError
+from .errors import (CoverageError, InvalidParameterError, ResolutionError,
+                     SolverFailureError)
+from .oracles import cross_validate
 from .sweep import RunConfig, bound_passed, run_experiment
 
 __all__ = ["main", "parse_d_rule", "load_config_file", "build_config"]
@@ -137,40 +140,11 @@ def build_config(argv=None) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def _run_oracles(config: RunConfig) -> bool:
-    """Cross-validate the three oracles at the largest h; returns pass/fail."""
-    import numpy as np
-    from .closedform import quantum_momentum_pdf
-    from .core import (GridSpec, SemiclassicalParams, initial_coherent_field,
-                       momentum_marginal, resample_distribution,
-                       standard_schedule)
-    from .evolver import evolve
-    from .oracles import (coherent_wavefunction, histogram_distribution,
-                          langevin_sample, momentum_distribution,
-                          schrodinger_closed)
-    h = max(config.h_list)
-    sch = standard_schedule(h)
-    psi = schrodinger_closed(coherent_wavefunction(h), sch, h)[3]
-    md = momentum_distribution(psi, h)
-    mask = (md.p > -14.0) & (md.p < 46.0)
-    ref = quantum_momentum_pdf(md.p[mask], sch.tau1, sch.tau2, sch.tau3, h)
-    ok = float(np.abs(md.q[mask] - ref).sum() * md.dp) < 1e-3
-
-    params = SemiclassicalParams(hbar=2.0 * h, D=h ** (4.0 / 3.0))
-    f0 = initial_coherent_field(params, GridSpec.for_h(h), "classical")
-    sp = momentum_marginal(evolve(f0, sch, params).final)
-    ens = langevin_sample(200_000, sch, params, seed=config.seed)
-    hist = histogram_distribution(ens[3].p, 96, -8.0, 16.0)
-    refc = resample_distribution(sp, hist.p)
-    ok = ok and float(np.abs(hist.q - refc.q).sum() * hist.dp) < 3e-2
-    return ok
-
-
 def main(argv=None) -> int:
     try:
         config = build_config(argv)
         records = run_experiment(config)
-    except (InvalidParameterError, OSError) as exc:
+    except (InvalidParameterError, CoverageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ResolutionError, SolverFailureError) as exc:
@@ -185,15 +159,13 @@ def main(argv=None) -> int:
               f"({r.measured_quantum_l1:.4g}, {r.measured_classical_l1:.4g}) "
               f"vs bounds ({r.quantum_bound:.4g}, {r.classical_bound:.4g})",
               file=sys.stderr)
-    oracle_ok = True
-    if config.oracle:
-        oracle_ok = _run_oracles(config)
-        if not oracle_ok:
-            print("ORACLE FAIL: cross-validation outside tolerance",
-                  file=sys.stderr)
+    h = max(config.h_list)
+    oracle_fails = cross_validate(h, config.seed) if config.oracle else []
+    for line in oracle_fails:
+        print(f"ORACLE FAIL h={h}: {line}", file=sys.stderr)
     n = len(records)
     print(f"{n} sweep points, {n - len(failures)} bound-check passes")
-    return 0 if not failures and oracle_ok else 1
+    return 0 if not failures and not oracle_fails else 1
 
 
 if __name__ == "__main__":

@@ -32,7 +32,6 @@ from scipy.special import ive as _ive, kve as _kve
 
 from .core import MomentRecord, Schedule, is_standard_schedule
 from .errors import InvalidParameterError, RangeError, ValidityError
-from .specialfn import erf
 
 __all__ = [
     "BoundConstants",
@@ -52,8 +51,9 @@ _PCF_HALF_AT_ZERO = math.sqrt(math.pi) / (2.0 ** 0.25 * math.gamma(0.75))
 
 
 def _scales(tau1: float, tau2: float, tau3: float, h: float):
-    if h <= 0 or min(tau1, tau2, tau3) <= 0:
-        raise InvalidParameterError("need h > 0 and all durations positive")
+    if not all(math.isfinite(v) and v > 0 for v in (tau1, tau2, tau3, h)):
+        raise InvalidParameterError(
+            "need h and all durations positive and finite")
     S = math.sqrt(h) * math.exp(tau3 - tau1)
     g = tau2 * math.sqrt(h) * math.exp(3.0 * tau1)
     return S, g
@@ -213,14 +213,14 @@ def constants(tau2: float = 1.0) -> BoundConstants:
     derivatives of the closed-form densities; c_bar and c0 compare the two
     densities in L1 and through the observable exp(-p^2).
     """
-    if tau2 <= 0:
-        raise InvalidParameterError("tau2 must be positive")
+    if not (math.isfinite(tau2) and tau2 > 0):
+        raise InvalidParameterError("tau2 must be positive and finite")
     t2 = tau2 * tau2
     C1 = 0.25 * (1.0 + math.sqrt(3.0) + (1.0 + 2.0 * t2)
                  + math.sqrt(3.0 + 12.0 * t2 + 60.0 * t2 * t2))
     C3 = 2.0 * math.sqrt(2.0 / (math.pi * math.e))
     C4 = math.sqrt(2.0 / math.pi) * (
-        1.0 + 4.0 * math.exp(-0.25) / math.sqrt(math.pi) - 2.0 * erf(0.5))
+        1.0 + 4.0 * math.exp(-0.25) / math.sqrt(math.pi) - 2.0 * math.erf(0.5))
 
     p = _standard_grid(tau2)
     dp = float(p[1] - p[0])
@@ -297,8 +297,8 @@ def duhamel_bound(side: str, h: float, D: float, schedule: Schedule) -> float:
     """
     if side not in ("quantum", "classical"):
         raise InvalidParameterError(f"side must be quantum or classical, got {side!r}")
-    if h <= 0 or D < 0:
-        raise InvalidParameterError("need h > 0 and D >= 0")
+    if not (math.isfinite(h) and h > 0 and math.isfinite(D) and D >= 0):
+        raise InvalidParameterError("need h > 0 and D >= 0, both finite")
     if schedule.tau1 >= 0.25 * math.log(1.0 / h):
         raise ValidityError("bound requires tau1 < (1/4) log(1/h)")
     k = constants(schedule.tau2)

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Callable, Literal, Optional
+from typing import Literal
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import (
     CoverageError,
-    DomainError,
     GridMismatchError,
     InvalidParameterError,
 )
@@ -31,21 +30,16 @@ __all__ = [
     "AffineFrame",
     "GridSpec",
     "PhaseSpaceField",
-    "GaussianSpec",
-    "ConditionalGaussianSpec",
     "MomentumDistribution",
     "ObservableSpec",
     "MomentRecord",
     "initial_coherent_field",
-    "gaussian_field",
-    "conditional_gaussian_field",
     "momentum_marginal",
     "position_marginal",
     "l1_distance",
     "resample_distribution",
     "expect_observable",
     "measure_central_moments",
-    "decoherence_length",
 ]
 
 FieldKind = Literal["wigner", "classical"]
@@ -74,14 +68,7 @@ class SemiclassicalParams:
         return self.hbar / 2.0
 
 
-def decoherence_length(params: SemiclassicalParams) -> float:
-    """Phase-space scale hbar / sqrt(D) above which superpositions decohere."""
-    if params.D == 0:
-        raise DomainError("decoherence length is undefined at D = 0")
-    return params.hbar / math.sqrt(params.D)
-
-
-def _default_bump_raw(s):
+def _bump_raw(s):
     s = np.asarray(s, dtype=float)
     out = np.zeros_like(s)
     inside = (s > 0.0) & (s < 1.0)
@@ -91,38 +78,26 @@ def _default_bump_raw(s):
 
 
 class BumpProfile:
-    """A smooth nonnegative bump on (0, 1) normalized to unit integral.
-
-    The default shape is exp(1/(4s(s-1))) on (0,1); it and all one-sided
-    derivatives vanish at the endpoints. Alternative shapes may be supplied
-    via ``raw`` (unnormalized; compact support on (0,1) is the caller's
-    responsibility).
+    """The smooth bump exp(1/(4s(s-1))) on (0, 1), normalized to unit
+    integral; it and all its one-sided derivatives vanish at the endpoints.
     """
 
     _TABLE_N = 1 << 14
 
-    def __init__(self, profile_id: str = "exp-reciprocal",
-                 raw: Callable = _default_bump_raw):
-        self.profile_id = profile_id
-        self._raw = raw
+    def __init__(self):
         s = np.linspace(0.0, 1.0, self._TABLE_N + 1)
-        vals = raw(s)
-        if np.any(vals < 0):
-            raise InvalidParameterError("bump shape must be nonnegative")
-        # Trapezoid on the closed interval; for shapes with all endpoint
-        # derivatives vanishing this converges faster than any power of N.
+        vals = _bump_raw(s)
+        # Trapezoid on the closed interval; since all endpoint derivatives
+        # vanish this converges faster than any power of N.
         ds = 1.0 / self._TABLE_N
         cum = np.concatenate([[0.0], np.cumsum((vals[1:] + vals[:-1]) * (ds / 2.0))])
         total = cum[-1]
-        if total <= 0:
-            raise InvalidParameterError("bump shape integrates to zero")
         self.normalization = 1.0 / total
         self._cum_spline = CubicSpline(s, cum / total)
-        self._s_table = s
 
     def value(self, s):
         """Normalized bump chi(s); zero outside (0, 1)."""
-        out = self._raw(np.asarray(s, dtype=float)) * self.normalization
+        out = _bump_raw(np.asarray(s, dtype=float)) * self.normalization
         return float(out) if np.isscalar(s) else out
 
     def cumulative(self, s):
@@ -137,16 +112,13 @@ class Schedule:
     """Three sequential bump windows driving H1 = xp, H2 = -x^3/3, H3 = -xp.
 
     Each window i has duration tau_i and bump chi_i(t) = chi((t - t_{i-1}) / tau_i),
-    so that int chi_i dt = tau_i. ``technical_ok`` records whether
-    tau1 < (1/4) log(1/h) held for the h the schedule was built for (None if
-    no h was supplied).
+    so that int chi_i dt = tau_i.
     """
 
     tau1: float
     tau2: float
     tau3: float
     bump: BumpProfile = dc_field(default_factory=BumpProfile)
-    technical_ok: Optional[bool] = None
 
     def __post_init__(self):
         if not all(math.isfinite(t) and t > 0 for t in self.taus()):
@@ -213,16 +185,16 @@ def standard_schedule(h: float) -> Schedule:
         tau1=log_inv / 6.0,
         tau2=1.0,
         tau3=2.0 * log_inv / 3.0,
-        technical_ok=True,  # 1/6 < 1/4 always
     )
 
 
-def is_standard_schedule(schedule: Schedule, h: float, tol: float = 1e-12) -> bool:
+def is_standard_schedule(schedule: Schedule, h: float) -> bool:
+    """Whether tau1 and tau3 are the reference durations for h, to 1e-12
+    relative."""
     log_inv = math.log(1.0 / h)
-    return (
-        abs(schedule.tau1 - log_inv / 6.0) <= tol * max(1.0, log_inv)
-        and abs(schedule.tau3 - 2.0 * log_inv / 3.0) <= tol * max(1.0, log_inv)
-    )
+    tol = 1e-12 * max(1.0, log_inv)
+    return (abs(schedule.tau1 - log_inv / 6.0) <= tol
+            and abs(schedule.tau3 - 2.0 * log_inv / 3.0) <= tol)
 
 
 @dataclass(frozen=True)
@@ -239,9 +211,6 @@ class AffineFrame:
     @property
     def s_p(self) -> float:
         return math.exp(-self.a)
-
-    def compose(self, other: "AffineFrame") -> "AffineFrame":
-        return AffineFrame(self.a + other.a)
 
     def shifted(self, da: float) -> "AffineFrame":
         return AffineFrame(self.a + da)
@@ -314,62 +283,6 @@ class PhaseSpaceField:
 
 
 @dataclass(frozen=True)
-class GaussianSpec:
-    """A (generally squeezed) Gaussian phase-space density in lab coordinates."""
-
-    mean_x: float
-    mean_p: float
-    cov: np.ndarray  # 2x2 symmetric positive definite
-
-    def __post_init__(self):
-        c = np.asarray(self.cov, dtype=float)
-        if c.shape != (2, 2) or abs(c[0, 1] - c[1, 0]) > 1e-14 * (1 + abs(c[0, 1])):
-            raise InvalidParameterError("covariance must be symmetric 2x2")
-        if np.linalg.det(c) <= 0 or c[0, 0] <= 0:
-            raise InvalidParameterError("covariance must be positive definite")
-
-    def is_pure_quantum(self, h: float, rtol: float = 1e-9) -> bool:
-        """Uncertainty saturation det(cov) = h^2."""
-        return abs(float(np.linalg.det(np.asarray(self.cov))) - h * h) <= rtol * h * h
-
-    def density(self, x, p):
-        c = np.asarray(self.cov, dtype=float)
-        inv = np.linalg.inv(c)
-        dx = x - self.mean_x
-        dp = p - self.mean_p
-        quad = inv[0, 0] * dx * dx + 2 * inv[0, 1] * dx * dp + inv[1, 1] * dp * dp
-        return np.exp(-quad / 2.0) / (2.0 * math.pi * math.sqrt(np.linalg.det(c)))
-
-
-@dataclass(frozen=True)
-class ConditionalGaussianSpec:
-    """Density G_{sigma_x}(x) * G_{sigma_p}(p - r x^2); the exact closed
-    classical state throughout the schedule."""
-
-    sigma_x: float
-    sigma_p: float
-    r: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma_x <= 0 or self.sigma_p <= 0:
-            raise InvalidParameterError("widths must be positive")
-        if self.r < 0:
-            raise InvalidParameterError("kick curvature r must be >= 0")
-
-    @property
-    def b(self) -> float:
-        return self.r * self.sigma_x ** 2 / self.sigma_p
-
-    def density(self, x, p):
-        gx = np.exp(-x * x / (2 * self.sigma_x ** 2)) / (
-            math.sqrt(2 * math.pi) * self.sigma_x)
-        arg = p - self.r * x * x
-        gp = np.exp(-arg * arg / (2 * self.sigma_p ** 2)) / (
-            math.sqrt(2 * math.pi) * self.sigma_p)
-        return gx * gp
-
-
-@dataclass(frozen=True)
 class MomentumDistribution:
     """A one-dimensional density over lab momentum on a uniform grid."""
 
@@ -386,10 +299,9 @@ class MomentumDistribution:
 
 @dataclass(frozen=True)
 class ObservableSpec:
-    """g_n(p) = p^n * exp(-p^2); with gaussian_weight=False just p^n."""
+    """g_n(p) = p^n * exp(-p^2)."""
 
     n: int = 0
-    gaussian_weight: bool = True
 
     def __post_init__(self):
         if self.n < 0:
@@ -397,10 +309,7 @@ class ObservableSpec:
 
     def g(self, p):
         p = np.asarray(p, dtype=float)
-        out = p ** self.n if self.n else np.ones_like(p)
-        if self.gaussian_weight:
-            out = out * np.exp(-p * p)
-        return out
+        return p ** self.n * np.exp(-p * p)
 
 
 @dataclass(frozen=True)
@@ -417,13 +326,6 @@ class MomentRecord:
     m4_p: float
 
 
-def _sample_field(frame, grid: GridSpec, kind: FieldKind, fn) -> PhaseSpaceField:
-    u, v = grid.axes()
-    x = frame.s_x * u[:, None]
-    p = frame.s_p * v[None, :]
-    return PhaseSpaceField(frame=frame, u=u, v=v, values=fn(x, p), kind=kind)
-
-
 def initial_coherent_field(params: SemiclassicalParams, grid: GridSpec,
                            kind: FieldKind = "wigner") -> PhaseSpaceField:
     """The isotropic coherent-state density exp[-(x^2+p^2)/2h] / (2 pi h),
@@ -432,24 +334,15 @@ def initial_coherent_field(params: SemiclassicalParams, grid: GridSpec,
     root = math.sqrt(h)
     if grid.half_extent_u < 8 * root or grid.half_extent_v < 8 * root:
         raise CoverageError("grid extents must be at least 8*sqrt(h) per axis")
-    field = _sample_field(
-        AffineFrame(0.0), grid, kind,
-        lambda x, p: np.exp(-(x * x + p * p) / (2 * h)) / (2 * math.pi * h))
+    u, v = grid.axes()
+    x = u[:, None]
+    p = v[None, :]
+    field = PhaseSpaceField(
+        frame=AffineFrame(0.0), u=u, v=v, kind=kind,
+        values=np.exp(-(x * x + p * p) / (2 * h)) / (2 * math.pi * h))
     if abs(field.mass() - 1.0) > 1e-8:
         raise CoverageError("more than 1e-8 of the state's mass lies off-grid")
     return field
-
-
-def gaussian_field(spec: GaussianSpec, grid: GridSpec,
-                   frame: AffineFrame = AffineFrame(0.0),
-                   kind: FieldKind = "classical") -> PhaseSpaceField:
-    return _sample_field(frame, grid, kind, spec.density)
-
-
-def conditional_gaussian_field(spec: ConditionalGaussianSpec, grid: GridSpec,
-                               frame: AffineFrame = AffineFrame(0.0),
-                               kind: FieldKind = "classical") -> PhaseSpaceField:
-    return _sample_field(frame, grid, kind, spec.density)
 
 
 def momentum_marginal(field: PhaseSpaceField) -> MomentumDistribution:
@@ -489,14 +382,14 @@ def resample_distribution(dist: MomentumDistribution,
     return MomentumDistribution(p=np.asarray(new_p, dtype=float), q=vals)
 
 
-def l1_distance(a: MomentumDistribution, b: MomentumDistribution,
-                resample_tol: float = 1e-6) -> float:
+def l1_distance(a: MomentumDistribution, b: MomentumDistribution) -> float:
     """L1 distance between two momentum densities; in [0, 2] for
-    probability densities."""
+    probability densities. A b on another grid is resampled onto a's, and
+    may lose at most 1e-6 of its mass doing so."""
     if len(a.p) == len(b.p) and np.allclose(a.p, b.p, rtol=0, atol=1e-12 * (1 + abs(a.p[-1]))):
         return float(np.abs(a.q - b.q).sum() * a.dp)
     rb = resample_distribution(b, a.p)
-    if abs(rb.mass() - b.mass()) > resample_tol * max(1.0, abs(b.mass())):
+    if abs(rb.mass() - b.mass()) > 1e-6 * max(1.0, abs(b.mass())):
         raise GridMismatchError("resampling lost more mass than the tolerance allows")
     return float(np.abs(a.q - rb.q).sum() * a.dp)
 

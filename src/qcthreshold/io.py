@@ -1,77 +1,24 @@
-"""Serialization: flat binary layout for phase-space fields and density
-matrices, CSV for one-dimensional marginals.
-
-Binary layout (all little-endian):
-    magic   4s   b"QCPF"
-    version u32  1
-    kind    u32  0 = wigner, 1 = classical, 2 = density-matrix
-    complex u32  0 = float64 payload, 1 = complex128 payload
-    n_u     u64
-    n_v     u64
-    u0, du, v0, dv, frame_a   5 x f64
-    payload row-major
-"""
+"""Serialization of one-dimensional marginals as two-column CSV (p, density),
+with every float written by repr so that it reads back exactly."""
 
 from __future__ import annotations
 
 import csv
-import struct
 
 import numpy as np
 
-from .core import AffineFrame, MomentumDistribution, PhaseSpaceField
-from .errors import InvalidParameterError
+from .core import MomentumDistribution
 
 __all__ = [
-    "save_field",
-    "load_field",
     "write_marginal_csv",
     "read_marginal_csv",
 ]
 
-_MAGIC = b"QCPF"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIIIQQddddd")
-_KINDS = {"wigner": 0, "classical": 1, "density-matrix": 2}
-_KIND_NAMES = {v: k for k, v in _KINDS.items()}
 
-
-def save_field(path, field: PhaseSpaceField) -> None:
-    values = np.ascontiguousarray(field.values)
-    is_complex = np.iscomplexobj(values)
-    dtype = "<c16" if is_complex else "<f8"
-    header = _HEADER.pack(
-        _MAGIC, _VERSION, _KINDS[field.kind], int(is_complex),
-        values.shape[0], values.shape[1],
-        float(field.u[0]), field.du, float(field.v[0]), field.dv,
-        field.frame.a)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(values.astype(dtype).tobytes())
-
-
-def load_field(path) -> PhaseSpaceField:
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        magic, version, kind, is_complex, n_u, n_v, u0, du, v0, dv, a = \
-            _HEADER.unpack(raw)
-        if magic != _MAGIC or version != _VERSION:
-            raise InvalidParameterError("not a recognized field file")
-        dtype = "<c16" if is_complex else "<f8"
-        values = np.frombuffer(fh.read(), dtype=dtype).reshape(n_u, n_v).copy()
-    return PhaseSpaceField(
-        frame=AffineFrame(a),
-        u=u0 + du * np.arange(n_u),
-        v=v0 + dv * np.arange(n_v),
-        values=values,
-        kind=_KIND_NAMES[kind])
-
-
-def write_marginal_csv(path, dist: MomentumDistribution,
-                       value_name: str = "density") -> None:
+def write_marginal_csv(path, dist: MomentumDistribution) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["p", value_name])
+        writer.writerow(["p", "density"])
         for p, q in zip(dist.p, dist.q):
             writer.writerow([repr(float(p)), repr(float(q))])
 

@@ -5,7 +5,9 @@ density-matrix solver, and a Langevin Monte-Carlo sampler.
 These are deliberately different discretizations of the same dynamics; they
 trade speed for independence and run at modest scales only. Windows 1 and 3
 are linear, so both open-system oracles take them exactly; only window 2 at
-D > 0 is stepped.
+D > 0 is stepped. cross_validate checks the oracles against the closed
+form and the spectral evolver; the solvers themselves never call the
+evolver.
 """
 
 from __future__ import annotations
@@ -16,8 +18,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.fft as sfft
 
-from .core import BumpProfile, MomentumDistribution, Schedule, SemiclassicalParams
+from .closedform import quantum_momentum_pdf
+from .core import (GridSpec, MomentumDistribution, Schedule,
+                   SemiclassicalParams, initial_coherent_field,
+                   momentum_marginal, resample_distribution, standard_schedule)
 from .errors import InvalidParameterError, ResolutionError, SolverFailureError
+from .evolver import evolve
 
 __all__ = [
     "WavefunctionField",
@@ -29,9 +35,9 @@ __all__ = [
     "coherent_density_matrix",
     "lindblad_dm_evolve",
     "dm_momentum_marginal",
-    "wigner_from_dm",
     "langevin_sample",
     "histogram_distribution",
+    "cross_validate",
 ]
 
 
@@ -55,12 +61,11 @@ class WavefunctionField:
         return self.scale * self.xi
 
 
-def coherent_wavefunction(h: float, n: int = 8192,
-                          half_extent: float = None) -> WavefunctionField:
-    """Ground-state Gaussian psi0(x) = (2 pi h)^(-1/4) exp(-x^2 / 4h)."""
-    if half_extent is None:
-        half_extent = 16.0 * math.sqrt(h)
-    xi = np.linspace(-half_extent, half_extent, n, endpoint=False)
+def coherent_wavefunction(h: float, n: int = 8192) -> WavefunctionField:
+    """Ground-state Gaussian psi0(x) = (2 pi h)^(-1/4) exp(-x^2 / 4h) on n
+    points spanning +-16 sqrt(h)."""
+    edge = 16.0 * math.sqrt(h)
+    xi = np.linspace(-edge, edge, n, endpoint=False)
     vals = (2.0 * math.pi * h) ** (-0.25) * np.exp(-xi * xi / (4.0 * h))
     return WavefunctionField(xi=xi, values=vals.astype(complex), scale=1.0)
 
@@ -94,13 +99,13 @@ def schrodinger_closed(psi0: WavefunctionField, schedule: Schedule, h: float):
     return (cp0, cp1, cp2, cp3)
 
 
-def momentum_distribution(psi: WavefunctionField, h: float,
-                          pad: int = 8) -> MomentumDistribution:
+def momentum_distribution(psi: WavefunctionField,
+                          h: float) -> MomentumDistribution:
     """|psi_hat(p)|^2 with psi_hat the hbar-scaled Fourier transform,
-    zero-padded for a finer momentum grid."""
+    zero-padded to 8 times the length for a finer momentum grid."""
     hbar = 2.0 * h
     dx = psi.scale * psi.dxi
-    n = len(psi.values) * pad
+    n = len(psi.values) * 8
     spec = np.fft.fft(psi.values, n=n)
     p = 2.0 * math.pi * hbar * np.fft.fftfreq(n, d=dx)
     # |psi_hat|^2 with psi_hat = (2 pi hbar)^(-1/2) integral of the lab
@@ -134,11 +139,11 @@ class DensityMatrixField:
         return float(d / max(np.abs(self.values).max(), 1e-300))
 
 
-def coherent_density_matrix(h: float, n: int = 1024,
-                            half_extent: float = None) -> DensityMatrixField:
-    if half_extent is None:
-        half_extent = 14.0 * math.sqrt(h)
-    xi = np.linspace(-half_extent, half_extent, n, endpoint=False)
+def coherent_density_matrix(h: float, n: int = 1024) -> DensityMatrixField:
+    """The pure state psi0 psi0^* of coherent_wavefunction on n points
+    spanning +-14 sqrt(h)."""
+    edge = 14.0 * math.sqrt(h)
+    xi = np.linspace(-edge, edge, n, endpoint=False)
     psi = (2.0 * math.pi * h) ** (-0.25) * np.exp(-xi * xi / (4.0 * h))
     return DensityMatrixField(xi=xi, values=np.outer(psi, psi).astype(complex))
 
@@ -222,10 +227,11 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
     return (cp0, cp1, cp2, cp3)
 
 
-def dm_momentum_marginal(rho: DensityMatrixField, params: SemiclassicalParams,
-                         pad: int = 4) -> MomentumDistribution:
+def dm_momentum_marginal(rho: DensityMatrixField,
+                         params: SemiclassicalParams) -> MomentumDistribution:
     """q(p) = <p|rho|p> via the autocorrelation C(y) = int rho(x, x - y) dx
-    followed by an hbar-scaled Fourier transform."""
+    followed by an hbar-scaled Fourier transform, zero-padded to 4 times
+    the length."""
     hbar = params.hbar
     n = len(rho.xi)
     dx = rho.scale * rho.dxi
@@ -237,7 +243,7 @@ def dm_momentum_marginal(rho: DensityMatrixField, params: SemiclassicalParams,
             C[n - 1 - r] = np.trace(rho.values, offset=r)
     C *= rho.dxi  # sum over the diagonal becomes an integral (lab measure
     # s * dxi against lab density s^-1 * values)
-    m = (2 * n - 1) * pad
+    m = (2 * n - 1) * 4
     # q(p) = (1/2 pi hbar) int C(y) e^{-i p y / hbar} dy
     y0 = -(n - 1) * dx
     spec = np.fft.fft(C, n=m)
@@ -245,33 +251,6 @@ def dm_momentum_marginal(rho: DensityMatrixField, params: SemiclassicalParams,
     q = np.real(np.exp(-1j * p * y0 / hbar) * spec) * dx / (2.0 * math.pi * hbar)
     order = np.argsort(p)
     return MomentumDistribution(p=p[order], q=q[order])
-
-
-def wigner_from_dm(rho: DensityMatrixField, params: SemiclassicalParams):
-    """Wigner function on the (x, p) grid implied by the density matrix.
-
-    Uses the anti-diagonal extraction rho(x + y/2, x - y/2) at even lattice
-    offsets, so the x grid has half the resolution of the rho grid.
-    Returns (x, p, W).
-    """
-    hbar = params.hbar
-    n = len(rho.xi)
-    dx = rho.scale * rho.dxi
-    half = n // 2
-    x = rho.scale * rho.xi[::2][:half]
-    # A[m, r] = rho[m + r, m - r], y = 2 r dx
-    A = np.zeros((half, n), dtype=complex)
-    for m in range(half):
-        mm = 2 * m
-        rmax = min(mm, n - 1 - mm)
-        r = np.arange(-rmax, rmax + 1)
-        A[m, r % n] = rho.values[mm + r, mm - r]
-    spec = np.fft.fft(A, axis=1)
-    p = 2.0 * math.pi * hbar * np.fft.fftfreq(n, d=2.0 * dx)
-    # lab rho carries a factor scale^-1, cancelling one scale in dy = 2 dx
-    W = np.real(spec) * (2.0 * rho.dxi) / (2.0 * math.pi * hbar)
-    order = np.argsort(p)
-    return x, p[order], W[:, order]
 
 
 @dataclass(frozen=True)
@@ -343,3 +322,33 @@ def histogram_distribution(samples: np.ndarray, bins: int,
     q = counts / (len(samples) * width)
     return MomentumDistribution(p=centers, q=q)
 
+
+def cross_validate(h: float, seed: int) -> list:
+    """Cross-check the oracles at h on the standard schedule; returns one
+    line per failed check, none when both pass.
+
+    The Schrodinger oracle's final momentum density must lie within 1e-3
+    (L1) of the Airy closed form, and at D = h^(4/3) a 200 000-sample
+    Langevin histogram within 3e-2 of the spectral evolver's classical
+    marginal.
+    """
+    fails = []
+    sch = standard_schedule(h)
+    psi = schrodinger_closed(coherent_wavefunction(h), sch, h)[3]
+    md = momentum_distribution(psi, h)
+    mask = (md.p > -14.0) & (md.p < 46.0)
+    ref = quantum_momentum_pdf(md.p[mask], sch.tau1, sch.tau2, sch.tau3, h)
+    l1 = float(np.abs(md.q[mask] - ref).sum() * md.dp)
+    if not l1 < 1e-3:
+        fails.append(f"Schrodinger vs closed form: L1 {l1:.4g} >= 1e-3")
+
+    params = SemiclassicalParams(hbar=2.0 * h, D=h ** (4.0 / 3.0))
+    f0 = initial_coherent_field(params, GridSpec.for_h(h), "classical")
+    sp = momentum_marginal(evolve(f0, sch, params).final)
+    ens = langevin_sample(200_000, sch, params, seed=seed)
+    hist = histogram_distribution(ens[3].p, 96, -8.0, 16.0)
+    refc = resample_distribution(sp, hist.p)
+    l1 = float(np.abs(hist.q - refc.q).sum() * hist.dp)
+    if not l1 < 3e-2:
+        fails.append(f"Langevin vs spectral evolver: L1 {l1:.4g} >= 3e-2")
+    return fails

@@ -1,9 +1,7 @@
-"""Special functions used by the closed-form evaluators and their tests.
-
-The parabolic cylinder function D_ell (via its real integral
-representation, valid for ell < 0), the tests' quadrature reference for
-the classical density, and Gamma and erf. The closed forms take Airy Ai
-and Ai' from scipy.special.airy directly.
+"""The parabolic cylinder function D_ell from its real integral
+representation (valid for ell < 0): the tests' quadrature reference for
+the classical density. The closed forms themselves take Bessel and Airy
+functions from scipy.special directly.
 """
 
 from __future__ import annotations
@@ -17,12 +15,7 @@ from .errors import DomainError, RangeError
 
 __all__ = [
     "parabolic_cylinder_D",
-    "gamma",
-    "erf",
 ]
-
-gamma = math.gamma
-erf = math.erf
 
 #: |z| beyond which the D_ell integrand would overflow double precision.
 PCF_MAX_ARG = 36.0
@@ -59,7 +52,7 @@ def parabolic_cylinder_D(ell: float, z):
     arr = np.asarray(z, dtype=float)
     if np.any(np.abs(arr) > PCF_MAX_ARG):
         raise RangeError(f"parabolic_cylinder_D argument exceeds |z| = {PCF_MAX_ARG}")
-    norm = 1.0 / gamma(-ell)
+    norm = 1.0 / math.gamma(-ell)
 
     def one(zv: float) -> float:
         return norm * math.exp(-zv * zv / 4.0) * _pcf_integral(ell, zv)

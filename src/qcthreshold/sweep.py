@@ -1,5 +1,5 @@
 """Experiment harness: (h, D) sweeps, threshold crossing estimates, bound
-verification, and figure emission.
+reports, and figure emission.
 
 Each sweep point evolves the quantum and classical states side by side,
 measures the final momentum distributions, and records the observable
@@ -26,6 +26,7 @@ from .closedform import (
 )
 from .core import (
     GridSpec,
+    MomentumDistribution,
     ObservableSpec,
     SemiclassicalParams,
     expect_observable,
@@ -34,7 +35,7 @@ from .core import (
     momentum_marginal,
     standard_schedule,
 )
-from .errors import InvalidParameterError, ValidityError
+from .errors import InvalidParameterError
 from .evolver import EvolverConfig, evolve
 from .svg import BarPlot, LinePlot
 
@@ -43,8 +44,6 @@ __all__ = [
     "SweepRecord",
     "run_point",
     "run_experiment",
-    "threshold_sweep",
-    "bound_check",
     "bound_passed",
     "emit_figures",
     "CSV_COLUMNS",
@@ -58,6 +57,10 @@ CSV_COLUMNS = ["h", "D", "exponent", "discrepancy_g0", "l1",
 #: diffusion broadens the state enough that kicked far columns would
 #: otherwise wrap around the momentum boundary.
 _WIDE_D_RATIO = 1.5
+
+#: Kick-window duration of fig2's inset, where the quantum fringes are
+#: denser than at the run's own tau2.
+_INSET_TAU2 = 10.0
 
 #: Allowance added to an analytic bound before a measured L1 distance is
 #: said to exceed it; it absorbs the solver's own discretization error.
@@ -104,6 +107,9 @@ class RunConfig:
     def __post_init__(self):
         if not self.h_list:
             raise InvalidParameterError("h list must be nonempty")
+        if self.n_u < 2 or self.n_v < 2:
+            raise InvalidParameterError(
+                f"grid {self.n_u}x{self.n_v} needs at least 2 points per axis")
         if not (math.isfinite(self.tau2) and self.tau2 > 0):
             raise InvalidParameterError("tau2 must be positive and finite")
         if self.d_rule[0] not in ("exponent", "absolute"):
@@ -297,30 +303,6 @@ def crossing_estimates(records, tau2: float) -> dict:
     return out
 
 
-def threshold_sweep(h_list, exponent_list, config: RunConfig = None):
-    """Sweep D = h^p over a grid of exponents straddling 4/3; returns the
-    records plus crossing estimates expressed as D* / h^(4/3)."""
-    if not (min(exponent_list) < 4.0 / 3.0 < max(exponent_list)):
-        raise InvalidParameterError("exponent list must straddle 4/3")
-    cfg = replace(config or RunConfig(), h_list=tuple(h_list),
-                  d_rule=("exponent", tuple(exponent_list)),
-                  include_zero=True)
-    records = run_experiment(cfg)
-    crossings = crossing_estimates(records, cfg.tau2)
-    ratios = {h: (d / h ** (4.0 / 3.0) if not math.isnan(d) else math.nan)
-              for h, d in crossings.items()}
-    return records, ratios
-
-
-def bound_check(h_list, D_list, tau2: float = 1.0, substeps: int = 200):
-    """Measured solver-vs-closed-form L1 distances against the analytic
-    bounds; returns one report row per (h, D, side)."""
-    return _bound_rows(
-        run_point(h, D, math.nan,
-                  RunConfig(h_list=(h,), tau2=tau2, substeps=substeps))
-        for h in h_list for D in D_list)
-
-
 def write_bounds_csv(path, rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("h,D,side,measured,bound,passed\n")
@@ -330,9 +312,8 @@ def write_bounds_csv(path, rows) -> None:
                      f"{'PASS' if r['passed'] else 'FAIL'}\n")
 
 
-def observable_table(tau2: float = 1.0, n_max: int = 8):
-    """<g_n> under the two closed-form densities for n = 0 .. n_max."""
-    from .core import MomentumDistribution
+def observable_table(tau2: float = 1.0):
+    """<g_n> under the two closed-form densities for n = 0 .. 8."""
     sigma = math.sqrt(1.0 + 2.0 * tau2 * tau2)
     p = np.linspace(-10.0 - 2 * sigma, 40.0 * tau2 + 12.0 * sigma, 1 << 14)
     h_ref = 1e-3
@@ -341,15 +322,15 @@ def observable_table(tau2: float = 1.0, n_max: int = 8):
     q = MomentumDistribution(p=p, q=quantum_momentum_pdf(p, *args))
     c = MomentumDistribution(p=p, q=classical_momentum_pdf(p, *args))
     rows = []
-    for n in range(n_max + 1):
+    for n in range(9):
         obs = ObservableSpec(n)
         rows.append((n, expect_observable(q, obs), expect_observable(c, obs)))
     return rows
 
 
-def emit_figures(out_dir, tau2: float = 1.0, inset_tau2: float = 10.0) -> dict:
-    """Write fig2.svg (density overlay with inset) and fig3.svg plus
-    fig3.csv (observable table); returns the plotted data."""
+def emit_figures(out_dir, tau2: float = 1.0) -> dict:
+    """Write fig2.svg (density overlay with a tau2 = 10 inset) and fig3.svg
+    plus fig3.csv (observable table); returns the plotted data."""
     os.makedirs(out_dir, exist_ok=True)
     h_ref = 1e-3
 
@@ -365,8 +346,8 @@ def emit_figures(out_dir, tau2: float = 1.0, inset_tau2: float = 10.0) -> dict:
                     xlabel="p", ylabel="density")
     fig2.add(p, q, "red", "quantum")
     fig2.add(p, c, "blue", "classical")
-    sig = math.sqrt(1.0 + 2.0 * inset_tau2 ** 2)
-    pi_, qi, ci = curves(inset_tau2, -2.0 * sig, inset_tau2 + 2.5 * sig)
+    sig = math.sqrt(1.0 + 2.0 * _INSET_TAU2 ** 2)
+    pi_, qi, ci = curves(_INSET_TAU2, -2.0 * sig, _INSET_TAU2 + 2.5 * sig)
     fig2.add_inset(pi_, qi, "red")
     fig2.add_inset(pi_, ci, "blue")
     fig2.write(os.path.join(out_dir, "fig2.svg"))

@@ -4,14 +4,18 @@ small end-to-end run with artifact and determinism checks."""
 import csv
 import importlib.metadata
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from qcthreshold import oracles
 from qcthreshold.cli import build_config, load_config_file, main, parse_d_rule
 from qcthreshold.errors import InvalidParameterError
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ORACLE_ARGV = ["--h-list", "0.2", "--d-rule", "abs:", "--oracle",
+               "--grid", "256x512"]
 
 
 def _installed():
@@ -126,6 +130,10 @@ class TestMain:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("tau2 = abc\n")
         assert main(["--config", str(cfg_file)]) == 2
+        # below 2 points per axis, or too coarse to hold the initial state
+        for grid in ("0x0", "1x1", "-4x8", "8x8"):
+            assert main(["--h-list", "0.2", "--d-rule", "abs:",
+                         f"--grid={grid}"]) == 2
 
     @pytest.mark.parametrize("tau2", ["nan", "inf"])
     def test_non_finite_tau2_exit_code(self, tau2, capsys):
@@ -139,6 +147,32 @@ class TestMain:
         argv = ["--h-list", "0.2", "--d-rule", "abs:1.0", "--grid", "64x128"]
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("error: ResolutionError: ")
+
+    def test_oracle_run_passes(self, capsys):
+        assert main(ORACLE_ARGV) == 0
+        assert "ORACLE FAIL" not in capsys.readouterr().err
+
+    def test_oracle_failure_exit_code(self, monkeypatch, capsys):
+        # each oracle's output moved off its reference: the Schrodinger
+        # density by 1 % of its mass, the Langevin momenta by 1.0 (from
+        # 2 000 samples, so that the failing run stays quick)
+        momentum_distribution = oracles.momentum_distribution
+        langevin_sample = oracles.langevin_sample
+
+        def off_density(psi, h):
+            md = momentum_distribution(psi, h)
+            return replace(md, q=1.01 * md.q)
+
+        def off_sample(m, schedule, params, seed):
+            ens = langevin_sample(2_000, schedule, params, seed=seed)
+            return ens[:3] + (replace(ens[3], p=ens[3].p + 1.0),)
+
+        monkeypatch.setattr(oracles, "momentum_distribution", off_density)
+        monkeypatch.setattr(oracles, "langevin_sample", off_sample)
+        assert main(ORACLE_ARGV) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("ORACLE FAIL h=0.2: Schrodinger")
+        assert err[1].startswith("ORACLE FAIL h=0.2: Langevin")
 
     @pytest.mark.skipif(not _installed(),
                         reason="qcthreshold is not installed (no distribution "

@@ -240,6 +240,30 @@ class TestDuhamelBound:
             duhamel_bound("exact", 0.05, 1e-3, SCH)
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("slot", ["tau1", "tau2", "tau3", "h"])
+    def test_densities_and_moments(self, slot, bad):
+        args = dict(zip(("tau1", "tau2", "tau3", "h"), ARGS), **{slot: bad})
+        for density in (quantum_momentum_pdf, classical_momentum_pdf):
+            with pytest.raises(InvalidParameterError):
+                density(np.array([0.0, 1.0]), **args)
+        with pytest.raises(InvalidParameterError):
+            predicted_moments(3, **args)
+
+    @pytest.mark.parametrize("tau2", [math.nan, math.inf])
+    def test_constants(self, tau2):
+        with pytest.raises(InvalidParameterError):
+            constants(tau2)
+
+    @pytest.mark.parametrize("h, D", [(math.nan, 1e-3), (math.inf, 1e-3),
+                                      (0.05, math.nan), (0.05, math.inf)])
+    def test_duhamel_bound(self, h, D):
+        for side in ("quantum", "classical"):
+            with pytest.raises(InvalidParameterError):
+                duhamel_bound(side, h, D, SCH)
+
+
 class TestRangeGuards:
     @pytest.mark.parametrize("p,tau2", [(-1e4, 1.0), (150.0, 4.0)],
                              ids=["exp-overflow", "airy-range"])

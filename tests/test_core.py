@@ -10,17 +10,13 @@ from hypothesis import given, settings, strategies as st
 from qcthreshold.core import (
     AffineFrame,
     BumpProfile,
-    ConditionalGaussianSpec,
-    GaussianSpec,
     GridSpec,
     MomentumDistribution,
     ObservableSpec,
+    PhaseSpaceField,
     Schedule,
     SemiclassicalParams,
-    conditional_gaussian_field,
-    decoherence_length,
     expect_observable,
-    gaussian_field,
     initial_coherent_field,
     l1_distance,
     measure_central_moments,
@@ -29,7 +25,7 @@ from qcthreshold.core import (
     resample_distribution,
     standard_schedule,
 )
-from qcthreshold.errors import CoverageError, DomainError, InvalidParameterError
+from qcthreshold.errors import CoverageError, InvalidParameterError
 
 
 class TestParams:
@@ -42,14 +38,6 @@ class TestParams:
                         (math.nan, 0.0), (1.0, math.inf), (1.0, math.nan)):
             with pytest.raises(InvalidParameterError):
                 SemiclassicalParams(hbar=hbar, D=D)
-
-    def test_decoherence_length(self):
-        assert decoherence_length(
-            SemiclassicalParams(hbar=1e-4, D=1e-8)) == pytest.approx(1.0)
-        assert decoherence_length(
-            SemiclassicalParams(hbar=2e-3, D=4e-6)) == pytest.approx(1.0)
-        with pytest.raises(DomainError):
-            decoherence_length(SemiclassicalParams(hbar=1.0, D=0.0))
 
 
 class TestBump:
@@ -87,7 +75,8 @@ class TestSchedule:
         assert sch.tau1 == pytest.approx(1.0)
         assert sch.tau2 == 1.0
         assert sch.tau3 == pytest.approx(4.0)
-        assert sch.technical_ok
+        # the bounds' validity condition tau1 < (1/4) log(1/h)
+        assert sch.tau1 < 0.25 * 6.0
 
     def test_standard_h_point_zero_one(self):
         sch = standard_schedule(0.01)
@@ -130,9 +119,23 @@ class TestFrame:
     @given(st.floats(-5, 5), st.floats(-5, 5))
     @settings(max_examples=50, deadline=None)
     def test_composition_adds_logs(self, a, b):
-        assert AffineFrame(a).compose(AffineFrame(b)).a == a + b
-        assert AffineFrame(a).compose(AffineFrame(b)).s_x * \
-            AffineFrame(a).compose(AffineFrame(b)).s_p == pytest.approx(1.0)
+        # shifting a frame by b composes it with AffineFrame(b)
+        shifted = AffineFrame(a).shifted(b)
+        assert shifted.a == a + b
+        assert shifted.s_x * shifted.s_p == pytest.approx(1.0)
+
+
+def _gaussian_field(grid, var_x, var_p, mean_x=0.0, mean_p=0.0, r=0.0):
+    """The classical density N(mean_x, var_x)(x) * N(mean_p + r x^2,
+    var_p)(p) sampled on the grid in the identity frame."""
+    u, v = grid.axes()
+    x, p = u[:, None], v[None, :]
+    gx = np.exp(-(x - mean_x) ** 2 / (2 * var_x)) / math.sqrt(
+        2 * math.pi * var_x)
+    gp = np.exp(-(p - mean_p - r * x * x) ** 2 / (2 * var_p)) / math.sqrt(
+        2 * math.pi * var_p)
+    return PhaseSpaceField(frame=AffineFrame(0.0), u=u, v=v, values=gx * gp,
+                           kind="classical")
 
 
 @pytest.fixture(scope="module")
@@ -173,9 +176,8 @@ class TestMarginals:
 
     def test_factorized_density(self, h):
         # marginal of g(x) q(p) is q(p)
-        spec = GaussianSpec(0.0, 0.3, np.diag([2 * h, 0.5 * h]))
-        field = gaussian_field(spec, GridSpec.for_h(h, widths_u=24,
-                                                    widths_v=48))
+        field = _gaussian_field(GridSpec.for_h(h, widths_u=24, widths_v=48),
+                                2 * h, 0.5 * h, mean_p=0.3)
         md = momentum_marginal(field)
         ref = np.exp(-(md.p - 0.3) ** 2 / h) / math.sqrt(math.pi * h)
         assert np.abs(md.q - ref).max() < 1e-8 / h
@@ -239,10 +241,11 @@ class TestL1Distance:
 
 class TestObservables:
     def test_constant_observable(self):
+        # int e^{-p^2} N(0, 1)(p) dp has the closed form 1/sqrt(3)
         p = np.linspace(-8, 8, 2048, endpoint=False)
         d = _gaussian_dist(0.0, 1.0, p)
-        assert expect_observable(d, ObservableSpec(0, gaussian_weight=False)) \
-            == pytest.approx(1.0, abs=1e-9)
+        assert expect_observable(d, ObservableSpec(0)) == \
+            pytest.approx(1.0 / math.sqrt(3.0), rel=1e-9)
 
     def test_gaussian_weighted_moment(self):
         # int p^2 e^{-p^2} N(0, 1/2)(p) dp has the closed form 1/(4 sqrt 2)
@@ -260,11 +263,9 @@ class TestObservables:
 class TestMomentMeasurement:
     def test_translation_invariance(self, h):
         grid = GridSpec.for_h(h, widths_u=24, widths_v=48)
-        spec0 = GaussianSpec(0.0, 0.0, np.diag([h, h]))
-        spec1 = GaussianSpec(3 * math.sqrt(h), -2 * math.sqrt(h),
-                             np.diag([h, h]))
-        m0 = measure_central_moments(gaussian_field(spec0, grid))
-        m1 = measure_central_moments(gaussian_field(spec1, grid))
+        m0 = measure_central_moments(_gaussian_field(grid, h, h))
+        m1 = measure_central_moments(_gaussian_field(
+            grid, h, h, mean_x=3 * math.sqrt(h), mean_p=-2 * math.sqrt(h)))
         assert m1.mean_x == pytest.approx(3 * math.sqrt(h), rel=1e-8)
         assert m1.mean_p == pytest.approx(-2 * math.sqrt(h), rel=1e-8)
         for name in ("var_x", "var_p", "m4_x", "m4_p"):
@@ -272,20 +273,11 @@ class TestMomentMeasurement:
                                                       rel=1e-6)
 
     def test_conditional_gaussian_moments(self, h):
-        spec = ConditionalGaussianSpec(sigma_x=math.sqrt(h),
-                                       sigma_p=math.sqrt(h), r=1.0)
-        field = conditional_gaussian_field(spec, GridSpec.for_h(h, widths_v=64))
+        field = _gaussian_field(GridSpec.for_h(h, widths_v=64), h, h, r=1.0)
         m = measure_central_moments(field)
         # p = G + r x^2: mean r sigma_x^2, var sigma_p^2 + 2 r^2 sigma_x^4
         assert m.mean_p == pytest.approx(h, rel=1e-6)
         assert m.var_p == pytest.approx(h + 2 * h * h, rel=1e-6)
-        assert spec.b == pytest.approx(math.sqrt(h))
-
-    def test_gaussian_purity_flag(self, h):
-        pure = GaussianSpec(0, 0, np.diag([2 * h, h / 2]))
-        mixed = GaussianSpec(0, 0, np.diag([2 * h, h]))
-        assert pure.is_pure_quantum(h)
-        assert not mixed.is_pure_quantum(h)
 
 
 class TestResample:

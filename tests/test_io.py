@@ -1,68 +1,9 @@
-"""Serialization round-trip tests."""
+"""Marginal CSV round-trip tests."""
 
 import numpy as np
-import pytest
 
-from qcthreshold.core import (
-    AffineFrame,
-    GridSpec,
-    MomentumDistribution,
-    PhaseSpaceField,
-    SemiclassicalParams,
-    initial_coherent_field,
-)
-from qcthreshold.errors import InvalidParameterError
-from qcthreshold.io import (
-    load_field,
-    read_marginal_csv,
-    save_field,
-    write_marginal_csv,
-)
-
-
-def _field(kind="classical", complex_values=False):
-    field = initial_coherent_field(
-        SemiclassicalParams(hbar=0.1), GridSpec.for_h(0.05, n_u=64, n_v=128),
-        kind)
-    field = field.with_frame(AffineFrame(0.37))
-    if complex_values:
-        field = field.with_values(field.values * (1.0 + 0.5j))
-    return field
-
-
-class TestFieldRoundTrip:
-    @pytest.mark.parametrize("kind", ["wigner", "classical"])
-    def test_real_payload(self, tmp_path, kind):
-        field = _field(kind)
-        path = tmp_path / "field.qcpf"
-        save_field(path, field)
-        back = load_field(path)
-        assert back.kind == kind
-        assert back.frame.a == field.frame.a
-        assert np.array_equal(back.values, field.values)
-        assert np.allclose(back.u, field.u, atol=1e-12)
-        assert np.allclose(back.v, field.v, atol=1e-12)
-
-    def test_complex_payload(self, tmp_path):
-        field = _field(complex_values=True)
-        path = tmp_path / "field.qcpf"
-        save_field(path, field)
-        back = load_field(path)
-        assert np.iscomplexobj(back.values)
-        assert np.array_equal(back.values, field.values)
-
-    def test_reject_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"\x00" * 128)
-        with pytest.raises(InvalidParameterError):
-            load_field(path)
-
-    def test_deterministic_bytes(self, tmp_path):
-        field = _field()
-        p1, p2 = tmp_path / "a", tmp_path / "b"
-        save_field(p1, field)
-        save_field(p2, field)
-        assert p1.read_bytes() == p2.read_bytes()
+from qcthreshold.core import MomentumDistribution
+from qcthreshold.io import read_marginal_csv, write_marginal_csv
 
 
 class TestMarginalCsv:
@@ -80,5 +21,5 @@ class TestMarginalCsv:
     def test_header(self, tmp_path):
         dist = MomentumDistribution(p=np.array([0.0]), q=np.array([1.0]))
         path = tmp_path / "marginal.csv"
-        write_marginal_csv(path, dist, value_name="q")
-        assert path.read_text().splitlines()[0] == "p,q"
+        write_marginal_csv(path, dist)
+        assert path.read_text().splitlines()[0] == "p,density"

@@ -34,7 +34,6 @@ from qcthreshold.oracles import (
     lindblad_dm_evolve,
     momentum_distribution,
     schrodinger_closed,
-    wigner_from_dm,
 )
 
 H = 0.05
@@ -195,13 +194,17 @@ class TestLindbladDensityMatrix:
             <= 1e-12 * np.abs(want).max()
 
     def test_initial_wigner_is_isotropic_gaussian(self):
+        # the Wigner function of rho0 = psi0 psi0^*, with psi0 = (2 pi
+        # h)^(-1/4) exp(-x^2 / 4h), is exp[-(x^2 + p^2)/2h] / (2 pi h); so
+        # check rho0 itself, on 512 points spanning +-14 sqrt(h)
         rho = coherent_density_matrix(H, n=512)
-        x, p, W = wigner_from_dm(rho, PARAMS0)
-        X, P = np.meshgrid(x, p, indexing="ij")
-        ref = np.exp(-(X ** 2 + P ** 2) / (2 * H)) / (2 * math.pi * H)
-        dx = float(x[1] - x[0])
-        dp = float(p[1] - p[0])
-        assert float(np.abs(W - ref).sum() * dx * dp) < 1e-6
+        xi = np.linspace(-14 * math.sqrt(H), 14 * math.sqrt(H), 512,
+                         endpoint=False)
+        psi0 = (2 * math.pi * H) ** -0.25 * np.exp(-xi ** 2 / (4 * H))
+        assert rho.scale == 1.0
+        assert np.array_equal(rho.xi, xi)
+        assert np.abs(rho.values - np.outer(psi0, psi0)).max() \
+            <= 1e-14 * psi0.max() ** 2
 
 
 class TestLangevin:

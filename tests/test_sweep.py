@@ -13,13 +13,11 @@ from qcthreshold.sweep import (
     CSV_COLUMNS,
     RunConfig,
     SweepRecord,
-    bound_check,
     crossing_estimates,
     emit_figures,
     observable_table,
     run_experiment,
     run_point,
-    threshold_sweep,
     write_artifacts,
     write_records_csv,
 )
@@ -163,25 +161,6 @@ class TestCrossing:
         write_artifacts(cfg, records)
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert bracket[0] < summary["crossings"]["0.1"] < bracket[1]
-
-    def test_threshold_sweep_ratio(self):
-        records, ratios = threshold_sweep(
-            (0.2,), (1.0, 4.0 / 3.0, 2.0), RunConfig(h_list=(0.2,), **FAST))
-        assert 0.2 in ratios
-        assert 0.01 < ratios[0.2] < 100.0
-
-    def test_exponents_must_straddle(self):
-        with pytest.raises(InvalidParameterError):
-            threshold_sweep((0.2,), (1.5, 2.0))
-
-
-class TestBoundCheck:
-    def test_rows_pass(self):
-        rows = bound_check((0.2,), (0.2 ** (4.0 / 3.0),), substeps=60)
-        assert len(rows) == 2
-        assert all(r["passed"] for r in rows)
-        sides = {r["side"] for r in rows}
-        assert sides == {"quantum", "classical"}
 
 
 class TestFiguresAndTables:
