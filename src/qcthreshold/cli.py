@@ -7,9 +7,9 @@ Usage:
 Options may also come from a flat key = value config file (--config);
 command-line flags override file entries. An unknown config key, a value
 that cannot be read, or a grid too coarse to hold the initial state ends
-the run with "error: ..." and exit code 2; a sweep point that the solver
-cannot resolve or that fails a solver diagnostic ends it with
-"error: <class>: ..." and exit code 3. Exit code 1 means a bound or oracle
+the run with "error: ..." and exit code 2; a sweep point or oracle run
+that the solver cannot resolve or that fails a solver diagnostic ends it
+with "error: <class>: ..." and exit code 3. Exit code 1 means a bound or oracle
 check failed; each failure is printed as a BOUND FAIL or ORACLE FAIL line.
 """
 
@@ -144,6 +144,8 @@ def main(argv=None) -> int:
     try:
         config = build_config(argv)
         records = run_experiment(config)
+        h = max(config.h_list)
+        oracle_fails = cross_validate(h, config) if config.oracle else []
     except (InvalidParameterError, CoverageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -159,8 +161,6 @@ def main(argv=None) -> int:
               f"({r.measured_quantum_l1:.4g}, {r.measured_classical_l1:.4g}) "
               f"vs bounds ({r.quantum_bound:.4g}, {r.classical_bound:.4g})",
               file=sys.stderr)
-    h = max(config.h_list)
-    oracle_fails = cross_validate(h, config.seed) if config.oracle else []
     for line in oracle_fails:
         print(f"ORACLE FAIL h={h}: {line}", file=sys.stderr)
     n = len(records)

@@ -11,10 +11,10 @@ taken in one step:
                     substeps_per_unit Gauss-Legendre panels per unit
                     time);
   window 2:         cubic kick as a momentum-direction Fourier multiplier
-                    exp[-i k (x^2 + kappa (h^2/3) k^2) delta]. The frame is
-                    static there, so at D = 0 the multipliers commute and
-                    one kick over the whole window is exact. At D > 0 each
-                    k_v column of the (u, k_v) representation evolves under
+                    exp(-i k x^2 delta). The frame is static there, so at
+                    D = 0 the multipliers commute and one kick over the
+                    whole window is exact. At D > 0 each k_v column of the
+                    (u, k_v) representation evolves under
                     -i c(t) u^2 + d d^2/du^2 plus a scalar: the generator
                     lies in sl(2), so the window's propagator is a linear
                     canonical transform. Its 2x2 matrix comes from a
@@ -23,8 +23,11 @@ taken in one step:
                     complex FFT pair along u (Healy, Kutay, Ozaktas &
                     Sheridan, Linear Canonical Transforms, Springer 2016).
 
-kappa = 1 evolves the truncated quantum (Wigner-Moyal) equation, kappa = 0
-the classical Fokker-Planck equation; both share every other term.
+The Wigner-Moyal equation adds one term to the classical Fokker-Planck
+one, (h^2/3) chi_2(t) d^3/dp^3 (the Hamiltonian is cubic, the Lindblad
+operators linear). It is diagonal in k_v, like every other operator in the
+co-moving frame, so it commutes with them all: from t2 on, a Wigner field
+is the classical one times exp(-i (h^2/3) delta k^3) (moyal_phase).
 """
 
 from __future__ import annotations
@@ -34,18 +37,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PhaseSpaceField, Schedule, SemiclassicalParams, \
-    l1_distance, momentum_marginal
+from .core import PhaseSpaceField, Schedule, SemiclassicalParams
 from .errors import InvalidParameterError, ResolutionError, SolverFailureError
 
 __all__ = [
     "EvolverConfig",
     "EvolveResult",
-    "ConvergenceReport",
     "evolve",
     "cubic_kick_substep",
     "diffusion_substep",
-    "convergence_check",
+    "moyal_phase",
 ]
 
 #: Relative spectral mass allowed in the top tenth of the momentum band.
@@ -99,14 +100,6 @@ class EvolveResult:
     diagnostics: dict
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    l1_difference: float
-    passed: bool
-    base_substeps: int
-    refined_substeps: int
-
-
 def _k_axis(n: int, spacing: float) -> np.ndarray:
     return 2.0 * math.pi * np.fft.fftfreq(n, d=spacing)
 
@@ -129,13 +122,13 @@ def _check_v_tail(spec: np.ndarray) -> None:
             f"momentum spectral tail carries relative mass {tail_mass:.2e}")
 
 
-def cubic_kick_substep(field: PhaseSpaceField, delta: float,
-                       params: SemiclassicalParams, kappa: int) -> PhaseSpaceField:
-    """Apply the kick generated by -x^3/3 over integrated bump weight delta.
+def cubic_kick_substep(field: PhaseSpaceField,
+                       delta: float) -> PhaseSpaceField:
+    """Apply the classical kick generated by -x^3/3 over integrated bump
+    weight delta.
 
-    In lab variables each x-column translates in p by delta*x^2; the quantum
-    correction (kappa = 1) adds the phase -kappa*(h^2/3)*k^3*delta. Both are
-    exact Fourier multipliers along the momentum axis.
+    In lab variables each x-column translates in p by delta*x^2, an exact
+    Fourier multiplier along the momentum axis.
     """
     if delta == 0.0:
         return field
@@ -146,10 +139,24 @@ def cubic_kick_substep(field: PhaseSpaceField, delta: float,
     _check_v_tail(spec)
 
     phase = k_lab[None, :] * (x * x) * delta
-    if kappa:
-        phase = phase + kappa * (params.h ** 2 / 3.0) * k_lab[None, :] ** 3 * delta
     out = np.fft.irfft(spec * np.exp(-1j * phase), n=len(field.v), axis=1)
     return field.with_values(out)
+
+
+def moyal_phase(field: PhaseSpaceField, schedule: Schedule,
+                params: SemiclassicalParams, a2: float) -> PhaseSpaceField:
+    """The Wigner field at t2 or later whose classical counterpart is field:
+    its momentum spectrum times exp(-i (h^2/3) delta k^3), with delta
+    window 2's bump integral and k = k_v e^(a2) the lab wavenumber at t2
+    (frame log-scale a2). Window 3 only shifts the frame and damps each
+    k_v, so the same multiplier holds after it."""
+    start, tau = schedule.window(2)
+    delta = schedule.bump_integral(2, start, start + tau)
+    k = _rk_axis(len(field.v), field.dv) * math.exp(a2)
+    spec = np.fft.rfft(field.values, axis=1)
+    spec *= np.exp(-1j * (params.h ** 2 / 3.0) * delta * k ** 3)
+    return replace(field, kind="wigner",
+                   values=np.fft.irfft(spec, n=len(field.v), axis=1))
 
 
 def _damping(field: PhaseSpaceField, params: SemiclassicalParams,
@@ -290,13 +297,12 @@ def _magnus_pieces(schedule: Schedule, kx: np.ndarray, d: float, n: int,
 
 
 def _window_factors(field: PhaseSpaceField, schedule: Schedule,
-                    params: SemiclassicalParams, kappa: int):
+                    params: SemiclassicalParams):
     """The D > 0 window-2 propagator in factored form.
 
-    Returns (keep, scalar, beta, g_in, g_out, info): the kept k_v columns,
-    their scalar factor exp(-(D/2) e^(2a) tau2 k_v^2 - i kappa (h^2/3) k^3
-    delta), and per piece (rows) and kept column the heat parameter beta
-    and the chirps g_in, g_out. Each piece maps a column by
+    Returns (keep, damp, beta, g_in, g_out, info): the kept k_v columns,
+    their damping exp(-(D/2) e^(2a) tau2 k_v^2), and per piece (rows) and
+    kept column the heat parameter beta and the chirps g_in, g_out. Each piece maps a column by
     exp(i g_in u^2/2), then exp(-i beta k_u^2/2) in Fourier space, then
     exp(i g_out u^2/2). With the piece's matrix M (M' = [[0, -2i d],
     [-2 c(t), 0]] M for c(t) = chi_2(t) k s_x^2 and d = (D/2) e^(-2a)),
@@ -304,13 +310,12 @@ def _window_factors(field: PhaseSpaceField, schedule: Schedule,
     window is one piece unless a factor would grow on the grid; then it is
     the fewest equal pieces (a power of two) for which none does.
     """
-    start, tau = schedule.window(2)
+    tau = schedule.tau2
     a = field.frame.a
     kv = _rk_axis(len(field.v), field.dv)
-    k = kv / field.frame.s_p
     log_damp = (params.D / 2.0) * math.exp(2.0 * a) * tau * kv ** 2
     keep = log_damp < _DAMP_CUT
-    kx = k[keep] * field.frame.s_x ** 2
+    kx = kv[keep] / field.frame.s_p * field.frame.s_x ** 2
     d = (params.D / 2.0) * math.exp(-2.0 * a)
 
     # M holds M - I, one row per piece
@@ -341,18 +346,15 @@ def _window_factors(field: PhaseSpaceField, schedule: Schedule,
             raise SolverFailureError(
                 f"window-2 propagator still grows in {_MAX_PIECES} pieces")
         M = _magnus_pieces(schedule, kx, d, n, m)
-    delta = schedule.bump_integral(2, start, start + tau)
-    scalar = np.exp(-log_damp[keep] - 1j * kappa * (params.h ** 2 / 3.0)
-                    * k[keep] ** 3 * delta)
+    damp = np.exp(-log_damp[keep])
     info = {"kick_substeps": m, "magnus_slices": n, "magnus_error": err,
             "kept_columns": int(keep.sum())}
-    return keep, scalar, beta, g_in, g_out, info
+    return keep, damp, beta, g_in, g_out, info
 
 
 def _kick_window(field: PhaseSpaceField, schedule: Schedule,
-                 params: SemiclassicalParams,
-                 kappa: int) -> tuple[PhaseSpaceField, dict]:
-    """Window 2: the cubic kick, exact at every D.
+                 params: SemiclassicalParams) -> tuple[PhaseSpaceField, dict]:
+    """Window 2: the classical cubic kick, exact at every D.
 
     Returns the kicked field and its diagnostics. The frame is static in
     this window. At D = 0 the kick multipliers commute and their phase is
@@ -360,7 +362,7 @@ def _kick_window(field: PhaseSpaceField, schedule: Schedule,
     exact. At D > 0 the state stays in the (u, k_v) representation, where
     each column takes its exact propagator from _window_factors: two
     chirps around one complex FFT pair along u per piece (one piece on
-    every default-sweep point), then its scalar factor; columns damped
+    every default-sweep point), then its damping; columns damped
     below e^-46 are set to zero. The momentum tail is checked on the
     window's input and output.
     """
@@ -368,11 +370,11 @@ def _kick_window(field: PhaseSpaceField, schedule: Schedule,
     if params.D == 0.0:
         start, tau = schedule.window(2)
         delta = schedule.bump_integral(2, start, start + tau)
-        return cubic_kick_substep(field, delta, params, kappa), \
+        return cubic_kick_substep(field, delta), \
             {"kick_substeps": 1, "magnus_slices": 0, "magnus_error": 0.0,
              "kept_columns": n_cols}
-    keep, scalar, beta, g_in, g_out, info = _window_factors(
-        field, schedule, params, kappa)
+    keep, damp, beta, g_in, g_out, info = _window_factors(
+        field, schedule, params)
     spec = np.fft.rfft(field.values, axis=1)
     _check_v_tail(spec)
     u2 = (field.u ** 2 / 2.0)[:, None]
@@ -383,7 +385,7 @@ def _kick_window(field: PhaseSpaceField, schedule: Schedule,
         cols = np.fft.ifft(cols * np.exp(-1j * b * ku2), axis=0)
         cols *= np.exp(1j * go * u2)
     spec = np.zeros_like(spec)
-    spec[:, keep] = cols * scalar
+    spec[:, keep] = cols * damp
     _check_v_tail(spec)
     return field.with_values(np.fft.irfft(spec, n=len(field.v), axis=1)), info
 
@@ -392,8 +394,8 @@ def evolve(field: PhaseSpaceField, schedule: Schedule,
            params: SemiclassicalParams,
            config: EvolverConfig = EvolverConfig()) -> EvolveResult:
     """Run the full schedule, returning the final field and the four
-    checkpoint snapshots (t0 through t3)."""
-    kappa = 1 if field.kind == "wigner" else 0
+    checkpoint snapshots (t0 through t3). A Wigner field takes the
+    classical kick window, then its Moyal phase (moyal_phase)."""
     diagnostics: dict = {}
     mass0 = field.mass()
     if abs(mass0 - 1.0) > 1e-6:
@@ -405,7 +407,9 @@ def evolve(field: PhaseSpaceField, schedule: Schedule,
     _check_field(field, mass0, "t1", diagnostics)
     cp1 = field
 
-    field, window = _kick_window(field, schedule, params, kappa)
+    field, window = _kick_window(field, schedule, params)
+    if field.kind == "wigner":
+        field = moyal_phase(field, schedule, params, field.frame.a)
     _check_field(field, mass0, "t2", diagnostics)
     diagnostics["t2"].update(window)
     cp2 = field
@@ -419,23 +423,3 @@ def evolve(field: PhaseSpaceField, schedule: Schedule,
     return EvolveResult(final=field, checkpoints=(cp0, cp1, cp2, field),
                         diagnostics=diagnostics)
 
-
-def convergence_check(field: PhaseSpaceField, schedule: Schedule,
-                      params: SemiclassicalParams,
-                      config: EvolverConfig = EvolverConfig(),
-                      tol: float = 1e-4) -> ConvergenceReport:
-    """Compare final momentum marginals at the configured substep count and
-    at twice that count.
-
-    Every window is taken in one step, so doubling the substeps refines
-    only the quadrature of the stretch-window diffusion integrals; the
-    window-2 propagator sets its own Magnus slice count by step doubling.
-    """
-    coarse = evolve(field, schedule, params, config)
-    fine_cfg = replace(config, substeps_per_unit=2 * config.substeps_per_unit)
-    fine = evolve(field, schedule, params, fine_cfg)
-    diff = l1_distance(momentum_marginal(coarse.final),
-                       momentum_marginal(fine.final))
-    return ConvergenceReport(l1_difference=diff, passed=diff < tol,
-                             base_substeps=config.substeps_per_unit,
-                             refined_substeps=fine_cfg.substeps_per_unit)

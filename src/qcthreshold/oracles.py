@@ -19,11 +19,12 @@ import numpy as np
 import scipy.fft as sfft
 
 from .closedform import quantum_momentum_pdf
-from .core import (GridSpec, MomentumDistribution, Schedule,
-                   SemiclassicalParams, initial_coherent_field,
-                   momentum_marginal, resample_distribution, standard_schedule)
+from .core import (MomentumDistribution, Schedule, SemiclassicalParams,
+                   initial_coherent_field, momentum_marginal,
+                   resample_distribution)
 from .errors import InvalidParameterError, ResolutionError, SolverFailureError
 from .evolver import evolve
+from .sweep import RunConfig, point_setup
 
 __all__ = [
     "WavefunctionField",
@@ -323,17 +324,18 @@ def histogram_distribution(samples: np.ndarray, bins: int,
     return MomentumDistribution(p=centers, q=q)
 
 
-def cross_validate(h: float, seed: int) -> list:
-    """Cross-check the oracles at h on the standard schedule; returns one
-    line per failed check, none when both pass.
+def cross_validate(h: float, config: RunConfig) -> list:
+    """Cross-check the oracles at h on the schedule, grid and stretch
+    panels the sweep runs under config; returns one line per failed check,
+    none when both pass.
 
     The Schrodinger oracle's final momentum density must lie within 1e-3
     (L1) of the Airy closed form, and at D = h^(4/3) a 200 000-sample
-    Langevin histogram within 3e-2 of the spectral evolver's classical
-    marginal.
+    Langevin histogram (seeded with config.seed) within 3e-2 of the
+    spectral evolver's classical marginal.
     """
     fails = []
-    sch = standard_schedule(h)
+    sch, grid, params, evc = point_setup(h, h ** (4.0 / 3.0), config)
     psi = schrodinger_closed(coherent_wavefunction(h), sch, h)[3]
     md = momentum_distribution(psi, h)
     mask = (md.p > -14.0) & (md.p < 46.0)
@@ -342,10 +344,9 @@ def cross_validate(h: float, seed: int) -> list:
     if not l1 < 1e-3:
         fails.append(f"Schrodinger vs closed form: L1 {l1:.4g} >= 1e-3")
 
-    params = SemiclassicalParams(hbar=2.0 * h, D=h ** (4.0 / 3.0))
-    f0 = initial_coherent_field(params, GridSpec.for_h(h), "classical")
-    sp = momentum_marginal(evolve(f0, sch, params).final)
-    ens = langevin_sample(200_000, sch, params, seed=seed)
+    f0 = initial_coherent_field(params, grid, "classical")
+    sp = momentum_marginal(evolve(f0, sch, params, evc).final)
+    ens = langevin_sample(200_000, sch, params, seed=config.seed)
     hist = histogram_distribution(ens[3].p, 96, -8.0, 16.0)
     refc = resample_distribution(sp, hist.p)
     l1 = float(np.abs(hist.q - refc.q).sum() * hist.dp)

@@ -1,8 +1,8 @@
 """Experiment harness: (h, D) sweeps, threshold crossing estimates, bound
 reports, and figure emission.
 
-Each sweep point evolves the quantum and classical states side by side,
-measures the final momentum distributions, and records the observable
+Each sweep point evolves the classical state, derives the quantum one from
+it, measures the final momentum distributions, and records the observable
 discrepancy, the L1 distance, and the analytic error bounds.
 """
 
@@ -36,12 +36,13 @@ from .core import (
     standard_schedule,
 )
 from .errors import InvalidParameterError
-from .evolver import EvolverConfig, evolve
+from .evolver import EvolverConfig, _check_field, evolve, moyal_phase
 from .svg import BarPlot, LinePlot
 
 __all__ = [
     "RunConfig",
     "SweepRecord",
+    "point_setup",
     "run_point",
     "run_experiment",
     "bound_passed",
@@ -114,6 +115,8 @@ class RunConfig:
             raise InvalidParameterError("tau2 must be positive and finite")
         if self.d_rule[0] not in ("exponent", "absolute"):
             raise InvalidParameterError("d_rule must be exponent or absolute")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed {self.seed} must be >= 0")
 
     def points(self):
         """All (h, D, exponent) sweep points, exponent nan for absolute D."""
@@ -138,33 +141,37 @@ def _grid_for(h: float, D: float, config: RunConfig) -> GridSpec:
 
 
 def _schedule_for(h: float, tau2: float):
-    sch = standard_schedule(h)
-    if tau2 != 1.0:
-        sch = replace(sch, tau2=tau2)
-    return sch
+    return replace(standard_schedule(h), tau2=tau2)
+
+
+def point_setup(h: float, D: float, config: RunConfig):
+    """(schedule, grid, params, evolver config) of the sweep point (h, D)."""
+    return (_schedule_for(h, config.tau2), _grid_for(h, D, config),
+            SemiclassicalParams(hbar=2.0 * h, D=D),
+            EvolverConfig(substeps_per_unit=config.substeps))
 
 
 def run_point(h: float, D: float, exponent: float,
               config: RunConfig) -> SweepRecord:
-    """Evolve both kinds at one (h, D) and measure the comparison metrics."""
+    """Evolve the classical density at one (h, D), derive the Wigner one
+    at t2 and t3 (evolver.moyal_phase, with the guards its own evolve would
+    run there), and measure the comparison metrics."""
     t0 = time.perf_counter()
-    sch = _schedule_for(h, config.tau2)
-    grid = _grid_for(h, D, config)
-    params = SemiclassicalParams(hbar=2.0 * h, D=D)
-    evc = EvolverConfig(substeps_per_unit=config.substeps)
-    marginals = {}
-    for kind in ("wigner", "classical"):
-        f0 = initial_coherent_field(params, grid, kind)
-        marginals[kind] = momentum_marginal(evolve(f0, sch, params, evc).final)
+    sch, grid, params, evc = point_setup(h, D, config)
+    f0 = initial_coherent_field(params, grid, "classical")
+    res = evolve(f0, sch, params, evc)
+    a2 = res.checkpoints[2].frame.a
+    for label, field in (("t2", res.checkpoints[2]), ("t3", res.final)):
+        wigner = moyal_phase(field, sch, params, a2)
+        _check_field(wigner, f0.mass(), label, {})
+    mq = momentum_marginal(wigner)  # the t3 field
+    mc = momentum_marginal(res.final)
     g0 = ObservableSpec(0)
-    disc = abs(expect_observable(marginals["wigner"], g0)
-               - expect_observable(marginals["classical"], g0))
-    l1 = l1_distance(marginals["wigner"], marginals["classical"])
+    disc = abs(expect_observable(mq, g0) - expect_observable(mc, g0))
+    l1 = l1_distance(mq, mc)
     qb = duhamel_bound("quantum", h, D, sch)
     cb = duhamel_bound("classical", h, D, sch)
     args = (sch.tau1, sch.tau2, sch.tau3, h)
-    mq = marginals["wigner"]
-    mc = marginals["classical"]
     meas_q = float(np.abs(mq.q - quantum_momentum_pdf(mq.p, *args)).sum()
                    * mq.dp)
     meas_c = float(np.abs(mc.q - classical_momentum_pdf(mc.p, *args)).sum()

@@ -11,7 +11,8 @@ import pytest
 
 from qcthreshold import oracles
 from qcthreshold.cli import build_config, load_config_file, main, parse_d_rule
-from qcthreshold.errors import InvalidParameterError
+from qcthreshold.errors import InvalidParameterError, ResolutionError
+from qcthreshold.evolver import EvolverConfig
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 ORACLE_ARGV = ["--h-list", "0.2", "--d-rule", "abs:", "--oracle",
@@ -135,6 +136,13 @@ class TestMain:
             assert main(["--h-list", "0.2", "--d-rule", "abs:",
                          f"--grid={grid}"]) == 2
 
+    def test_negative_seed_exit_code(self, capsys):
+        # rejected before the sweep runs, not by the Langevin sampler after it
+        assert main(ORACLE_ARGV + ["--seed=-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: seed -1")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("tau2", ["nan", "inf"])
     def test_non_finite_tau2_exit_code(self, tau2, capsys):
         argv = ["--h-list", "0.2", "--d-rule", "abs:", "--tau2", tau2,
@@ -173,6 +181,39 @@ class TestMain:
         err = capsys.readouterr().err.splitlines()
         assert err[0].startswith("ORACLE FAIL h=0.2: Schrodinger")
         assert err[1].startswith("ORACLE FAIL h=0.2: Langevin")
+
+    def test_oracle_checks_the_swept_configuration(self, monkeypatch):
+        # the evolver run that the Langevin histogram is held against uses
+        # the sweep's tau2, grid and stretch panels (Langevin shrunk to
+        # 2 000 samples, so that the run stays quick; at tau2 = 2 the D = 0
+        # point needs 512 u-points)
+        seen = []
+        evolve = oracles.evolve
+        langevin_sample = oracles.langevin_sample
+
+        def recorded(field, schedule, params, config=EvolverConfig()):
+            seen.append((field.values.shape, schedule.tau2,
+                         config.substeps_per_unit))
+            return evolve(field, schedule, params, config)
+
+        def small_sample(m, schedule, params, seed):
+            return langevin_sample(2_000, schedule, params, seed=seed)
+
+        monkeypatch.setattr(oracles, "evolve", recorded)
+        monkeypatch.setattr(oracles, "langevin_sample", small_sample)
+        argv = ["--h-list", "0.2", "--d-rule", "abs:", "--oracle",
+                "--tau2", "2", "--grid", "512x512", "--substeps", "25"]
+        assert main(argv) in (0, 1)
+        assert seen == [((512, 512), 2.0, 25)]
+
+    def test_oracle_solver_failure_exit_code(self, monkeypatch, capsys):
+        # the oracles run on the sweep's grid and tau2, where they can fail
+        def unresolved(*args):
+            raise ResolutionError("cubic phase undersampled")
+
+        monkeypatch.setattr(oracles, "schrodinger_closed", unresolved)
+        assert main(ORACLE_ARGV) == 3
+        assert capsys.readouterr().err.startswith("error: ResolutionError: ")
 
     @pytest.mark.skipif(not _installed(),
                         reason="qcthreshold is not installed (no distribution "

@@ -7,6 +7,7 @@ against the analytic cumulant table.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,6 +129,26 @@ class TestNormalizationAndMoments:
                                            abs=1e-5)
             assert m.m4_p == pytest.approx(float((pdf * c ** 4).sum() * dp),
                                            abs=1e-4)
+
+
+    @pytest.mark.parametrize("tau2", [0.5, 1.0])
+    def test_quantum_is_classical_times_moyal_phase(self, tau2):
+        # the quantum term is the momentum multiplier exp(-i (tau2/3) k^3)
+        # in these units, applied to the classical density; at tau2 = 2
+        # the quantum density raises RangeError on this range
+        sch = replace(SCH, tau2=tau2)
+        args = (sch.tau1, sch.tau2, sch.tau3, H)
+        sigma = math.sqrt(1.0 + 2.0 * tau2 * tau2)
+        lo, hi = -40.0 - 2.0 * sigma, 60.0 * tau2 + 20.0 * sigma
+        n = 1 << 16
+        p = lo + (hi - lo) * np.arange(n) / n
+        dp = float(p[1] - p[0])
+        k = 2.0 * math.pi * np.fft.rfftfreq(n, d=dp)
+        spec = np.fft.rfft(classical_momentum_pdf(p, *args))
+        q = np.fft.irfft(spec * np.exp(-1j * (tau2 / 3.0) * k ** 3), n=n)
+        inside = (p > -14.0) & (p < 40.0 * tau2 + 12.0 * sigma)
+        ref = quantum_momentum_pdf(p[inside], *args)
+        assert float(np.abs(q[inside] - ref).sum() * dp) <= 1e-11
 
 
 class TestPredictedMoments:

@@ -35,15 +35,14 @@ from qcthreshold.errors import (
 from qcthreshold import evolver
 from qcthreshold.evolver import (
     _U_TAIL_TOL,
-    ConvergenceReport,
     EvolverConfig,
     _integrated_diffusion,
     _kick_window,
     _stretch_window,
-    convergence_check,
     cubic_kick_substep,
     diffusion_substep,
     evolve,
+    moyal_phase,
 )
 
 H = 0.05
@@ -59,9 +58,20 @@ def _initial(kind, D=0.0, grid=None):
         params
 
 
-def _composed_kick_window(field, params, n, kappa, schedule=SCH):
-    """Window 2 as a loop of the public substeps: n kicks, Strang-split
-    against diffusion when D > 0."""
+def _quantum_substep(field, delta, h):
+    """The Moyal term over bump weight delta: the momentum multiplier
+    exp(-i (h^2/3) k^3 delta) at the field's own frame."""
+    k = 2.0 * math.pi * np.fft.rfftfreq(len(field.v), d=field.dv) \
+        / field.frame.s_p
+    spec = np.fft.rfft(field.values, axis=1)
+    spec *= np.exp(-1j * (h ** 2 / 3.0) * k ** 3 * delta)
+    return field.with_values(np.fft.irfft(spec, n=len(field.v), axis=1))
+
+
+def _composed_kick_window(field, params, n, schedule=SCH):
+    """Window 2 as a loop of substeps: n kicks, each followed by its
+    quantum phase on a Wigner field, Strang-split against diffusion when
+    D > 0."""
     start, tau = schedule.window(2)
     edges = [start + tau * j / n for j in range(n + 1)]
     deltas = [schedule.bump_integral(2, edges[j], edges[j + 1])
@@ -70,11 +80,22 @@ def _composed_kick_window(field, params, n, kappa, schedule=SCH):
     if params.D > 0.0:
         field = diffusion_substep(field, params, dt / 2.0)
     for j, d in enumerate(deltas):
-        field = cubic_kick_substep(field, d, params, kappa)
+        field = cubic_kick_substep(field, d)
+        if field.kind == "wigner":
+            field = _quantum_substep(field, d, params.h)
         if params.D > 0.0:
             field = diffusion_substep(field, params,
                                       dt / 2.0 if j == n - 1 else dt)
     return field
+
+
+def _exact_kick_window(t1, schedule, params):
+    """The evolver's window 2: the classical kick, then on a Wigner field
+    its Moyal phase in one shot."""
+    got, info = _kick_window(t1, schedule, params)
+    if got.kind == "wigner":
+        got = moyal_phase(got, schedule, params, t1.frame.a)
+    return got, info
 
 
 def _strang_errors(h, D, schedule, kind):
@@ -84,12 +105,11 @@ def _strang_errors(h, D, schedule, kind):
     params = SemiclassicalParams(hbar=2 * h, D=D)
     grid = GridSpec.for_h(h, n_u=256, n_v=512)
     field = initial_coherent_field(params, grid, kind)
-    kappa = 1 if kind == "wigner" else 0
     t1 = _stretch_window(field, schedule, 1, +1.0, params, EvolverConfig())
-    got, info = _kick_window(t1, schedule, params, kappa)
+    got, info = _exact_kick_window(t1, schedule, params)
     md = momentum_marginal(got)
     errs = [l1_distance(md, momentum_marginal(_composed_kick_window(
-        t1, params, round(per_unit * schedule.tau2), kappa, schedule)))
+        t1, params, round(per_unit * schedule.tau2), schedule)))
         for per_unit in (200, 400)]
     return errs, info
 
@@ -145,9 +165,8 @@ class TestClosedEvolution:
         # whole bump integral replaces the 200-substep loop
         t1 = closed_runs[kind].checkpoints[1]
         params = SemiclassicalParams(hbar=2 * H)
-        kappa = 1 if kind == "wigner" else 0
-        got, info = _kick_window(t1, SCH, params, kappa)
-        ref = _composed_kick_window(t1, params, 200, kappa)
+        got, info = _exact_kick_window(t1, SCH, params)
+        ref = _composed_kick_window(t1, params, 200)
         assert info["kick_substeps"] == 1
         assert closed_runs[kind].diagnostics["t2"]["kick_substeps"] == 1
         assert _rel_max_abs(got.values, ref.values) <= 1e-12
@@ -161,10 +180,10 @@ class TestClosedEvolution:
 
 class TestSubsteps:
     def test_kick_translates_columns(self):
-        # kappa = 0: each x-column shifts in p by delta * x^2
-        field, params = _initial("classical")
+        # each x-column shifts in p by delta * x^2
+        field, _ = _initial("classical")
         delta = 0.05
-        kicked = cubic_kick_substep(field, delta, params, kappa=0)
+        kicked = cubic_kick_substep(field, delta)
         x2 = (field.frame.s_x * field.u) ** 2
         mass = field.values.sum(axis=1) * field.dv
         keep = mass > 1e-6  # columns with enough mass for a stable mean
@@ -175,14 +194,17 @@ class TestSubsteps:
 
     def test_kick_linearity(self):
         field, params = _initial("wigner")
-        a = cubic_kick_substep(field, 0.03, params, 1)
-        b = cubic_kick_substep(field.with_values(2.0 * field.values),
-                               0.03, params, 1)
+
+        def kick(f):
+            return moyal_phase(cubic_kick_substep(f, 0.03), SCH, params, 0.0)
+
+        a = kick(field)
+        b = kick(field.with_values(2.0 * field.values))
         assert np.abs(b.values - 2.0 * a.values).max() < 1e-12
 
     def test_kick_zero_delta_is_identity(self):
-        field, params = _initial("classical")
-        assert cubic_kick_substep(field, 0.0, params, 0) is field
+        field, _ = _initial("classical")
+        assert cubic_kick_substep(field, 0.0) is field
 
     def test_diffusion_is_heat_kernel(self):
         # after time t a Gaussian stays Gaussian with variance + D t
@@ -259,13 +281,13 @@ class TestDiffusiveEvolution:
         assert e400 <= 1e-8
 
     def test_zeroed_columns_below_roundoff(self):
-        # a dropped k_v column would have been damped by its scalar factor
-        # at least, since the rest of its propagator is a contraction
+        # a dropped k_v column's output is at most its input times its
+        # damping, since the rest of its propagator is a contraction
         D = H
         grid = GridSpec.for_h(H, n_u=256, n_v=512)
         field, params = _initial("classical", D=D, grid=grid)
         t1 = _stretch_window(field, SCH, 1, +1.0, params, EvolverConfig())
-        _, info = _kick_window(t1, SCH, params, kappa=0)
+        _, info = _kick_window(t1, SCH, params)
         spec = np.abs(np.fft.rfft(t1.values, axis=1))
         kv = 2.0 * math.pi * np.fft.rfftfreq(len(t1.v), d=t1.dv)
         damp = np.exp(-(D / 2.0) * math.exp(2.0 * t1.frame.a) * SCH.tau2
@@ -276,13 +298,14 @@ class TestDiffusiveEvolution:
         assert dropped < 1e-20
 
     def test_convergence_check(self):
+        # doubling the stretch-window panels moves the final marginal by
+        # less than 1e-4
         D = 0.1 * H ** (4.0 / 3.0)
         field, params = _initial("classical", D=D)
-        report = convergence_check(field, SCH, params,
-                                   EvolverConfig(substeps_per_unit=50))
-        assert isinstance(report, ConvergenceReport)
-        assert report.passed
-        assert report.refined_substeps == 100
+        coarse, fine = (
+            momentum_marginal(evolve(field, SCH, params, EvolverConfig(
+                substeps_per_unit=n)).final) for n in (50, 100))
+        assert l1_distance(coarse, fine) < 1e-4
 
 
 class TestGuards:
@@ -302,7 +325,7 @@ class TestGuards:
         t1 = _stretch_window(field, sch, 1, +1.0, params, EvolverConfig())
         monkeypatch.setattr(evolver, cap, 1 if cap == "_MAX_PIECES" else 64)
         with pytest.raises(SolverFailureError, match=match):
-            _kick_window(t1, sch, params, kappa=0)
+            _kick_window(t1, sch, params)
 
     def test_unnormalized_input_rejected(self):
         field, params = _initial("classical")

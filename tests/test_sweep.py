@@ -7,8 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from qcthreshold import evolver, sweep
 from qcthreshold.closedform import constants
-from qcthreshold.errors import InvalidParameterError
+from qcthreshold.core import initial_coherent_field, l1_distance, \
+    momentum_marginal
+from qcthreshold.errors import InvalidParameterError, SolverFailureError
 from qcthreshold.sweep import (
     CSV_COLUMNS,
     RunConfig,
@@ -16,6 +19,7 @@ from qcthreshold.sweep import (
     crossing_estimates,
     emit_figures,
     observable_table,
+    point_setup,
     run_experiment,
     run_point,
     write_artifacts,
@@ -55,6 +59,8 @@ class TestRunConfig:
         for tau2 in (0.0, math.nan, math.inf):
             with pytest.raises(InvalidParameterError):
                 RunConfig(tau2=tau2)
+        with pytest.raises(InvalidParameterError, match="seed"):
+            RunConfig(seed=-1)
 
     def test_memory_gate(self):
         cfg = RunConfig(n_u=1 << 14, n_v=1 << 15)
@@ -73,6 +79,62 @@ class TestRunPoint:
         # at D = 0 the quantum-classical gap equals the universal profile gap
         assert r.l1 == pytest.approx(constants(1.0).c_bar, abs=1e-3)
         assert r.discrepancy_g0 == pytest.approx(constants(1.0).c0, abs=1e-4)
+
+    def test_one_evolve_per_point(self, monkeypatch):
+        calls = []
+
+        def counted(field, *args):
+            calls.append(field.kind)
+            return evolver.evolve(field, *args)
+
+        monkeypatch.setattr(sweep, "evolve", counted)
+        cfg = RunConfig(h_list=(0.2,), d_rule=("exponent", (1.0,)), **FAST)
+        run_experiment(cfg, max_workers=1)
+        assert calls == ["classical", "classical"]
+
+    @pytest.mark.parametrize("h, exponent, tau2", [
+        (0.2, math.nan, 1.0),  # D = 0
+        (0.2, 1.0, 1.0),  # D > 0 on the widened momentum grid
+        (0.1, 4.0 / 3.0, 2.0)])  # two window-2 pieces
+    def test_quantum_marginal_is_evolved_wigner(self, monkeypatch, h,
+                                                exponent, tau2):
+        # the derived Wigner field against evolving the Wigner field
+        D = 0.0 if math.isnan(exponent) else h ** exponent
+        cfg = RunConfig(h_list=(h,), tau2=tau2, **FAST)
+        quantum = []
+
+        def marginal(field):
+            md = momentum_marginal(field)
+            if field.kind == "wigner":
+                quantum.append(md)
+            return md
+
+        monkeypatch.setattr(sweep, "momentum_marginal", marginal)
+        run_point(h, D, exponent, cfg)
+        sch, grid, params, evc = point_setup(h, D, cfg)
+        f0 = initial_coherent_field(params, grid, "wigner")
+        want = momentum_marginal(evolver.evolve(f0, sch, params, evc).final)
+        assert len(quantum) == 1
+        assert l1_distance(quantum[0], want) <= 1e-13
+
+    def test_derived_wigner_guard_fires(self, monkeypatch):
+        # a momentum-edge limit between the classical and the Wigner
+        # readings must stop the point at the derived Wigner field
+        cfg = RunConfig(h_list=(0.2,), **FAST)
+        sch, grid, params, evc = point_setup(0.2, 0.0, cfg)
+
+        def v_edge(kind):
+            f0 = initial_coherent_field(params, grid, kind)
+            diag = evolver.evolve(f0, sch, params, evc).diagnostics
+            return max(d["v_edge"] for d in diag.values())
+
+        classical, wigner = v_edge("classical"), v_edge("wigner")
+        assert classical < wigner
+        monkeypatch.setattr(evolver, "_V_EDGE_TOL",
+                            math.sqrt(classical * wigner))
+        with pytest.raises(SolverFailureError,
+                           match="momentum-edge mass .* at t2"):
+            run_point(0.2, 0.0, math.nan, cfg)
 
     def test_record_metadata(self, small_records):
         _, records = small_records
