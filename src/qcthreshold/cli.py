@@ -8,8 +8,9 @@ Options may also come from a flat key = value config file (--config);
 command-line flags override file entries. An unknown config key, a value
 that cannot be read, or a grid too coarse to hold the initial state ends
 the run with "error: ..." and exit code 2; a sweep point or oracle run
-that the solver cannot resolve or that fails a solver diagnostic ends it
-with "error: <class>: ..." and exit code 3. Exit code 1 means a bound or oracle
+that the solver cannot resolve, that fails a solver diagnostic, or whose
+closed form leaves its supported range ends it with "error: <class>: ..."
+and exit code 3. Exit code 1 means a bound or oracle
 check failed; each failure is printed as a BOUND FAIL or ORACLE FAIL line.
 """
 
@@ -18,8 +19,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (CoverageError, InvalidParameterError, ResolutionError,
-                     SolverFailureError)
+from .errors import (CoverageError, InvalidParameterError, RangeError,
+                     ResolutionError, SolverFailureError)
 from .oracles import cross_validate
 from .sweep import RunConfig, bound_passed, run_experiment
 
@@ -149,7 +150,7 @@ def main(argv=None) -> int:
     except (InvalidParameterError, CoverageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ResolutionError, SolverFailureError) as exc:
+    except (RangeError, ResolutionError, SolverFailureError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     failures = [

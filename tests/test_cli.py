@@ -11,6 +11,7 @@ import pytest
 
 from qcthreshold import oracles
 from qcthreshold.cli import build_config, load_config_file, main, parse_d_rule
+from qcthreshold.core import momentum_marginal
 from qcthreshold.errors import InvalidParameterError, ResolutionError
 from qcthreshold.evolver import EvolverConfig
 
@@ -156,6 +157,14 @@ class TestMain:
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("error: ResolutionError: ")
 
+    def test_closed_form_range_exit_code(self, tmp_path, capsys):
+        # at tau2 = 2 the wide-grid point D = h asks the Airy closed form
+        # for momenta past its supported range
+        argv = ["--h-list", "0.2", "--d-rule", "exp:1.0", "--tau2", "2",
+                "--out", str(tmp_path)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: RangeError: ")
+
     def test_oracle_run_passes(self, capsys):
         assert main(ORACLE_ARGV) == 0
         assert "ORACLE FAIL" not in capsys.readouterr().err
@@ -205,6 +214,43 @@ class TestMain:
                 "--tau2", "2", "--grid", "512x512", "--substeps", "25"]
         assert main(argv) in (0, 1)
         assert seen == [((512, 512), 2.0, 25)]
+
+    def test_oracle_histogram_covers_the_marginal(self, monkeypatch):
+        # at tau2 = 2 the classical marginal reaches far past p = 16; the
+        # histogram window grows in 0.25-wide bins until at most 1e-4 of
+        # its mass lies outside (Langevin shrunk to 2 000 samples)
+        finals, windows = [], []
+        evolve = oracles.evolve
+        langevin_sample = oracles.langevin_sample
+        histogram_distribution = oracles.histogram_distribution
+
+        def recorded_evolve(field, schedule, params, config=EvolverConfig()):
+            result = evolve(field, schedule, params, config)
+            finals.append(momentum_marginal(result.final))
+            return result
+
+        def small_sample(m, schedule, params, seed):
+            return langevin_sample(2_000, schedule, params, seed=seed)
+
+        def recorded_histogram(samples, bins, lo, hi):
+            windows.append((bins, lo, hi))
+            return histogram_distribution(samples, bins, lo, hi)
+
+        monkeypatch.setattr(oracles, "evolve", recorded_evolve)
+        monkeypatch.setattr(oracles, "langevin_sample", small_sample)
+        monkeypatch.setattr(oracles, "histogram_distribution",
+                            recorded_histogram)
+        argv = ["--h-list", "0.2", "--d-rule", "abs:", "--oracle",
+                "--tau2", "2", "--grid", "512x512", "--substeps", "25"]
+        assert main(argv) in (0, 1)
+        [sp], [(bins, lo, hi)] = finals, windows
+        assert (lo, (hi - lo) / bins) == (-8.0, 0.25)
+        cell = sp.q * sp.dp
+
+        def stray(top):
+            return cell[(sp.p < lo) | (sp.p >= top)].sum()
+
+        assert stray(hi) <= 1e-4 < stray(hi - 0.25)
 
     def test_oracle_solver_failure_exit_code(self, monkeypatch, capsys):
         # the oracles run on the sweep's grid and tau2, where they can fail

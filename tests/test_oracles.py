@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import ks_2samp
 
 from qcthreshold.closedform import classical_momentum_pdf, quantum_momentum_pdf
 from qcthreshold.core import (
@@ -214,6 +215,11 @@ class TestLangevin:
         c = langevin_sample(500, SCH, PARAMS0, seed=8)
         assert np.array_equal(a[3].p, b[3].p)
         assert not np.array_equal(a[3].p, c[3].p)
+        noisy = SemiclassicalParams(hbar=2 * H, D=H ** (4.0 / 3.0))
+        a = langevin_sample(500, SCH, noisy, seed=7)
+        b = langevin_sample(500, SCH, noisy, seed=7)
+        assert np.array_equal(a[3].x, b[3].x)
+        assert np.array_equal(a[3].p, b[3].p)
 
     def test_initial_ensemble_moments(self):
         ens = langevin_sample(400_000, SCH, PARAMS0, seed=1)[0]
@@ -263,6 +269,33 @@ class TestLangevin:
             ou_var(float(ens[2].x.var()), 3, -1.0), rel=1e-2)
         assert float(ens[3].p.var()) == pytest.approx(
             ou_var(float(ens[2].p.var()), 3, 1.0), rel=1e-2)
+
+    def test_kick_window_matches_per_step_momentum_noise(self):
+        # window 2 at D > 0 draws the momentum noise once per sample; the
+        # reference steps x and p together, one Euler-Maruyama increment
+        # each per step, from an independent checkpoint-1 ensemble. D = h
+        # makes the momentum noise D tau2 over 10 % of var p at t2.
+        D = H
+        sch = Schedule(SCH.tau1, 0.2, SCH.tau3)
+        params = SemiclassicalParams(hbar=2 * H, D=D)
+        m = 200_000
+        got = langevin_sample(m, sch, params, seed=21)[2]
+        ens = langevin_sample(m, sch, params, seed=22)[1]
+        x, p = ens.x, ens.p
+        rng = np.random.default_rng(23)
+        start, tau = sch.window(2)
+        n = math.ceil(tau / 1e-3)
+        step = tau / n
+        for c in step * sch.chi(2, start + (np.arange(n) + 0.5) * step):
+            p += c * x * x
+            dx, dp = math.sqrt(D * step) * rng.standard_normal((2, m))
+            x += dx
+            p += dp
+        assert D * tau >= 0.1 * float(p.var())
+        assert float(got.x.var()) == pytest.approx(float(x.var()), rel=2e-2)
+        assert float(got.p.var()) == pytest.approx(float(p.var()), rel=2e-2)
+        assert ks_2samp(got.x, x).pvalue >= 1e-3
+        assert ks_2samp(got.p, p).pvalue >= 1e-3
 
     def test_diffusion_broadens(self):
         d_params = SemiclassicalParams(hbar=2 * H, D=H ** (4.0 / 3.0))
