@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
+import scipy.fft as sfft
 from scipy.special import airy as _airy, erf as _erf_vec
 from scipy.special import ive as _ive, kve as _kve
 
@@ -147,7 +147,10 @@ def _classical_unit_curve(P: np.ndarray, g: float, deriv: int = 0) -> np.ndarray
     # c(P_i) = sum_j mass_j * phi(P_i - s_j); indices line up as a linear
     # convolution over the common spacing d.
     kernel = _gauss_kernel(P[0] - centers[0] + np.arange(-(M - 1), len(P)) * d, deriv)
-    return fftconvolve(kernel, masses, mode="valid")
+    # the valid part of the full linear convolution, by one rfft pair
+    n = sfft.next_fast_len(len(kernel) + M - 1, real=True)
+    full = sfft.irfft(sfft.rfft(kernel, n) * sfft.rfft(masses, n), n)
+    return full[M - 1:M - 1 + len(P)]
 
 
 def _quantum_args(P: np.ndarray, g: float):
@@ -157,10 +160,11 @@ def _quantum_args(P: np.ndarray, g: float):
     return expo, zeta
 
 
-def _quantum_unit_curve(P: np.ndarray, g: float, deriv: int = 0) -> np.ndarray:
+def _quantum_unit_curve(P: np.ndarray, g: float, deriv: int = 0):
     """Quantum density 2^(1/6) sqrt(pi) g^(-2/3) exp(expo) Ai(zeta)^2 in the
-    scaled momentum P, or its second derivative in P from the analytic
-    differentiation of exp * Ai^2; zeta and expo are linear in P."""
+    scaled momentum P; with deriv=2 the pair of it and its second
+    derivative in P, from the analytic differentiation of exp * Ai^2 on
+    the same Airy values. zeta and expo are linear in P."""
     amp = 2.0 ** (1.0 / 6.0) * math.sqrt(math.pi) / g ** (2.0 / 3.0)
     beta = -1.0 / (2.0 * g)
     zp = -4.0 / (2.0 ** (8.0 / 3.0) * g ** (1.0 / 3.0))
@@ -178,8 +182,8 @@ def _quantum_unit_curve(P: np.ndarray, g: float, deriv: int = 0) -> np.ndarray:
     cross = ea * ai * aip
     prime_sq = ea * aip * aip
     # (e^{beta P} Ai^2)'' with Ai'' = zeta * Ai
-    return (beta * beta * q + 4.0 * beta * zp * cross
-            + 2.0 * zp * zp * (prime_sq + zeta * q))
+    return q, (beta * beta * q + 4.0 * beta * zp * cross
+               + 2.0 * zp * zp * (prime_sq + zeta * q))
 
 
 @dataclass(frozen=True)
@@ -224,9 +228,8 @@ def constants(tau2: float = 1.0) -> BoundConstants:
 
     p = _standard_grid(tau2)
     dp = float(p[1] - p[0])
-    q = _quantum_unit_curve(p, tau2)
+    q, q2 = _quantum_unit_curve(p, tau2, deriv=2)
     c = _classical_unit_curve(p, tau2)
-    q2 = _quantum_unit_curve(p, tau2, deriv=2)
     c2 = _classical_unit_curve(p, tau2, deriv=2)
 
     C2 = 0.5 * float(np.abs(q2).sum() * dp)

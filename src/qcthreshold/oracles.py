@@ -4,11 +4,16 @@ density-matrix solver, and a Langevin Monte-Carlo sampler.
 
 These are deliberately different discretizations of the same dynamics; they
 trade speed for independence and run at modest scales only. Windows 1 and 3
-are linear, so both open-system oracles take them exactly; only window 2 at
-D > 0 is stepped, and there the sampler steps only x and draws the momentum
-noise once. cross_validate checks the oracles against the closed
-form and the spectral evolver; the solvers themselves never call the
-evolver.
+are linear, so both open-system oracles take them exactly. In window 2 at
+D > 0 the Lindblad solver is Strang-split; the sampler keeps the
+Euler-Maruyama scheme in n steps of at most dt but draws its outcome whole,
+as a linear and a quadratic form of the n step normals: the top K
+eigenpairs of the quadratic form exactly, the linear forms' remainder as
+one exact 2-D Gaussian, and the quadratic form's remainder as its exact
+mean. K doubles from 32, up to n - 1, until the modes left to that mean
+hold at most 1e-6 of the quadratic form's variance. cross_validate checks the
+oracles against the closed form and the spectral evolver; the solvers
+themselves never call the evolver.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft as sfft
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .closedform import quantum_momentum_pdf
 from .core import (MomentumDistribution, Schedule, SemiclassicalParams,
@@ -266,16 +272,83 @@ class TrajectoryEnsemble:
         return len(self.x)
 
 
+#: Largest share of var(xi^T M xi) that the kick window's draw may leave
+#: to the mean of its tail; see _kick_window_law.
+_KICK_TAIL_SHARE = 1e-6
+
+
+def _tail_sums(a: np.ndarray) -> np.ndarray:
+    """s_i = sum_{j > i} a_j."""
+    s = np.zeros_like(a)
+    s[:-1] = np.cumsum(a[:0:-1])[::-1]
+    return s
+
+
+def _kick_window_law(c: np.ndarray):
+    """Low-rank law of the n-step Euler-Maruyama kick window with drift
+    weights c_j = step chi_2(midpoint j).
+
+    With x_j = x1 + rd S_j, S_j = sum_{i<j} xi_i and T_i = sum_{j>i} c_j,
+    the window moves x by rd 1^T xi and p by sum_j c_j x_j^2
+    = x1^2 sum(c) + 2 x1 rd T^T xi + rd^2 xi^T M xi, with M_ik = T_max(i,k).
+    M is taken through its top K eigenpairs (lam_k, v_k): for eta = V^T xi
+    the window's normals are eta plus a remainder orthogonal to every v_k.
+    Returns (lam, G, L, tail_mean): G = V^T [1, T] (K x 2), the lower
+    Cholesky factor L of the covariance of the two linear forms of the
+    remainder, and tail_mean = trace(M) - sum(lam), the mean of its
+    quadratic form, which stands in for that form.
+
+    K starts at 32 and doubles until the dropped share
+    sum_{k>K} lam_k^2 / |M|_F^2 of var(xi^T M xi) is at most 1e-6, capped
+    at n - 1 (the last row of M is zero). eigsh sees M only through an
+    O(n) matvec and starts from a fixed vector, and each eigenvector's
+    largest entry is made positive, so that a seed repeats exactly.
+    """
+    n = len(c)
+    j = np.arange(n)
+    T = _tail_sums(c)
+    frob2 = float(((2 * j + 1) * T * T).sum())
+
+    def matvec(v):
+        # (M v)_i = T_i sum_{k<=i} v_k + sum_{k>i} T_k v_k
+        v = v.ravel()
+        return T * np.cumsum(v) + _tail_sums(T * v)
+
+    op = LinearOperator((n, n), matvec=matvec, dtype=float)
+    lam, V = np.zeros(0), np.zeros((n, 0))
+    K = min(32, n - 1)
+    while K:
+        lam, V = eigsh(op, k=K, which="LA", v0=np.ones(n))
+        if K == n - 1 or frob2 - lam @ lam <= _KICK_TAIL_SHARE * frob2:
+            break
+        K = min(2 * K, n - 1)
+    lam, V = lam[::-1], V[:, ::-1]
+    V = V * np.sign(V[np.abs(V).argmax(axis=0), np.arange(len(lam))])
+    G = V.T @ np.column_stack((np.ones(n), T))
+    cov = np.array([[n, T.sum()], [T.sum(), T @ T]]) - G.T @ G
+    l00 = math.sqrt(cov[0, 0])
+    l10 = cov[1, 0] / l00
+    L = np.array([[l00, 0.0],
+                  [l10, math.sqrt(max(cov[1, 1] - l10 * l10, 0.0))]])
+    return lam, G, L, float(j @ c) - float(lam.sum())
+
+
 def langevin_sample(m: int, schedule: Schedule, params: SemiclassicalParams,
                     dt: float = 1e-3, seed: int = 0):
     """Sampling of the classical dynamics; returns the four checkpoint
     ensembles. All samples start from the coherent-state Gaussian with
     sigma_x = sigma_p = sqrt(h). The linear windows 1 and 3 are one exact
-    Gaussian step each; window 2 is p += tau2 x^2 at D = 0 and
-    Euler-Maruyama in steps of at most dt at D > 0. There only x is
-    stepped: neither x nor the drift chi2 x^2 reads p, so the momentum
-    noise is one N(0, D tau2) draw per sample, the exact sum of the
-    per-step increments."""
+    Gaussian step each. Window 2 is p += tau2 x^2 at D = 0; at D > 0 it
+    is Euler-Maruyama in n = ceil(tau2 / dt) equal steps, drawn whole:
+    the move of x and the sum of the drifts chi2 x^2 are a linear and a
+    quadratic form of the n step normals (_kick_window_law). Per sample
+    the draw takes one normal for each of the quadratic form's top K
+    eigenpairs, two for the linear forms' exact remainder and one for the
+    momentum noise, N(0, D tau2), since nothing reads p inside the
+    window. K is the smallest of 32, 64, ... (at most n - 1) that leaves
+    at most 1e-6 of the quadratic form's variance to its tail, which is
+    replaced by its exact mean; at the default dt and tau2 = 1, K = 32 of
+    n = 1000."""
     if m < 1:
         raise InvalidParameterError("need at least one sample")
     if not 0.0 < dt <= 1e-3:
@@ -304,17 +377,26 @@ def langevin_sample(m: int, schedule: Schedule, params: SemiclassicalParams,
         elif D == 0.0:
             p += tau * x * x
         else:
-            # nothing reads p, so its n increments sum to one N(0, D tau)
             step = tau / n
             rd = math.sqrt(D * step)
-            dx = noise[0]
-            for c in step * schedule.chi(2, start + (np.arange(n) + 0.5) * step):
-                p += c * x * x
-                rng.standard_normal(out=dx)
-                dx *= rd
-                x += dx
-            rng.standard_normal(out=dx)
-            p += math.sqrt(D * tau) * dx
+            c = step * schedule.chi(2, start + (np.arange(n) + 0.5) * step)
+            lam, G, L, tail_mean = _kick_window_law(c)
+            # forms[0] = 1^T xi, forms[1] = T^T xi; quad = xi^T M xi,
+            # accumulated over blocks of 8 eigenpairs
+            forms = np.zeros((2, m))
+            quad = np.full(m, tail_mean)
+            for k in range(0, len(lam), 8):
+                rows = slice(k, k + 8)
+                eta = rng.standard_normal((len(lam[rows]), m))
+                forms += G[rows].T @ eta
+                eta *= eta
+                quad += lam[rows] @ eta
+            rng.standard_normal(out=noise)
+            forms += L @ noise
+            p += x * (c.sum() * x + 2.0 * rd * forms[1]) + rd * rd * quad
+            x += rd * forms[0]
+            rng.standard_normal(out=noise[0])
+            p += math.sqrt(D * tau) * noise[0]
         if np.abs(x).max() > 50.0:
             raise SolverFailureError("trajectory ran away past |x| = 50")
         out.append(TrajectoryEnsemble(x.copy(), p.copy(), seed))

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import eigh
 from scipy.stats import ks_2samp
 
 from qcthreshold.closedform import classical_momentum_pdf, quantum_momentum_pdf
@@ -27,6 +28,7 @@ from qcthreshold.core import (
 from qcthreshold.errors import InvalidParameterError, ResolutionError
 from qcthreshold.evolver import evolve
 from qcthreshold.oracles import (
+    _kick_window_law,
     coherent_density_matrix,
     coherent_wavefunction,
     dm_momentum_marginal,
@@ -208,6 +210,42 @@ class TestLindbladDensityMatrix:
             <= 1e-14 * psi0.max() ** 2
 
 
+def _kick_weights(sch):
+    """c_j = step chi_2(midpoint j) of the kick window in steps of 1e-3."""
+    start, tau = sch.window(2)
+    n = math.ceil(tau / 1e-3)
+    step = tau / n
+    return step * sch.chi(2, start + (np.arange(n) + 0.5) * step)
+
+
+def _kick_matrix(c):
+    """T_i = sum_{j>i} c_j and the dense M_ik = T_max(i,k), built by loops
+    independent of the sampler's cumulative sums."""
+    T = np.array([c[i + 1:].sum() for i in range(len(c))])
+    j = np.arange(len(c))
+    return T, T[np.maximum.outer(j, j)]
+
+
+def _kick_increments(sch, D, seed):
+    """Window 2 of a 400 000-sample run as (x2 - x1, p2 - p1 - sum(c) x1^2)
+    and the per-step scheme's closed-form (var, mean, var) of these given
+    the sample's own x1: with x_j = x1 + rd S_j the drift sum is
+    x1^2 sum(c) + 2 x1 rd T^T xi + rd^2 xi^T M xi, and the momentum noise
+    adds D tau2."""
+    c = _kick_weights(sch)
+    T, M = _kick_matrix(c)
+    rd2 = D * sch.tau2 / len(c)
+    ens = langevin_sample(400_000, sch, SemiclassicalParams(hbar=2 * H, D=D),
+                          seed=seed)
+    x1 = ens[1].x
+    dx = ens[2].x - x1
+    r = ens[2].p - ens[1].p - c.sum() * x1 ** 2
+    want = (D * sch.tau2, rd2 * np.trace(M),
+            4.0 * rd2 * (T @ T) * float((x1 ** 2).mean())
+            + 2.0 * rd2 ** 2 * (M * M).sum() + D * sch.tau2)
+    return dx, r, want
+
+
 class TestLangevin:
     def test_seed_reproducibility(self):
         a = langevin_sample(500, SCH, PARAMS0, seed=7)
@@ -296,6 +334,62 @@ class TestLangevin:
         assert float(got.p.var()) == pytest.approx(float(p.var()), rel=2e-2)
         assert ks_2samp(got.x, x).pvalue >= 1e-3
         assert ks_2samp(got.p, p).pvalue >= 1e-3
+
+    @pytest.mark.parametrize("shape", ["bump", "step"])
+    def test_kick_window_law_matches_dense_eigh(self, shape):
+        # the eigsh factors of the O(n) operator against dense eigh of M at
+        # n = 200: the bump's K = 32 and a step in c whose dropped share
+        # at K = 32 is 1.2e-6, just over the 1e-6 rule, so K = 64 tests
+        # |M|_F^2 = sum (2j+1) T_j^2; tail_mean tests
+        # trace(M) = sum j c_j. G is compared entrywise, so each
+        # eigenvector's sign must follow the largest-entry-positive rule.
+        if shape == "bump":
+            c = _kick_weights(Schedule(SCH.tau1, 0.2, SCH.tau3))
+        else:
+            c = ((np.arange(200) < 100) + 0.01) / 200.0
+        n = len(c)
+        lam, G, L, tail_mean = _kick_window_law(c)
+        T, M = _kick_matrix(c)
+        w, V = eigh(M)
+        w, V = w[::-1], V[:, ::-1]
+        V = V * np.sign(V[np.abs(V).argmax(axis=0), np.arange(n)])
+        K = len(lam)
+
+        def dropped(k):
+            return (w[k:] ** 2).sum() / (M * M).sum()
+
+        assert n == 200 and K == {"bump": 32, "step": 64}[shape]
+        assert dropped(K) <= 1e-6 and (K == 32 or dropped(K // 2) > 1e-6)
+        assert np.abs(lam - w[:K]).max() <= 1e-12 * w[0]
+        Gd = V[:, :K].T @ np.column_stack((np.ones(n), T))
+        assert np.abs(G - Gd).max() <= 1e-9 * np.abs(Gd).max()
+        cov = np.array([[n, T.sum()], [T.sum(), T @ T]]) - Gd.T @ Gd
+        assert np.abs(L @ L.T - cov).max() <= 1e-9 * n
+        assert L[0, 1] == 0.0
+        assert tail_mean == pytest.approx(np.trace(M) - w[:K].sum(),
+                                          rel=1e-9)
+
+    def test_kick_window_matches_per_step_moments(self):
+        # tau2 = 1, n = 1000, K = 32. Taken against the sample's own
+        # checkpoint 1, window 1's sampling noise drops out; D = 1 makes
+        # the drift's diffusive mean rd^2 trace(M) measurable to 1e-2.
+        dx, r, (var_dx, mean_r, var_r) = _kick_increments(SCH, 1.0, 31)
+        assert float(dx.var()) == pytest.approx(var_dx, rel=1e-2)
+        assert float(r.mean()) == pytest.approx(mean_r, rel=1e-2)
+        assert float(r.var()) == pytest.approx(var_r, rel=1e-2)
+
+    def test_kick_window_keeps_every_mode_of_a_short_window(self):
+        # tau2 = 0.02 is n = 20 steps, so K = n - 1 and the draw is exact:
+        # the tail is only the last step, which moves x and not p
+        sch = Schedule(SCH.tau1, 0.02, SCH.tau3)
+        c = _kick_weights(sch)
+        lam, G, L, tail_mean = _kick_window_law(c)
+        assert len(c) == 20 and len(lam) == 19
+        assert abs(tail_mean) <= 1e-12 * np.trace(_kick_matrix(c)[1])
+        assert np.abs(L - [[1.0, 0.0], [0.0, 0.0]]).max() <= 1e-8
+        dx, r, (var_dx, _, var_r) = _kick_increments(sch, 1.0, 32)
+        assert float(dx.var()) == pytest.approx(var_dx, rel=1e-2)
+        assert float(r.var()) == pytest.approx(var_r, rel=1e-2)
 
     def test_diffusion_broadens(self):
         d_params = SemiclassicalParams(hbar=2 * H, D=H ** (4.0 / 3.0))
