@@ -4,8 +4,13 @@ density-matrix solver, and a Langevin Monte-Carlo sampler.
 
 These are deliberately different discretizations of the same dynamics; they
 trade speed for independence and run at modest scales only. Windows 1 and 3
-are linear, so both open-system oracles take them exactly. In window 2 at
-D > 0 the Lindblad solver is Strang-split; the sampler keeps the
+are linear, so both open-system oracles take them exactly. At D > 0 the
+Lindblad solver holds rho(x, x') on its diagonals, where both decoherence
+terms act: (x - x')^2 is constant along each and (d/dx + d/dx')^2
+differentiates along it, one 1-D FFT pair per diagonal. By Hermiticity it
+evolves only the n//2 + 1 periodic diagonals x - x' = r dxi (mod n dxi),
+r = 0 .. n//2. In window 2 at D > 0 the Lindblad solver is Strang-split
+against the cubic phase; the sampler keeps the
 Euler-Maruyama scheme in n steps of at most dt but draws its outcome whole,
 as a linear and a quadratic form of the n step normals: the top K
 eigenpairs of the quadratic form exactly, the linear forms' remainder as
@@ -23,6 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft as sfft
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .closedform import quantum_momentum_pdf
@@ -143,13 +149,16 @@ class DensityMatrixField:
         return float((np.abs(self.values) ** 2).sum() * self.dxi ** 2)
 
     def hermiticity_defect(self) -> float:
-        d = np.abs(self.values - self.values.conj().T).max()
-        return float(d / max(np.abs(self.values).max(), 1e-300))
+        d = self.values.conj().T  # one n x n temporary, reused
+        d -= self.values
+        return float(np.abs(d).max() / max(np.abs(self.values).max(), 1e-300))
 
 
 def coherent_density_matrix(h: float, n: int = 1024) -> DensityMatrixField:
     """The pure state psi0 psi0^* of coherent_wavefunction on n points
     spanning +-14 sqrt(h)."""
+    if n < 2:
+        raise InvalidParameterError("need at least two grid points")
     edge = 14.0 * math.sqrt(h)
     xi = np.linspace(-edge, edge, n, endpoint=False)
     psi = (2.0 * math.pi * h) ** (-0.25) * np.exp(-xi * xi / (4.0 * h))
@@ -157,82 +166,134 @@ def coherent_density_matrix(h: float, n: int = 1024) -> DensityMatrixField:
 
 
 def _dm_check(rho: DensityMatrixField, label: str) -> None:
+    """Raise SolverFailureError if rho's trace has left 1 by more than 1e-4
+    or rho is not Hermitian to 1e-8 of its largest entry.
+
+    At D > 0 the later checkpoints are rebuilt by _full_matrix from half of
+    the diagonals, which makes them Hermitian by construction except on the
+    self-paired diagonals: the main one, which must stay real, and at even
+    n the one at offset n/2. The Hermiticity guard watches those.
+    """
     if abs(rho.trace() - 1.0) > 1e-4:
         raise SolverFailureError(f"trace drifted to {rho.trace()} at {label}")
     if rho.hermiticity_defect() > 1e-8:
         raise SolverFailureError(f"Hermiticity lost at {label}")
 
 
+def _sheared(v: np.ndarray) -> np.ndarray:
+    """Read-only view V[r, i] = v[(i - r) mod n], r = 0 .. n//2, of a
+    length-n vector v."""
+    n = len(v)
+    windows = sliding_window_view(np.concatenate((v, v)), n)
+    return windows[n:n - n // 2 - 1:-1]  # row r starts at v[n - r]
+
+
+def _diagonals(vals: np.ndarray) -> np.ndarray:
+    """The sheared layout S[r, i] = vals[i, (i - r) mod n], r = 0 .. n//2:
+    row r holds the diagonals at offsets -r and n - r. Of a Hermitian
+    matrix that is half; _full_matrix rebuilds the rest."""
+    i = np.arange(len(vals))
+    return vals[i, _sheared(i)]
+
+
+def _full_matrix(S: np.ndarray) -> np.ndarray:
+    """The n x n matrix whose _diagonals are S, its other half filled by
+    Hermiticity. The self-paired diagonals (r = 0, and r = n/2 at even n)
+    are taken as S holds them, so the result is Hermitian except where S
+    is not."""
+    n = S.shape[1]
+    i = np.arange(n)
+    j = _sheared(i)
+    vals = np.empty((n, n), dtype=complex)
+    vals[j, i] = S.conj()
+    vals[i, j] = S
+    return vals
+
+
 def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
                        params: SemiclassicalParams, steps: int = 100):
     """Position-basis Lindblad evolution; returns the four checkpoints.
 
-    Dilations are carried by the scale; decoherence is the diagonal
-    multiplier exp[-(D/2 hbar^2)(x-x')^2 dt] times the double-Fourier one
-    exp[-(D/2)(k+k')^2 dt]. The two commute, so each stretch window is one
-    exact step with time-integrated coefficients; window 2 is Strang-split
-    into ``steps`` substeps against the cubic phase (one phase at D = 0).
+    Dilations are carried by the scale. At D > 0 rho is held as half of
+    its diagonals, S = _diagonals(rho), and rebuilt in full only at each
+    checkpoint. Decoherence is exp[-(D/2 hbar^2)(x-x')^2 dt], one value on
+    each diagonal, times exp[-(D/2) kappa^2 dt] on the 1-D spectrum along
+    each, kappa = 2 pi fftfreq(n, dxi). The two commute, so each stretch
+    window is one exact step with time-integrated coefficients; window 2
+    is Strang-split into ``steps`` substeps against the cubic phase
+    (x^3 - x'^3) / 3 hbar (one phase at D = 0, on the full matrix).
     """
+    if steps < 1:
+        raise InvalidParameterError("need at least one kick substep")
     hbar = params.hbar
     D = params.D
     xi = rho0.xi
-    k = 2.0 * math.pi * np.fft.fftfreq(len(xi), d=rho0.dxi)
-    n = max(1, steps)
+    _dm_check(rho0, "t0")
+    a0 = math.log(rho0.scale)
+    s = math.exp(a0 + schedule.window(1)[1])
+    a1 = math.log(s)
+    s3 = math.exp(a1 - schedule.window(3)[1])
+    start, tau = schedule.window(2)
+    # (x^3 - x'^3) / 3 hbar is a difference, so each phase multiplier is
+    # a column times its conjugate row (on S, the row read at x_(i - r))
+    f = (s * xi) ** 3 / (3.0 * hbar)
+
+    def checkpoint(vals, scale, label):
+        rho = DensityMatrixField(xi=xi, values=vals, scale=scale)
+        _dm_check(rho, label)
+        return rho
+
+    if D == 0.0:
+        cp1 = checkpoint(rho0.values, s, "t1")
+        col = np.exp(1j * tau * f)
+        cp2 = checkpoint(rho0.values * np.outer(col, col.conj()), s, "t2")
+        return (rho0, cp1, cp2, checkpoint(cp2.values, s3, "t3"))
+
+    kappa2 = (2.0 * math.pi * np.fft.fftfreq(len(xi), d=rho0.dxi)) ** 2
 
     def dampings(I_x, I_p):
-        # the x- and k-decoherence multipliers in frame coordinates
+        # the x- and k-decoherence multipliers in frame coordinates, the
+        # first on S
         return (np.exp(-(D / (2.0 * hbar ** 2)) * I_x
-                       * np.subtract.outer(xi, xi) ** 2),
-                np.exp(-(D / 2.0) * I_p * np.add.outer(k, k) ** 2))
+                       * (xi - _sheared(xi)) ** 2),
+                np.exp(-(D / 2.0) * I_p * kappa2))
 
-    def p_decoherence(vals, k_damp):
-        # overwrites vals
-        spec = sfft.fft2(vals, overwrite_x=True)
+    def p_decoherence(S, k_damp):
+        # overwrites S
+        spec = sfft.fft(S, axis=1, overwrite_x=True)
         spec *= k_damp
-        return sfft.ifft2(spec, overwrite_x=True)
+        return sfft.ifft(spec, axis=1, overwrite_x=True)
 
-    def stretch_window(rho, i, sign):
-        a0 = math.log(rho.scale)
-        scale = math.exp(a0 + sign * schedule.window(i)[1])
-        if D == 0.0:
-            return replace(rho, scale=scale)
-        I_p, I_x = schedule.stretch_integrals(i, sign, a0, n)
+    def stretch_window(S, i, sign, a):
+        # overwrites S; a is the log-scale at the window's start
+        I_p, I_x = schedule.stretch_integrals(i, sign, a, steps)
         x_damp, k_damp = dampings(I_x, I_p)
-        return replace(rho, values=p_decoherence(rho.values * x_damp, k_damp),
-                       scale=scale)
+        S *= x_damp
+        return p_decoherence(S, k_damp)
 
-    def kick_window(rho):
-        start, tau = schedule.window(2)
-        s = rho.scale
-        # (x^3 - x'^3) / 3 hbar is a difference, so each phase multiplier is
-        # a column times its conjugate row
-        f = (s * xi) ** 3 / (3.0 * hbar)
-        if D == 0.0:
-            col = np.exp(1j * tau * f)
-            return replace(rho, values=rho.values * np.outer(col, col.conj()))
-        edges = start + tau * np.arange(n + 1) / n
+    def kick_window(S):
+        # overwrites S
+        edges = start + tau * np.arange(steps + 1) / steps
         deltas = schedule.bump_integral(2, edges[:-1], edges[1:])
         # neighbouring Strang half-phases fused: d0/2, (d0+d1)/2, ..., d_n-1/2
         cols = np.exp(1j * np.convolve(deltas, [0.5, 0.5])[:, None] * f)
-        x_full, k_full = dampings(s ** 2 * tau / n, tau / (n * s ** 2))
-        vals = rho.values * np.sqrt(x_full)
+        x_full, k_full = dampings(s ** 2 * tau / steps, tau / (steps * s ** 2))
+        x_half = np.sqrt(x_full)
+        S *= x_half
         for j, col in enumerate(cols):
             if j:
-                vals = p_decoherence(vals, k_full)
-                vals *= x_full if j < n else np.sqrt(x_full)
-            vals *= col[:, None]
-            vals *= col.conj()
-        return replace(rho, values=vals)
+                S = p_decoherence(S, k_full)
+                S *= x_full if j < steps else x_half
+            S *= col
+            S *= _sheared(col.conj())
+        return S
 
-    cp0 = rho0
-    _dm_check(cp0, "t0")
-    cp1 = stretch_window(cp0, 1, +1.0)
-    _dm_check(cp1, "t1")
-    cp2 = kick_window(cp1)
-    _dm_check(cp2, "t2")
-    cp3 = stretch_window(cp2, 3, -1.0)
-    _dm_check(cp3, "t3")
-    return (cp0, cp1, cp2, cp3)
+    S = stretch_window(_diagonals(rho0.values), 1, 1.0, a0)
+    cp1 = checkpoint(_full_matrix(S), s, "t1")
+    S = kick_window(S)
+    cp2 = checkpoint(_full_matrix(S), s, "t2")
+    S = stretch_window(S, 3, -1.0, a1)
+    return (rho0, cp1, cp2, checkpoint(_full_matrix(S), s3, "t3"))
 
 
 def dm_momentum_marginal(rho: DensityMatrixField,

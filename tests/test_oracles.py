@@ -25,9 +25,12 @@ from qcthreshold.core import (
     resample_distribution,
     standard_schedule,
 )
-from qcthreshold.errors import InvalidParameterError, ResolutionError
+from qcthreshold.errors import (InvalidParameterError, ResolutionError,
+                                SolverFailureError)
 from qcthreshold.evolver import evolve
 from qcthreshold.oracles import (
+    _diagonals,
+    _full_matrix,
     _kick_window_law,
     coherent_density_matrix,
     coherent_wavefunction,
@@ -133,11 +136,20 @@ def _lindblad_substep_window(rho, schedule, params, i, steps):
     return replace(rho, values=vals, scale=math.exp(a0 + sign * tau))
 
 
+def _dm_run(n):
+    params = SemiclassicalParams(hbar=2 * H, D=H ** (4.0 / 3.0))
+    rho0 = coherent_density_matrix(H, n=n)
+    return params, lindblad_dm_evolve(rho0, SCH, params, steps=60)
+
+
 @pytest.fixture(scope="module")
 def dm_run():
-    params = SemiclassicalParams(hbar=2 * H, D=H ** (4.0 / 3.0))
-    rho0 = coherent_density_matrix(H, n=512)
-    return params, lindblad_dm_evolve(rho0, SCH, params, steps=60)
+    return _dm_run(512)
+
+
+@pytest.fixture(scope="module")
+def dm_run_odd():
+    return _dm_run(511)
 
 
 class TestLindbladDensityMatrix:
@@ -181,6 +193,33 @@ class TestLindbladDensityMatrix:
         want = dm_momentum_marginal(ref, params).q
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_odd_grid_window_matches_substep_loop(self, dm_run_odd, window):
+        # at odd n only the main diagonal pairs with itself
+        self.test_window_matches_substep_loop(dm_run_odd, window)
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_diagonal_layout_round_trip(self, n):
+        rng = np.random.default_rng(n)
+        b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        vals = (b + b.conj().T) / 2.0
+        S = _diagonals(vals)
+        assert S.shape == (n // 2 + 1, n)
+        for r in range(n // 2 + 1):
+            for i in range(n):
+                assert S[r, i] == vals[i, (i - r) % n]
+        assert np.array_equal(_full_matrix(S), vals)
+        # a self-paired diagonal (the main one and, at even n, the one at
+        # offset n/2) is rebuilt as S holds it, so a defect there stays
+        # visible to the Hermiticity guard; any other is mirrored
+        for r, self_paired in ((0, True), (n // 2, n % 2 == 0), (1, False)):
+            T = S.copy()
+            T[r, 0] += 1e-3j
+            full = _full_matrix(T)
+            assert np.array_equal(_diagonals(full), T)
+            assert np.count_nonzero(full - vals) == (1 if self_paired else 2)
+            assert (np.abs(full - full.conj().T).max() > 0) == self_paired
+
     def test_closed_run_is_pure_kicked_state(self):
         # at D = 0 the stretch windows only rescale and the kick window is
         # the one exact phase exp(i tau2 x^3 / 3 hbar) on each factor of
@@ -195,6 +234,30 @@ class TestLindbladDensityMatrix:
         want = np.outer(psi, psi.conj())
         assert np.abs(cps[3].values - want).max() \
             <= 1e-12 * np.abs(want).max()
+
+    def test_invalid_arguments(self):
+        rho0 = coherent_density_matrix(H, n=64)
+        for steps in (0, -3):
+            with pytest.raises(InvalidParameterError):
+                lindblad_dm_evolve(rho0, SCH, PARAMS0, steps=steps)
+        for n in (1, 0):
+            with pytest.raises(InvalidParameterError):
+                coherent_density_matrix(H, n=n)
+
+    def test_hermiticity_guard_fires(self):
+        rho0 = coherent_density_matrix(H, n=64)
+        vals = rho0.values.copy()
+        vals[32, 32] += 1e-6j * np.abs(vals).max()
+        with pytest.raises(SolverFailureError,
+                           match="^Hermiticity lost at t0$"):
+            lindblad_dm_evolve(replace(rho0, values=vals), SCH, PARAMS0)
+
+    def test_trace_guard_fires(self):
+        rho0 = coherent_density_matrix(H, n=64)
+        with pytest.raises(SolverFailureError,
+                           match=r"^trace drifted to 1\.01\d* at t0$"):
+            lindblad_dm_evolve(replace(rho0, values=rho0.values * 1.01),
+                               SCH, PARAMS0)
 
     def test_initial_wigner_is_isotropic_gaussian(self):
         # the Wigner function of rho0 = psi0 psi0^*, with psi0 = (2 pi
