@@ -7,8 +7,10 @@ trade speed for independence and run at modest scales only. Windows 1 and 3
 are linear, so both open-system oracles take them exactly. At D > 0 the
 Lindblad solver holds rho(x, x') on its diagonals, where both decoherence
 terms act: (x - x')^2 is constant along each and (d/dx + d/dx')^2
-differentiates along it, one 1-D FFT pair per diagonal. By Hermiticity it
-evolves only the n//2 + 1 periodic diagonals x - x' = r dxi (mod n dxi),
+differentiates along it. The FFT runs along each periodic diagonal
+x - x' = r dxi (mod n dxi), which joins the diagonals at offsets -r and
+n - r, so there the two multipliers commute only up to that band edge.
+By Hermiticity it evolves only the n//2 + 1 periodic diagonals
 r = 0 .. n//2. In window 2 at D > 0 the Lindblad solver is Strang-split
 against the cubic phase; the sampler keeps the
 Euler-Maruyama scheme in n steps of at most dt but draws its outcome whole,
@@ -149,7 +151,9 @@ class DensityMatrixField:
         return float((np.abs(self.values) ** 2).sum() * self.dxi ** 2)
 
     def hermiticity_defect(self) -> float:
-        d = self.values.conj().T  # one n x n temporary, reused
+        # np.conjugate always returns a new array (ndarray.conj() returns
+        # a real array itself), so d is one n x n temporary owned here
+        d = np.conjugate(self.values.T)
         d -= self.values
         return float(np.abs(d).max() / max(np.abs(self.values).max(), 1e-300))
 
@@ -218,13 +222,17 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
     its diagonals, S = _diagonals(rho), and rebuilt in full only at each
     checkpoint. Decoherence is exp[-(D/2 hbar^2)(x-x')^2 dt], one value on
     each diagonal, times exp[-(D/2) kappa^2 dt] on the 1-D spectrum along
-    each, kappa = 2 pi fftfreq(n, dxi). The two commute, so each stretch
-    window is one exact step with time-integrated coefficients; window 2
-    is Strang-split into ``steps`` substeps against the cubic phase
-    (x^3 - x'^3) / 3 hbar (one phase at D = 0, on the full matrix).
+    each row of S, kappa = 2 pi fftfreq(n, dxi). A row holds two diagonals,
+    offsets -r and n - r, whose (x-x')^2 differ, so along the row the two
+    multipliers commute only up to that band edge; each stretch window is
+    still taken as one step with time-integrated coefficients, exact up to
+    that non-commutation. Window 2 is Strang-split into ``steps`` substeps
+    against the cubic phase (x^3 - x'^3) / 3 hbar (one phase at D = 0, on
+    the full matrix).
     """
-    if steps < 1:
-        raise InvalidParameterError("need at least one kick substep")
+    if not (steps >= 1 and float(steps).is_integer()):
+        raise InvalidParameterError("steps must be an integer >= 1")
+    steps = int(steps)
     hbar = params.hbar
     D = params.D
     xi = rho0.xi

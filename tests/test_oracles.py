@@ -237,12 +237,34 @@ class TestLindbladDensityMatrix:
 
     def test_invalid_arguments(self):
         rho0 = coherent_density_matrix(H, n=64)
-        for steps in (0, -3):
+        for steps in (0, -3, 2.5, math.nan):
             with pytest.raises(InvalidParameterError):
                 lindblad_dm_evolve(rho0, SCH, PARAMS0, steps=steps)
         for n in (1, 0):
             with pytest.raises(InvalidParameterError):
                 coherent_density_matrix(H, n=n)
+
+    def test_hermiticity_defect_leaves_a_real_field_unchanged(self):
+        rho0 = coherent_density_matrix(H, n=64)
+        vals = rho0.values.real.copy()
+        field = replace(rho0, values=vals)
+        assert field.hermiticity_defect() == 0.0
+        np.testing.assert_array_equal(vals, rho0.values.real)
+        vals[3, 5] += 1e-6
+        assert field.hermiticity_defect() > 0.0
+        assert vals[3, 5] != vals[5, 3]
+
+    def test_real_rho0_evolves_like_complex(self):
+        rho0 = coherent_density_matrix(H, n=64)
+        real = replace(rho0, values=rho0.values.real.copy())
+        before = real.values.copy()
+        params = SemiclassicalParams(hbar=2 * H, D=H ** (4.0 / 3.0))
+        out_real = lindblad_dm_evolve(real, SCH, params, steps=4)
+        out = lindblad_dm_evolve(rho0, SCH, params, steps=4)
+        np.testing.assert_array_equal(real.values, before)
+        for a, b in zip(out_real[1:], out[1:]):
+            np.testing.assert_allclose(a.values, b.values, rtol=0,
+                                       atol=1e-14 * np.abs(b.values).max())
 
     def test_hermiticity_guard_fires(self):
         rho0 = coherent_density_matrix(H, n=64)
