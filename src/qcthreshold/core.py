@@ -10,7 +10,7 @@ frame map is area preserving and densities carry over without a Jacobian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -107,6 +107,9 @@ class BumpProfile:
         return float(out) if np.isscalar(s) else out
 
 
+_BUMP = BumpProfile()
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Three sequential bump windows driving H1 = xp, H2 = -x^3/3, H3 = -xp.
@@ -118,7 +121,6 @@ class Schedule:
     tau1: float
     tau2: float
     tau3: float
-    bump: BumpProfile = dc_field(default_factory=BumpProfile)
 
     def __post_init__(self):
         if not all(math.isfinite(t) and t > 0 for t in self.taus()):
@@ -153,14 +155,14 @@ class Schedule:
         """Bump value chi_i(t) = chi((t - t_{i-1}) / tau_i), whose time
         integral over the window is tau_i."""
         start, tau = self.window(i)
-        return self.bump.value((np.asarray(t, dtype=float) - start) / tau)
+        return _BUMP.value((np.asarray(t, dtype=float) - start) / tau)
 
     def bump_integral(self, i: int, ta, tb):
         """int_ta^tb chi_i(t) dt, exact at window boundaries; elementwise
         (one spline evaluation per array) when ta or tb is an array."""
         start, tau = self.window(i)
-        return tau * (self.bump.cumulative((tb - start) / tau)
-                      - self.bump.cumulative((ta - start) / tau))
+        return tau * (_BUMP.cumulative((tb - start) / tau)
+                      - _BUMP.cumulative((ta - start) / tau))
 
     def stretch_integrals(self, i: int, sign: float, a0: float, n: int):
         """(int e^(-2a) dt, int e^(2a) dt) over window i for the log-scale

@@ -17,9 +17,9 @@ taken in one step:
                     (u, k_v) representation evolves under
                     -i c(t) u^2 + d d^2/du^2 plus a scalar: the generator
                     lies in sl(2), so the window's propagator is a linear
-                    canonical transform. Its 2x2 matrix comes from a
-                    4th-order Magnus integration, and it factors as chirp,
-                    heat kernel, chirp: two diagonal multipliers around one
+                    canonical transform. Its 2x2 matrix comes from an
+                    adaptive DOP853 solve, and it factors as chirp, heat
+                    kernel, chirp: two diagonal multipliers around one
                     complex FFT pair along u (Healy, Kutay, Ozaktas &
                     Sheridan, Linear Canonical Transforms, Springer 2016).
 
@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import integrate
 
 from .core import PhaseSpaceField, Schedule, SemiclassicalParams
 from .errors import InvalidParameterError, ResolutionError, SolverFailureError
@@ -67,20 +68,13 @@ _V_EDGE_TOL = 1e-6
 #: below e^-46 (about 1e-20) are set to zero: the rest of their propagator
 #: is a contraction, so their true output is below roundoff.
 _DAMP_CUT = 46.0
-#: Step-doubling tolerance on the relative error of the window-2 matrices.
-#: It bounds the coarser of the last pair, and the finer one is used: on
-#: the default sweep that is 256-1024 slices, and the final marginal moves
-#: by under 1e-12 when the tolerance is tightened to 1e-12.
-_MAGNUS_TOL = 1e-9
-_MAGNUS_START = 32
-_MAGNUS_MAX = 1 << 14
+#: Relative and absolute tolerance of the window-2 matrix solves.
+_WINDOW_RTOL, _WINDOW_ATOL = 1e-11, 1e-14
 #: Largest number of equal pieces the window may be cut into so that no
 #: chirp or heat factor grows, and the largest log-modulus a factor may
 #: reach on the grid before it counts as growing.
 _MAX_PIECES = 64
 _GROWTH_TOL = 1e-12
-#: Magnus slices exponentiated at once (bounds the working memory).
-_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -159,15 +153,6 @@ def moyal_phase(field: PhaseSpaceField, schedule: Schedule,
                    values=np.fft.irfft(spec, n=len(field.v), axis=1))
 
 
-def _damping(field: PhaseSpaceField, params: SemiclassicalParams,
-             I_u: float, I_v: float) -> np.ndarray:
-    """exp[-(D/2)(k_u^2 I_u + k_v^2 I_v)] on the (k_u, k_v) half-spectrum."""
-    ku = _k_axis(len(field.u), field.du)
-    kv = _rk_axis(len(field.v), field.dv)
-    return np.exp(-(params.D / 2.0)
-                  * (I_u * ku[:, None] ** 2 + I_v * kv[None, :] ** 2))
-
-
 def _integrated_diffusion(field: PhaseSpaceField, params: SemiclassicalParams,
                           I_u: float, I_v: float) -> PhaseSpaceField:
     """Multiply by exp[-(D/2)(k_u^2 I_u + k_v^2 I_v)] in 2-D Fourier space.
@@ -178,7 +163,10 @@ def _integrated_diffusion(field: PhaseSpaceField, params: SemiclassicalParams,
     """
     if params.D == 0.0 or (I_u == 0.0 and I_v == 0.0):
         return field
-    damp = _damping(field, params, I_u, I_v)
+    ku = _k_axis(len(field.u), field.du)
+    kv = _rk_axis(len(field.v), field.dv)
+    damp = np.exp(-(params.D / 2.0)
+                  * (I_u * ku[:, None] ** 2 + I_v * kv[None, :] ** 2))
     out = np.fft.irfft2(np.fft.rfft2(field.values) * damp,
                         s=field.values.shape)
     return field.with_values(out)
@@ -245,55 +233,42 @@ def _stretch_window(field: PhaseSpaceField, schedule: Schedule, i: int,
     return _integrated_diffusion(field, params, I_u, I_v)
 
 
-def _compose(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(I + A)(I + B) - I for stacks of 2x2 matrices held as I + A and
-    I + B, with their entries (00, 01, 10, 11) along axis 0. Carrying
-    M - I keeps the small entries M00 - 1 and M11 - 1 exact to roundoff
-    when D is small."""
-    return A + B + np.stack([A[0] * B[0] + A[1] * B[2],
-                             A[0] * B[1] + A[1] * B[3],
-                             A[2] * B[0] + A[3] * B[2],
-                             A[2] * B[1] + A[3] * B[3]])
-
-
-def _magnus_pieces(schedule: Schedule, kx: np.ndarray, d: float, n: int,
-                   m: int) -> np.ndarray:
+def _window_matrices(schedule: Schedule, kx: np.ndarray, d: float,
+                     m: int) -> tuple[np.ndarray, int]:
     """M - I for the propagators of M' = [[0, -2i d], [-2 chi_2(t) kx, 0]] M
     over each of m equal pieces of window 2 and every column kx, shape
-    (m, 4, len(kx)) with the entries (00, 01, 10, 11) along axis 1.
+    (m, 4, len(kx)) with the entries (00, 01, 10, 11) along axis 1, and
+    the number of right-hand-side evaluations taken.
 
-    Each of the n slices (n / m per piece) is one 4th-order Magnus step on
-    its Gauss pair, exponentiated in closed form: a traceless 2x2 Omega
-    has Omega^2 = q^2 I, so exp(Omega) = cosh(q) I + (sinh(q)/q) Omega.
+    Each piece is one solve of E' = A(t)(E + I) from E = 0, all columns at
+    once, by scipy's Fortran DOP853 (integrate.ode). solve_ivp's DOP853
+    forms every stage with a BLAS call, which a multithreaded BLAS slows
+    many-fold in the sweep's process pool. Carrying E = M - I keeps
+    M00 - 1 and M11 - 1 exact to roundoff when D is small.
     """
     start, tau = schedule.window(2)
-    per = max(1, n // m)
-    width = tau / (m * per)
-    mid = start + width * (np.arange(m * per) + 0.5)
-    off = width / (2.0 * math.sqrt(3.0))
-    chi_a, chi_b = schedule.chi(2, mid - off), schedule.chi(2, mid + off)
-    b = -2j * d * width
+    b = -2j * d
+    evals = 0
+
+    def rhs(t, y):
+        nonlocal evals
+        evals += 1
+        e = y.view(complex).reshape(4, -1)
+        c = -2.0 * schedule.chi(2, t) * kx
+        return np.concatenate([b * e[2], b * (e[3] + 1.0),
+                               c * (e[0] + 1.0), c * e[1]]).view(float)
+
+    solver = integrate.ode(rhs).set_integrator(
+        "dop853", rtol=_WINDOW_RTOL, atol=_WINDOW_ATOL)
     out = np.empty((m, 4, len(kx)), dtype=complex)
     for j in range(m):
-        prod = np.zeros((4, len(kx)), dtype=complex)
-        for lo in range(j * per, (j + 1) * per, _CHUNK):
-            hi = min(lo + _CHUNK, (j + 1) * per)
-            ca, cb = chi_a[lo:hi, None], chi_b[lo:hi, None]
-            c = -width * (ca + cb) * kx
-            w = (1j * math.sqrt(3.0) / 3.0) * width ** 2 * d * (ca - cb) * kx
-            q = np.sqrt(w * w + b * c)
-            zero = q == 0.0
-            sh = np.sinh(q) / np.where(zero, 1.0, q)
-            sh[zero] = 1.0
-            ch1 = 2.0 * np.sinh(q / 2.0) ** 2  # cosh(q) - 1
-            E = np.stack([ch1 + sh * w, sh * b, sh * c, ch1 - sh * w])
-            while E.shape[1] > 1:  # pairwise, later slices on the left
-                half = E.shape[1] // 2
-                pairs = _compose(E[:, 1:2 * half:2], E[:, 0:2 * half:2])
-                E = np.concatenate([pairs, E[:, 2 * half:]], axis=1)
-            prod = _compose(E[:, 0], prod)
-        out[j] = prod
-    return out
+        solver.set_initial_value(np.zeros(8 * len(kx)), start + tau * j / m)
+        y = solver.integrate(start + tau * (j + 1) / m)
+        if not solver.successful():
+            raise SolverFailureError("window-2 matrix solve failed: DOP853 "
+                                     f"return code {solver.get_return_code()}")
+        out[j] = y.view(complex).reshape(4, -1)
+    return out, evals
 
 
 def _window_factors(field: PhaseSpaceField, schedule: Schedule,
@@ -302,39 +277,29 @@ def _window_factors(field: PhaseSpaceField, schedule: Schedule,
 
     Returns (keep, damp, beta, g_in, g_out, info): the kept k_v columns,
     their damping exp(-(D/2) e^(2a) tau2 k_v^2), and per piece (rows) and
-    kept column the heat parameter beta and the chirps g_in, g_out. Each piece maps a column by
-    exp(i g_in u^2/2), then exp(-i beta k_u^2/2) in Fourier space, then
-    exp(i g_out u^2/2). With the piece's matrix M (M' = [[0, -2i d],
-    [-2 c(t), 0]] M for c(t) = chi_2(t) k s_x^2 and d = (D/2) e^(-2a)),
+    kept column the heat parameter beta and the chirps g_in, g_out. Each
+    piece maps a column by exp(i g_in u^2/2), then exp(-i beta k_u^2/2) in
+    Fourier space, then exp(i g_out u^2/2). With the piece's matrix M
+    (M' = [[0, -2i d], [-2 c(t), 0]] M for c(t) = chi_2(t) k s_x^2 and
+    d = (D/2) e^(-2a), integrated adaptively by _window_matrices),
     beta = M01, g_in = (M00 - 1)/beta and g_out = (M11 - 1)/beta. The
     window is one piece unless a factor would grow on the grid; then it is
-    the fewest equal pieces (a power of two) for which none does.
+    the fewest equal pieces (a power of two) for which none does. info
+    adds the solves' rhs evaluations and max |det M - 1| (M is unimodular).
     """
-    tau = schedule.tau2
     a = field.frame.a
     kv = _rk_axis(len(field.v), field.dv)
-    log_damp = (params.D / 2.0) * math.exp(2.0 * a) * tau * kv ** 2
+    log_damp = (params.D / 2.0) * math.exp(2.0 * a) * schedule.tau2 * kv ** 2
     keep = log_damp < _DAMP_CUT
     kx = kv[keep] / field.frame.s_p * field.frame.s_x ** 2
     d = (params.D / 2.0) * math.exp(-2.0 * a)
 
-    # M holds M - I, one row per piece
-    n, err = _MAGNUS_START, math.inf
-    M = _magnus_pieces(schedule, kx, d, n, 1)
-    while err > _MAGNUS_TOL:
-        if n >= _MAGNUS_MAX:
-            raise SolverFailureError(
-                f"window-2 matrices reach only {err:.1e} relative error "
-                f"in {n} Magnus slices")
-        M2 = _magnus_pieces(schedule, kx, d, 2 * n, 1)
-        scale = np.abs(M2[0] + np.array([1.0, 0.0, 0.0, 1.0])[:, None])
-        err = float((np.abs(M2 - M)[0].max(axis=0) / scale.max(axis=0)).max())
-        n, M = 2 * n, M2
-
     log_u = float(np.abs(field.u).max()) ** 2 / 2.0
     log_k = float(np.abs(_k_axis(len(field.u), field.du)).max()) ** 2 / 2.0
-    m = 1
+    m, evals = 1, 0
     while True:
+        M, more = _window_matrices(schedule, kx, d, m)  # M - I per piece
+        evals += more
         beta = M[:, 1]
         g_in, g_out = M[:, 0] / beta, M[:, 3] / beta
         growth = max(log_k * float(beta.imag.max()),
@@ -345,11 +310,11 @@ def _window_factors(field: PhaseSpaceField, schedule: Schedule,
         if m > _MAX_PIECES:
             raise SolverFailureError(
                 f"window-2 propagator still grows in {_MAX_PIECES} pieces")
-        M = _magnus_pieces(schedule, kx, d, n, m)
-    damp = np.exp(-log_damp[keep])
-    info = {"kick_substeps": m, "magnus_slices": n, "magnus_error": err,
+    det_defect = M[:, 0] + M[:, 3] + M[:, 0] * M[:, 3] - M[:, 1] * M[:, 2]
+    info = {"kick_substeps": m, "window_rhs_evals": evals,
+            "window_det_defect": float(np.abs(det_defect).max()),
             "kept_columns": int(keep.sum())}
-    return keep, damp, beta, g_in, g_out, info
+    return keep, np.exp(-log_damp[keep]), beta, g_in, g_out, info
 
 
 def _kick_window(field: PhaseSpaceField, schedule: Schedule,
@@ -360,19 +325,18 @@ def _kick_window(field: PhaseSpaceField, schedule: Schedule,
     this window. At D = 0 the kick multipliers commute and their phase is
     linear in delta, so one kick by the whole window's bump integral is
     exact. At D > 0 the state stays in the (u, k_v) representation, where
-    each column takes its exact propagator from _window_factors: two
-    chirps around one complex FFT pair along u per piece (one piece on
-    every default-sweep point), then its damping; columns damped
-    below e^-46 are set to zero. The momentum tail is checked on the
-    window's input and output.
+    each column takes its propagator from _window_factors (an adaptive
+    solve to _WINDOW_RTOL): two chirps around one complex FFT pair along u
+    per piece (one piece on every default-sweep point), then its damping;
+    columns damped below e^-46 are set to zero. The momentum tail is
+    checked on the window's input and output.
     """
-    n_cols = len(field.v) // 2 + 1
     if params.D == 0.0:
         start, tau = schedule.window(2)
         delta = schedule.bump_integral(2, start, start + tau)
         return cubic_kick_substep(field, delta), \
-            {"kick_substeps": 1, "magnus_slices": 0, "magnus_error": 0.0,
-             "kept_columns": n_cols}
+            {"kick_substeps": 1, "window_rhs_evals": 0,
+             "window_det_defect": 0.0, "kept_columns": len(field.v) // 2 + 1}
     keep, damp, beta, g_in, g_out, info = _window_factors(
         field, schedule, params)
     spec = np.fft.rfft(field.values, axis=1)

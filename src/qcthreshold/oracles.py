@@ -140,6 +140,10 @@ class DensityMatrixField:
     values: np.ndarray  # (n, n) complex
     scale: float = 1.0
 
+    def __post_init__(self):
+        if len(self.xi) < 2:
+            raise InvalidParameterError("need at least two grid points")
+
     @property
     def dxi(self) -> float:
         return float(self.xi[1] - self.xi[0])

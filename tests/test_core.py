@@ -93,6 +93,16 @@ class TestSchedule:
             with pytest.raises(InvalidParameterError):
                 Schedule(*taus)
 
+    def test_equal_schedules_compare_equal(self):
+        # every schedule shares one bump profile, so equality and the repr
+        # see only the durations
+        sch = standard_schedule(0.1)
+        assert sch == standard_schedule(0.1)
+        assert sch != standard_schedule(0.05)
+        assert hash(sch) == hash(standard_schedule(0.1))
+        assert repr(sch) == (f"Schedule(tau1={sch.tau1!r}, tau2=1.0, "
+                             f"tau3={sch.tau3!r})")
+
     def test_checkpoints_increase(self):
         sch = standard_schedule(0.05)
         assert sch.t0 < sch.t1 < sch.t2 < sch.t3

@@ -39,6 +39,7 @@ from qcthreshold.evolver import (
     _integrated_diffusion,
     _kick_window,
     _stretch_window,
+    _window_matrices,
     cubic_kick_substep,
     diffusion_substep,
     evolve,
@@ -112,6 +113,32 @@ def _strang_errors(h, D, schedule, kind):
         t1, params, round(per_unit * schedule.tau2), schedule)))
         for per_unit in (200, 400)]
     return errs, info
+
+
+def _window_inputs(D):
+    """The kept columns kx and the diffusion rate d that _window_factors
+    hands to _window_matrices at t1 on the 256x512 grid."""
+    field, params = _initial("classical", D=D,
+                             grid=GridSpec.for_h(H, n_u=256, n_v=512))
+    t1 = _stretch_window(field, SCH, 1, +1.0, params, EvolverConfig())
+    kv = 2.0 * math.pi * np.fft.rfftfreq(len(t1.v), d=t1.dv)
+    a, frame = t1.frame.a, t1.frame
+    keep = (D / 2.0) * math.exp(2.0 * a) * SCH.tau2 * kv ** 2 \
+        < evolver._DAMP_CUT
+    return kv[keep] / frame.s_p * frame.s_x ** 2, \
+        (D / 2.0) * math.exp(-2.0 * a)
+
+
+def _tau2_two_window_input():
+    """(t1 field, schedule, params) at h = 0.1, D = h^(4/3), tau2 = 2, on
+    the 256x512 grid: a window that needs two pieces."""
+    h = 0.1
+    sch = replace(standard_schedule(h), tau2=2.0)
+    params = SemiclassicalParams(hbar=2 * h, D=h ** (4.0 / 3.0))
+    field = initial_coherent_field(
+        params, GridSpec.for_h(h, n_u=256, n_v=512), "classical")
+    return _stretch_window(field, sch, 1, +1.0, params, EvolverConfig()), \
+        sch, params
 
 
 def _rel_max_abs(got, want):
@@ -270,7 +297,8 @@ class TestDiffusiveEvolution:
         if pieces == 1:
             (e200, e400), info = _strang_errors(H, H ** (4.0 / 3.0), SCH,
                                                 "wigner")
-            assert info["magnus_error"] <= 1e-9
+            assert info["window_det_defect"] <= 1e-10
+            assert info["window_rhs_evals"] > 0
         else:
             h = 0.1
             sch = replace(standard_schedule(h), tau2=2.0)
@@ -279,6 +307,36 @@ class TestDiffusiveEvolution:
         assert info["kick_substeps"] == pieces
         assert 3.0 <= e200 / e400 <= 5.0
         assert e400 <= 1e-8
+
+    @pytest.mark.parametrize("D", [1e-8, H ** (4.0 / 3.0), H])
+    def test_window_matrices_unimodular(self, D):
+        # M' = A(t) M with A traceless, so det M = 1 for every column
+        kx, d = _window_inputs(D)
+        E, _ = _window_matrices(SCH, kx, d, 1)
+        det = (1.0 + E[:, 0]) * (1.0 + E[:, 3]) - E[:, 1] * E[:, 2]
+        assert np.abs(det - 1.0).max() <= 1e-10
+
+    @pytest.mark.parametrize("D", [1e-8, H ** (4.0 / 3.0), H])
+    def test_window_matrices_converged(self, monkeypatch, D):
+        # against a solve with a 100x tighter relative tolerance
+        kx, d = _window_inputs(D)
+        got, _ = _window_matrices(SCH, kx, d, 1)
+        monkeypatch.setattr(evolver, "_WINDOW_RTOL",
+                            evolver._WINDOW_RTOL / 100.0)
+        ref, _ = _window_matrices(SCH, kx, d, 1)
+        scale = np.abs(ref + np.array([1.0, 0.0, 0.0, 1.0])[:, None])
+        err = np.abs(got - ref).max(axis=1) / scale.max(axis=1)
+        assert err.max() <= 1e-10
+
+    def test_window_matrices_without_diffusion_are_the_kick(self):
+        # at d = 0 the window is the exact kick p -> p + delta x^2, whose
+        # matrix for the column kx is [[1, 0], [-2 kx delta, 1]]
+        kx, _ = _window_inputs(H ** (4.0 / 3.0))
+        E, _ = _window_matrices(SCH, kx, 0.0, 1)
+        start, tau = SCH.window(2)
+        kick = -2.0 * kx * SCH.bump_integral(2, start, start + tau)
+        assert np.abs(E[0, 2] - kick).max() <= 1e-10 * np.abs(kick).max()
+        assert not E[0, [0, 1, 3]].any()
 
     def test_zeroed_columns_below_roundoff(self):
         # a dropped k_v column's output is at most its input times its
@@ -313,19 +371,21 @@ class TestGuards:
         with pytest.raises(InvalidParameterError):
             EvolverConfig(substeps_per_unit=0)
 
-    @pytest.mark.parametrize("cap, match", [
-        ("_MAX_PIECES", "still grows"), ("_MAGNUS_MAX", "Magnus slices")])
+    @pytest.mark.parametrize("cap, match", [("_MAX_PIECES", "still grows")])
     def test_window_caps_raise(self, monkeypatch, cap, match):
-        # tau2 = 2 needs two pieces; 64 Magnus slices miss the tolerance
-        h = 0.1
-        sch = replace(standard_schedule(h), tau2=2.0)
-        params = SemiclassicalParams(hbar=2 * h, D=h ** (4.0 / 3.0))
-        field = initial_coherent_field(
-            params, GridSpec.for_h(h, n_u=256, n_v=512), "classical")
-        t1 = _stretch_window(field, sch, 1, +1.0, params, EvolverConfig())
-        monkeypatch.setattr(evolver, cap, 1 if cap == "_MAX_PIECES" else 64)
+        # tau2 = 2 needs two pieces
+        t1, sch, params = _tau2_two_window_input()
+        monkeypatch.setattr(evolver, cap, 1)
         with pytest.raises(SolverFailureError, match=match):
             _kick_window(t1, sch, params)
+
+    @pytest.mark.filterwarnings("ignore:dop853")
+    def test_failed_integration_raises(self):
+        # a NaN rate makes every error estimate NaN, so DOP853 rejects
+        # every step and stops with a negative return code
+        kx, _ = _window_inputs(H ** (4.0 / 3.0))
+        with pytest.raises(SolverFailureError, match=r"return code -\d"):
+            _window_matrices(SCH, kx, math.nan, 1)
 
     def test_unnormalized_input_rejected(self):
         field, params = _initial("classical")

@@ -29,6 +29,7 @@ from qcthreshold.errors import (InvalidParameterError, ResolutionError,
                                 SolverFailureError)
 from qcthreshold.evolver import evolve
 from qcthreshold.oracles import (
+    DensityMatrixField,
     _diagonals,
     _full_matrix,
     _kick_window_law,
@@ -243,6 +244,14 @@ class TestLindbladDensityMatrix:
         for n in (1, 0):
             with pytest.raises(InvalidParameterError):
                 coherent_density_matrix(H, n=n)
+
+    def test_single_point_field_rejected(self):
+        # dxi needs two points; a one-point field would otherwise end
+        # lindblad_dm_evolve in an IndexError
+        with pytest.raises(InvalidParameterError, match="two grid points"):
+            lindblad_dm_evolve(
+                DensityMatrixField(xi=np.zeros(1), values=np.ones((1, 1))),
+                SCH, PARAMS0)
 
     def test_hermiticity_defect_leaves_a_real_field_unchanged(self):
         rho0 = coherent_density_matrix(H, n=64)
