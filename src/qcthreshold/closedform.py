@@ -15,8 +15,9 @@ Scaled variables used throughout: with
 the final classical momentum is S * (Z + g*Xi^2). At the standard
 durations tau1 = (1/6)log(1/h), tau3 = (2/3)log(1/h) both S = 1 and
 g = tau2, which is why the final densities are h-independent there.
-Both densities are evaluated in (P = p/S, g); the quantum one only by
-_quantum_unit_curve, for quantum_momentum_pdf and constants() alike.
+Both densities are evaluated in (P = p/S, g); the quantum one by Airy in
+_quantum_unit_curve, and on constants()' uniform grid by an inverse FFT of
+its characteristic function in _quantum_unit_pair.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def _classical_unit_curve(P: np.ndarray, g: float, deriv: int = 0) -> np.ndarray
     Convolves exact per-cell masses of the Gamma(1/2, 2g) component with a
     sampled standard normal kernel; cell-midpoint error is O(dP^2).
     """
-    d = float(P[1] - P[0])
+    d = float(P[-1] - P[0]) / (len(P) - 1)
     s_max = 2.0 * g * 45.0  # Gamma tail below ~1e-9 of total mass
     M = int(math.ceil(s_max / d))
     edges = d * np.arange(M + 1)
@@ -160,30 +161,36 @@ def _quantum_args(P: np.ndarray, g: float):
     return expo, zeta
 
 
-def _quantum_unit_curve(P: np.ndarray, g: float, deriv: int = 0):
+def _quantum_unit_curve(P: np.ndarray, g: float) -> np.ndarray:
     """Quantum density 2^(1/6) sqrt(pi) g^(-2/3) exp(expo) Ai(zeta)^2 in the
-    scaled momentum P; with deriv=2 the pair of it and its second
-    derivative in P, from the analytic differentiation of exp * Ai^2 on
-    the same Airy values. zeta and expo are linear in P."""
+    scaled momentum P, at arbitrary points; zero where |zeta| > 50."""
     amp = 2.0 ** (1.0 / 6.0) * math.sqrt(math.pi) / g ** (2.0 / 3.0)
-    beta = -1.0 / (2.0 * g)
-    zp = -4.0 / (2.0 ** (8.0 / 3.0) * g ** (1.0 / 3.0))
     expo, zeta = _quantum_args(P, g)
     # outside |zeta| <= 50 the density is negligible or rejected by the
     # caller: for zeta > 50 the Airy factor is exponentially small, for
     # zeta < -50 the envelope is
     near = np.abs(zeta) <= _AIRY_CUT
     zeta = np.where(near, zeta, 0.0)
-    ai, aip = np.where(near, _airy(zeta)[:2], 0.0)
-    ea = amp * np.exp(expo)
-    q = ea * ai * ai
-    if deriv == 0:
-        return q
-    cross = ea * ai * aip
-    prime_sq = ea * aip * aip
-    # (e^{beta P} Ai^2)'' with Ai'' = zeta * Ai
-    return q, (beta * beta * q + 4.0 * beta * zp * cross
-               + 2.0 * zp * zp * (prime_sq + zeta * q))
+    ai = np.where(near, _airy(zeta)[0], 0.0)
+    return amp * np.exp(expo) * ai * ai
+
+
+def _quantum_unit_pair(P: np.ndarray, g: float):
+    """The quantum density and its second derivative on the uniform grid P,
+    each by one inverse FFT of the characteristic function
+    exp(-k^2/2 + i g k^3/3) / sqrt(1 - 2 i g k) (the classical one times the
+    cubic Moyal phase). The transform is twice the grid, so nothing wraps;
+    modes past k = 40 underflow and stay zero. Zero where |zeta| > 50."""
+    n = len(P)
+    d = (P[-1] - P[0]) / (n - 1)
+    m = sfft.next_fast_len(2 * n, real=True)
+    k = 2.0 * math.pi * sfft.rfftfreq(m, d)
+    k = k[k <= 40.0]
+    spec = (np.exp(-0.5 * k * k - 1j * (g * k ** 3 / 3.0 - k * P[0]))
+            / np.sqrt(1.0 + 2j * g * k))
+    near = np.abs(_quantum_args(P, g)[1]) <= _AIRY_CUT
+    return tuple(np.where(near, sfft.irfft(s, m)[:n] / d, 0.0)
+                 for s in (spec, -k * k * spec))
 
 
 @dataclass(frozen=True)
@@ -215,7 +222,8 @@ def constants(tau2: float = 1.0) -> BoundConstants:
 
     C1, C3, C4 are exact formulas; C2 and C5 are L1 norms of second
     derivatives of the closed-form densities; c_bar and c0 compare the two
-    densities in L1 and through the observable exp(-p^2).
+    densities in L1 and through the observable exp(-p^2). All are sums on
+    one uniform grid, the quantum terms from one _quantum_unit_pair call.
     """
     if not (math.isfinite(tau2) and tau2 > 0):
         raise InvalidParameterError("tau2 must be positive and finite")
@@ -227,8 +235,8 @@ def constants(tau2: float = 1.0) -> BoundConstants:
         1.0 + 4.0 * math.exp(-0.25) / math.sqrt(math.pi) - 2.0 * math.erf(0.5))
 
     p = _standard_grid(tau2)
-    dp = float(p[1] - p[0])
-    q, q2 = _quantum_unit_curve(p, tau2, deriv=2)
+    dp = float(p[-1] - p[0]) / (len(p) - 1)
+    q, q2 = _quantum_unit_pair(p, tau2)
     c = _classical_unit_curve(p, tau2)
     c2 = _classical_unit_curve(p, tau2, deriv=2)
 

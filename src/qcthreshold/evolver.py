@@ -204,9 +204,9 @@ def _check_field(field: PhaseSpaceField, mass0: float, label: str,
         raise ResolutionError(
             f"position spectral tail carries relative mass {u_tail:.2e} "
             f"at {label}: the grid has too few u-points for this run")
-    if field.kind == "classical" and field.min_value() < -1e-6:
-        raise SolverFailureError(
-            f"classical density reached {field.min_value()} at {label}")
+    low = field.min_value()
+    if field.kind == "classical" and low < -1e-6:
+        raise SolverFailureError(f"classical density reached {low} at {label}")
     edges = _edge_metrics(field)
     if edges["corner"] > _EDGE_TOL:
         raise SolverFailureError(
@@ -215,7 +215,7 @@ def _check_field(field: PhaseSpaceField, mass0: float, label: str,
         raise SolverFailureError(
             f"momentum-edge mass {edges['v_edge']:.2e} at {label}: "
             "the momentum extent is too small for this run")
-    diagnostics[label] = {"mass": mass, "min": field.min_value(),
+    diagnostics[label] = {"mass": mass, "min": low,
                           "u_tail": u_tail, **edges}
 
 

@@ -14,6 +14,7 @@ import pytest
 from scipy import integrate
 from scipy.special import airy
 
+from qcthreshold import closedform
 from qcthreshold.closedform import (
     BoundConstants,
     classical_momentum_pdf,
@@ -178,23 +179,44 @@ class TestPredictedMoments:
 
 
 class TestConstants:
-    TARGETS = {
-        "C1": 3.598076211,
-        "C2": 0.37259529,
-        "C3": 0.96788290,
-        "C4": 1.36962103,
-        "C5": 0.60003821,
-        "C_qu": 3.84647307,
-        "C_cl": 2.70390834,
-        "c_bar": 0.27260671,
-        "c0": 0.06412251,
-        "C_total": 6.55038141,
+    # Taken from the Airy evaluation of q and q'' that _quantum_unit_pair
+    # replaced: both are sums on the same grid and agree to 1e-12. c_bar
+    # and c0 at tau2 = 0.5 and 1 are taken after the classical convolution
+    # took the exact linspace spacing, which moved them by up to 3.9e-11.
+    PINNED = {
+        0.5: {"C1": 1.838637451692019, "C2": 0.4050469944819369,
+              "C3": 0.9678828980765735, "C4": 1.3696210320594837,
+              "C5": 0.763008005155137, "C_qu": 2.1086687813466436,
+              "C_cl": 2.231159978267969, "c_bar": 0.18025674623127869,
+              "c0": 0.03860134946818447, "C_total": 4.339828759614613},
+        1.0: {"C1": 3.598076211353316, "C2": 0.3725952856812489,
+              "C3": 0.9678828980765735, "C4": 1.3696210320594837,
+              "C5": 0.6000382051012212, "C_qu": 3.8464730684741486,
+              "C_cl": 2.7039083375588824, "c_bar": 0.2726067146638202,
+              "c0": 0.06412250538099516, "C_total": 6.550381406033031},
+        2.0: {"C1": 10.882069249684543, "C2": 0.35000504760560797,
+              "C3": 0.9678828980765735, "C4": 1.3696210320594837,
+              "C5": 0.4409779284695563, "C_qu": 11.11540594808828,
+              "C_cl": 2.9617929041968507, "c_bar": 0.37239084874409023,
+              "c0": 0.08087122511517145, "C_total": 14.077198852285132},
+        4.0: {"C1": 40.11293412578295, "C2": 0.3359663124794474,
+              "C3": 0.9678828980765735, "C4": 1.3696210320594837,
+              "C5": 0.31408777909155006, "C_qu": 40.33691166743591,
+              "C_cl": 3.017161576142877, "c_bar": 0.4611118424760905,
+              "c0": 0.08379942392053914, "C_total": 43.35407324357879},
+        10.0: {"C1": 244.7762160906105, "C2": 0.3258521739837719,
+               "C3": 0.9678828980765735, "C4": 1.3696210320594837,
+               "C5": 0.1981236124160294, "C_qu": 244.99345087326634,
+               "C_cl": 2.996068454910671, "c_bar": 0.5459828352737243,
+               "c0": 0.07292474648880966, "C_total": 247.989519328177},
     }
 
     def test_reference_values(self):
-        k = constants(1.0)
-        for name, target in self.TARGETS.items():
-            assert getattr(k, name) == pytest.approx(target, abs=1e-3), name
+        for tau2, pins in self.PINNED.items():
+            k = constants(tau2)
+            for name, target in pins.items():
+                assert getattr(k, name) == pytest.approx(target, rel=1e-12), \
+                    (tau2, name)
 
     def test_c1_closed_form(self):
         assert constants(1.0).C1 == pytest.approx(
@@ -221,6 +243,67 @@ class TestConstants:
     def test_invalid(self):
         with pytest.raises(InvalidParameterError):
             constants(-1.0)
+
+
+class TestQuantumUnitPair:
+    """The FFT pair that constants() sums, on its own standard grid."""
+
+    @staticmethod
+    def _pair(tau2):
+        p = closedform._standard_grid(tau2)
+        return p, *closedform._quantum_unit_pair(p, tau2)
+
+    @pytest.mark.parametrize("tau2", [0.5, 1.0, 2.0])
+    def test_against_mpmath(self, tau2):
+        # q = amp e^expo Ai(zeta)^2 with expo' = -1/(2g), zeta' constant and
+        # Ai'' = zeta Ai, so q'' = amp e^expo [b^2 Ai^2 + 4 b z' Ai Ai'
+        # + 2 z'^2 (Ai'^2 + zeta Ai^2)]
+        mpmath = pytest.importorskip("mpmath")
+        p, q, q2 = self._pair(tau2)
+        near = np.flatnonzero(
+            np.abs(closedform._quantum_args(p, tau2)[1]) <= 50.0)
+        with mpmath.workdps(40):
+            g = mpmath.mpf(tau2)
+            c = mpmath.mpf(2) ** (mpmath.mpf(8) / 3) * mpmath.cbrt(g)
+            amp = (mpmath.mpf(2) ** (mpmath.mpf(1) / 6)
+                   * mpmath.sqrt(mpmath.pi) / mpmath.cbrt(g) ** 2)
+            b, zp = -1 / (2 * g), -4 / c
+            for i in np.linspace(near[0], near[-1], 25).astype(int):
+                P = mpmath.mpf(float(p[i]))
+                zeta = (1 / g - 4 * P) / c
+                ai = mpmath.airyai(zeta)
+                aip = mpmath.airyai(zeta, derivative=1)
+                ea = amp * mpmath.exp((1 / g - 6 * P) / (12 * g))
+                want = ea * ai * ai
+                want2 = ea * (b * b * ai * ai + 4 * b * zp * ai * aip
+                              + 2 * zp * zp * (aip * aip + zeta * ai * ai))
+                assert abs(q[i] - float(want)) <= 1e-13 * q.max(), P
+                assert abs(q2[i] - float(want2)) <= 1e-13 * np.abs(q2).max(), P
+
+    @pytest.mark.parametrize("tau2", [0.5, 1.0, 2.0, 4.0, 10.0])
+    def test_matches_airy_curve(self, tau2):
+        p, q, _ = self._pair(tau2)
+        ref = closedform._quantum_unit_curve(p, tau2)
+        assert np.abs(q - ref).max() <= 1e-14 * ref.max()
+
+    @pytest.mark.parametrize("tau2", [0.5, 1.0, 2.0])
+    def test_no_wraparound(self, tau2):
+        # the same nodes inside a grid twice as long: a 4n transform
+        p = closedform._standard_grid(tau2)
+        n = len(p)
+        d = (p[-1] - p[0]) / (n - 1)
+        long = p[0] + d * np.arange(2 * n)
+        q, q2 = closedform._quantum_unit_pair(long[:n], tau2)
+        r, r2 = closedform._quantum_unit_pair(long, tau2)
+        assert np.abs(r[:n] - q).max() <= 1e-15 * q.max()
+        assert np.abs(r2[:n] - q2).max() <= 2e-15 * np.abs(q2).max()
+
+    @pytest.mark.parametrize("tau2", [2.0, 4.0, 10.0])
+    def test_zero_past_airy_cut(self, tau2):
+        p, q, q2 = self._pair(tau2)
+        far = np.abs(closedform._quantum_args(p, tau2)[1]) > 50.0
+        assert far.any()
+        assert not q[far].any() and not q2[far].any()
 
 
 class TestDuhamelBound:
