@@ -96,9 +96,13 @@ class BumpProfile:
         self._cum_spline = CubicSpline(s, cum / total)
 
     def value(self, s):
-        """Normalized bump chi(s); zero outside (0, 1)."""
-        out = _bump_raw(np.asarray(s, dtype=float)) * self.normalization
-        return float(out) if np.isscalar(s) else out
+        """Normalized bump chi(s); zero outside (0, 1). A scalar s skips
+        the array machinery and gives the same float bit for bit."""
+        if not np.isscalar(s):
+            return _bump_raw(s) * self.normalization
+        if not 0.0 < s < 1.0:
+            return 0.0
+        return self.normalization * float(np.exp(1.0 / (4.0 * s * (s - 1.0))))
 
     def cumulative(self, s):
         """X(s) = integral of chi from 0 to s, clipped to [0, 1]."""
@@ -155,7 +159,7 @@ class Schedule:
         """Bump value chi_i(t) = chi((t - t_{i-1}) / tau_i), whose time
         integral over the window is tau_i."""
         start, tau = self.window(i)
-        return _BUMP.value((np.asarray(t, dtype=float) - start) / tau)
+        return _BUMP.value((t - start) / tau)
 
     def bump_integral(self, i: int, ta, tb):
         """int_ta^tb chi_i(t) dt, exact at window boundaries; elementwise

@@ -194,8 +194,9 @@ def _edge_metrics(field: PhaseSpaceField) -> dict:
             "corner": float(corner)}
 
 
-def _check_field(field: PhaseSpaceField, mass0: float, label: str,
-                 diagnostics: dict) -> None:
+def _check_field(field: PhaseSpaceField, mass0: float, label: str) -> dict:
+    """Guard one checkpoint field and return its readings. They read only
+    its values array and grid spacings, so an unchanged array reuses them."""
     mass = field.mass()
     if abs(mass - mass0) > 1e-4:
         raise SolverFailureError(f"mass drifted to {mass} at {label}")
@@ -215,8 +216,7 @@ def _check_field(field: PhaseSpaceField, mass0: float, label: str,
         raise SolverFailureError(
             f"momentum-edge mass {edges['v_edge']:.2e} at {label}: "
             "the momentum extent is too small for this run")
-    diagnostics[label] = {"mass": mass, "min": low,
-                          "u_tail": u_tail, **edges}
+    return {"mass": mass, "min": low, "u_tail": u_tail, **edges}
 
 
 def _stretch_window(field: PhaseSpaceField, schedule: Schedule, i: int,
@@ -359,31 +359,35 @@ def evolve(field: PhaseSpaceField, schedule: Schedule,
            config: EvolverConfig = EvolverConfig()) -> EvolveResult:
     """Run the full schedule, returning the final field and the four
     checkpoint snapshots (t0 through t3). A Wigner field takes the
-    classical kick window, then its Moyal phase (moyal_phase)."""
-    diagnostics: dict = {}
+    classical kick window, then its Moyal phase (moyal_phase). A checkpoint
+    whose values array is the previous one's (windows 1 and 3 at D = 0 only
+    move the frame) takes a copy of the previous guard readings."""
     mass0 = field.mass()
     if abs(mass0 - 1.0) > 1e-6:
         raise InvalidParameterError("input field is not normalized")
-    _check_field(field, mass0, "t0", diagnostics)
-    cp0 = field
+    checkpoints, readings, diagnostics = [], [], {}
 
+    def checkpoint(field: PhaseSpaceField, label: str) -> None:
+        if not checkpoints or field.values is not checkpoints[-1].values:
+            readings.append(_check_field(field, mass0, label))
+        diagnostics[label] = dict(readings[-1])
+        checkpoints.append(field)
+
+    checkpoint(field, "t0")
     field = _stretch_window(field, schedule, 1, +1.0, params, config)
-    _check_field(field, mass0, "t1", diagnostics)
-    cp1 = field
+    checkpoint(field, "t1")
 
     field, window = _kick_window(field, schedule, params)
     if field.kind == "wigner":
         field = moyal_phase(field, schedule, params, field.frame.a)
-    _check_field(field, mass0, "t2", diagnostics)
+    checkpoint(field, "t2")
     diagnostics["t2"].update(window)
-    cp2 = field
 
     field = _stretch_window(field, schedule, 3, -1.0, params, config)
     # The momentum marginal is insensitive to position-direction wraparound,
     # which large-D runs incur late in window 3; only the corners and the
     # momentum edges are enforced (see _check_field).
-    _check_field(field, mass0, "t3", diagnostics)
+    checkpoint(field, "t3")
 
-    return EvolveResult(final=field, checkpoints=(cp0, cp1, cp2, field),
+    return EvolveResult(final=field, checkpoints=tuple(checkpoints),
                         diagnostics=diagnostics)
-

@@ -120,6 +120,23 @@ class TestSchedule:
         t = np.linspace(start, start + tau, 100_001)
         assert np.trapezoid(sch.chi(2, t), t) == pytest.approx(tau, abs=1e-8)
 
+    @pytest.mark.parametrize("scalar", [float, np.float64])
+    def test_chi_scalar_matches_array_path(self, scalar):
+        # window 2's matrix solve calls chi with one float t at a time
+        sch = standard_schedule(0.05)
+        start, tau = sch.window(2)
+        rng = np.random.default_rng(7)
+        edges = [start, start + tau, start - tau, start + 2.0 * tau,
+                 np.nextafter(start, math.inf), np.nextafter(start, -math.inf),
+                 np.nextafter(start + tau, -math.inf),
+                 np.nextafter(start + tau, math.inf), start + 1e-3 * tau]
+        t = np.concatenate([start + tau * rng.uniform(-0.1, 1.1, 2000), edges])
+        got = [sch.chi(2, scalar(x)) for x in t]
+        assert all(isinstance(c, float) for c in got)
+        want = [sch.chi(2, np.array([x]))[0] for x in t]
+        np.testing.assert_array_equal(got, want)
+        assert got[-1] > 0.0
+
 
 class TestFrame:
     def test_symplectic(self):

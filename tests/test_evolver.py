@@ -366,6 +366,35 @@ class TestDiffusiveEvolution:
         assert l1_distance(coarse, fine) < 1e-4
 
 
+class TestCheckpointReadings:
+    # windows 1 and 3 at D = 0 only move the frame, so t1 keeps t0's values
+    # array and t3 keeps t2's; those checkpoints reuse the readings
+
+    @pytest.mark.parametrize("D, passes", [(0.0, 2), (H ** (4.0 / 3.0), 4)],
+                             ids=["closed", "diffusive"])
+    def test_guard_passes(self, monkeypatch, D, passes):
+        seen = []
+        edge_metrics = evolver._edge_metrics
+
+        def counted(field):
+            seen.append(field)
+            return edge_metrics(field)
+
+        monkeypatch.setattr(evolver, "_edge_metrics", counted)
+        field, params = _initial("classical", D=D)
+        evolve(field, SCH, params)
+        assert len(seen) == passes
+
+    @pytest.mark.parametrize("kind", ["wigner", "classical"])
+    def test_unchanged_checkpoints_copy_readings(self, closed_runs, kind):
+        run = closed_runs[kind]
+        cps, diag = run.checkpoints, run.diagnostics
+        assert cps[1].values is cps[0].values
+        assert cps[3].values is cps[2].values
+        assert diag["t1"] == diag["t0"]
+        assert diag["t3"] == {k: diag["t2"][k] for k in diag["t0"]}
+
+
 class TestGuards:
     def test_invalid_config(self):
         with pytest.raises(InvalidParameterError):

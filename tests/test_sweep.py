@@ -98,7 +98,9 @@ class TestRunPoint:
         (0.1, 4.0 / 3.0, 2.0)])  # two window-2 pieces
     def test_quantum_marginal_is_evolved_wigner(self, monkeypatch, h,
                                                 exponent, tau2):
-        # the derived Wigner field against evolving the Wigner field
+        # the derived Wigner field against evolving the Wigner field, and
+        # bit for bit against the Moyal phase of the classical t3 field (at
+        # D = 0 run_point moves the t2 Wigner field to t3's frame instead)
         D = 0.0 if math.isnan(exponent) else h ** exponent
         cfg = RunConfig(h_list=(h,), tau2=tau2, **FAST)
         quantum = []
@@ -116,6 +118,12 @@ class TestRunPoint:
         want = momentum_marginal(evolver.evolve(f0, sch, params, evc).final)
         assert len(quantum) == 1
         assert l1_distance(quantum[0], want) <= 1e-13
+        f0 = initial_coherent_field(params, grid, "classical")
+        res = evolver.evolve(f0, sch, params, evc)
+        derived = momentum_marginal(evolver.moyal_phase(
+            res.final, sch, params, res.checkpoints[2].frame.a))
+        np.testing.assert_array_equal(quantum[0].p, derived.p)
+        np.testing.assert_array_equal(quantum[0].q, derived.q)
 
     def test_derived_wigner_guard_fires(self, monkeypatch):
         # a momentum-edge limit between the classical and the Wigner
@@ -135,6 +143,57 @@ class TestRunPoint:
         with pytest.raises(SolverFailureError,
                            match="momentum-edge mass .* at t2"):
             run_point(0.2, 0.0, math.nan, cfg)
+
+    @pytest.mark.parametrize("D, guards, phases",
+                             [(0.0, 3, 1), (0.2 ** (4.0 / 3.0), 6, 2)],
+                             ids=["closed", "diffusive"])
+    def test_guard_and_moyal_passes(self, monkeypatch, D, guards, phases):
+        # at D = 0 windows 1 and 3 keep the values array: t1 and t3 reuse
+        # the readings, and the t3 Wigner field is the t2 one
+        counts = {"guards": 0, "phases": 0}
+        edge_metrics = evolver._edge_metrics
+
+        def counted_guard(field):
+            counts["guards"] += 1
+            return edge_metrics(field)
+
+        def counted_phase(*args):
+            counts["phases"] += 1
+            return evolver.moyal_phase(*args)
+
+        monkeypatch.setattr(evolver, "_edge_metrics", counted_guard)
+        monkeypatch.setattr(sweep, "moyal_phase", counted_phase)
+        run_point(0.2, D, math.nan, RunConfig(h_list=(0.2,), **FAST))
+        assert counts == {"guards": guards, "phases": phases}
+
+    @pytest.mark.parametrize("D, want", [
+        (0.0, [("wigner", "t2")]),
+        (0.2 ** (4.0 / 3.0), [("wigner", "t2"), ("wigner", "t3")])],
+        ids=["closed", "diffusive"])
+    def test_derived_wigner_guard_labels(self, monkeypatch, D, want):
+        seen = []
+
+        def recorded(field, mass0, label):
+            seen.append((field.kind, label))
+            return evolver._check_field(field, mass0, label)
+
+        monkeypatch.setattr(sweep, "_check_field", recorded)
+        run_point(0.2, D, math.nan, RunConfig(h_list=(0.2,), **FAST))
+        assert seen == want
+
+    def test_derived_wigner_t3_guard_fires(self, monkeypatch):
+        # no global limit isolates this check: at D = h^(4/3) its readings
+        # lie below the classical field's own, so the guard itself is made
+        # to fail there
+        def failing(field, mass0, label):
+            if (field.kind, label) == ("wigner", "t3"):
+                raise SolverFailureError(f"derived guard at {label}")
+            return evolver._check_field(field, mass0, label)
+
+        monkeypatch.setattr(sweep, "_check_field", failing)
+        with pytest.raises(SolverFailureError, match="derived guard at t3"):
+            run_point(0.2, 0.2 ** (4.0 / 3.0), 4.0 / 3.0,
+                      RunConfig(h_list=(0.2,), **FAST))
 
     def test_record_metadata(self, small_records):
         _, records = small_records
