@@ -157,13 +157,15 @@ class TestMain:
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("error: ResolutionError: ")
 
-    def test_closed_form_range_exit_code(self, tmp_path, capsys):
+    def test_tau2_2_runs(self, tmp_path, capsys):
         # at tau2 = 2 the wide-grid point D = h asks the Airy closed form
-        # for momenta past its supported range
+        # for momenta far below its support
         argv = ["--h-list", "0.2", "--d-rule", "exp:1.0", "--tau2", "2",
                 "--out", str(tmp_path)]
-        assert main(argv) == 3
-        assert capsys.readouterr().err.startswith("error: RangeError: ")
+        assert main(argv) == 0
+        assert "2 sweep points, 2 bound-check passes" in capsys.readouterr().out
+        with open(tmp_path / "records.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 2
 
     def test_oracle_run_passes(self, capsys):
         assert main(ORACLE_ARGV) == 0

@@ -7,6 +7,7 @@ against the analytic cumulant table.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from qcthreshold.closedform import (
     quantum_momentum_pdf,
 )
 from qcthreshold.core import Schedule, standard_schedule
-from qcthreshold.errors import InvalidParameterError, RangeError, ValidityError
+from qcthreshold.errors import InvalidParameterError, ValidityError
 from qcthreshold.specialfn import parabolic_cylinder_D
 
 
@@ -132,11 +133,10 @@ class TestNormalizationAndMoments:
                                            abs=1e-4)
 
 
-    @pytest.mark.parametrize("tau2", [0.5, 1.0])
+    @pytest.mark.parametrize("tau2", [0.5, 1.0, 2.0])
     def test_quantum_is_classical_times_moyal_phase(self, tau2):
         # the quantum term is the momentum multiplier exp(-i (tau2/3) k^3)
-        # in these units, applied to the classical density; at tau2 = 2
-        # the quantum density raises RangeError on this range
+        # in these units, applied to the classical density
         sch = replace(SCH, tau2=tau2)
         args = (sch.tau1, sch.tau2, sch.tau3, H)
         sigma = math.sqrt(1.0 + 2.0 * tau2 * tau2)
@@ -298,13 +298,6 @@ class TestQuantumUnitPair:
         assert np.abs(r[:n] - q).max() <= 1e-15 * q.max()
         assert np.abs(r2[:n] - q2).max() <= 2e-15 * np.abs(q2).max()
 
-    @pytest.mark.parametrize("tau2", [2.0, 4.0, 10.0])
-    def test_zero_past_airy_cut(self, tau2):
-        p, q, q2 = self._pair(tau2)
-        far = np.abs(closedform._quantum_args(p, tau2)[1]) > 50.0
-        assert far.any()
-        assert not q[far].any() and not q2[far].any()
-
 
 class TestDuhamelBound:
     def test_standard_form(self):
@@ -369,16 +362,30 @@ class TestNonFiniteInputs:
 
 
 class TestRangeGuards:
-    @pytest.mark.parametrize("p,tau2", [(-1e4, 1.0), (150.0, 4.0)],
-                             ids=["exp-overflow", "airy-range"])
-    def test_overflowing_negative_momentum(self, p, tau2):
-        # at p = 150, tau2 = 4 the Airy argument is -59.5, past |zeta| = 50,
-        # where the exponential envelope is still e^-18.7
-        with pytest.raises(RangeError):
-            quantum_momentum_pdf(p, SCH.tau1, tau2, SCH.tau3, H)
+    @pytest.mark.parametrize("p,tau2", [(150.0, 4.0), (80.0, 1.0),
+                                        (-100.0, 1.0), (400.0, 10.0)])
+    def test_quantum_far_tail_against_mpmath(self, p, tau2):
+        # Airy arguments -59.5, -50.2, 63.2 and -117.0: both sides of
+        # |zeta| = 50, where Ai^2 underflows while the exponential overflows
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            g = mpmath.mpf(tau2)  # S = 1 and g = tau2 at the standard schedule
+            P = mpmath.mpf(p)
+            amp = (mpmath.mpf(2) ** (mpmath.mpf(1) / 6)
+                   * mpmath.sqrt(mpmath.pi) / mpmath.cbrt(g) ** 2)
+            zeta = (1 / g - 4 * P) / (mpmath.mpf(2) ** (mpmath.mpf(8) / 3)
+                                      * mpmath.cbrt(g))
+            exact = float(amp * mpmath.exp((1 / g - 6 * P) / (12 * g))
+                          * mpmath.airyai(zeta) ** 2)
+        got = quantum_momentum_pdf(p, SCH.tau1, tau2, SCH.tau3, H)
+        assert abs(got - exact) <= 1e-12 * exact
 
-    def test_far_positive_tail_is_zero(self):
-        assert quantum(80.0) == 0.0
+    @pytest.mark.parametrize("p,tau2", [(-1e4, 1.0), (-300.0, 10.0)])
+    def test_quantum_underflows_to_zero(self, p, tau2):
+        # exp(expo) alone would overflow here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert quantum_momentum_pdf(p, SCH.tau1, tau2, SCH.tau3, H) == 0.0
 
     def test_classical_far_tail_fallback(self):
         # past |z| = 36, where the quadrature form of D_{-1/2} would overflow
