@@ -15,9 +15,13 @@ Scaled variables used throughout: with
 the final classical momentum is S * (Z + g*Xi^2). At the standard
 durations tau1 = (1/6)log(1/h), tau3 = (2/3)log(1/h) both S = 1 and
 g = tau2, which is why the final densities are h-independent there.
-Both densities are evaluated in (P = p/S, g); the quantum one by Airy in
-_quantum_unit_curve at any finite P, and on constants()' uniform grid by an
-inverse FFT of its characteristic function in _quantum_unit_pair.
+Both densities are evaluated in (P = p/S, g), each by one evaluator at any
+finite points (quantum_momentum_pdf by Airy, classical_momentum_pdf by
+Bessel forms; fig2's windows do not hold the mass and use these) and one on
+uniform grids (_unit_pair, an inverse FFT of the characteristic function;
+_grid_pdfs in lab momentum for fig3 and the sweep's measured L1s).
+constants()' classical terms keep a Gamma-mass convolution until the stored
+reference constants are regenerated (ROADMAP Direction 6).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.special import airy as _airy, airye as _airye, erf as _erf_vec
+from scipy.special import airy as _airy, airye as _airye, erf as _erf
 from scipy.special import ive as _ive, kve as _kve
 
 from .core import MomentRecord, Schedule, is_standard_schedule
@@ -106,35 +110,28 @@ def classical_momentum_pdf(p, tau1: float, tau2: float, tau3: float, h: float):
     return out
 
 
-def _gauss_kernel(t: np.ndarray, deriv: int) -> np.ndarray:
-    phi = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-    if deriv == 0:
-        return phi
-    if deriv == 2:
-        return (t * t - 1.0) * phi
-    raise InvalidParameterError("only derivatives 0 and 2 are supported")
-
-
-def _classical_unit_curve(P: np.ndarray, g: float, deriv: int = 0) -> np.ndarray:
-    """Density of Z + g*Xi^2 (or its 2nd derivative) on a uniform P grid.
+def _classical_convolution(P: np.ndarray, g: float):
+    """Density of Z + g*Xi^2 and its second derivative on a uniform P grid.
 
     Convolves exact per-cell masses of the Gamma(1/2, 2g) component with a
-    sampled standard normal kernel; cell-midpoint error is O(dP^2).
+    sampled standard normal kernel phi and with phi'' = (t^2 - 1) phi;
+    cell-midpoint error is O(dP^2).
     """
-    d = float(P[-1] - P[0]) / (len(P) - 1)
+    n = len(P)
+    d = float(P[-1] - P[0]) / (n - 1)
     s_max = 2.0 * g * 45.0  # Gamma tail below ~1e-9 of total mass
     M = int(math.ceil(s_max / d))
     edges = d * np.arange(M + 1)
-    masses = _erf_vec(np.sqrt(edges[1:] / (2.0 * g))) \
-        - _erf_vec(np.sqrt(edges[:-1] / (2.0 * g)))
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    # c(P_i) = sum_j mass_j * phi(P_i - s_j); indices line up as a linear
-    # convolution over the common spacing d.
-    kernel = _gauss_kernel(P[0] - centers[0] + np.arange(-(M - 1), len(P)) * d, deriv)
-    # the valid part of the full linear convolution, by one rfft pair
-    n = sfft.next_fast_len(len(kernel) + M - 1, real=True)
-    full = sfft.irfft(sfft.rfft(kernel, n) * sfft.rfft(masses, n), n)
-    return full[M - 1:M - 1 + len(P)]
+    masses = np.diff(_erf(np.sqrt(edges / (2.0 * g))))
+    # c(P_i) = sum_j mass_j * phi(P_i - s_j), s_j the cell centres; the
+    # indices line up as a linear convolution over the common spacing d.
+    t = P[0] - 0.5 * d + np.arange(-(M - 1), n) * d
+    phi = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    # the valid part of each full linear convolution, by one rfft pair
+    m = sfft.next_fast_len(len(t) + M - 1, real=True)
+    spec = sfft.rfft(masses, m)
+    return tuple(sfft.irfft(sfft.rfft(kernel, m) * spec, m)[M - 1:M - 1 + n]
+                 for kernel in (phi, (t * t - 1.0) * phi))
 
 
 def _quantum_args(P: np.ndarray, g: float):
@@ -159,20 +156,33 @@ def _quantum_unit_curve(P: np.ndarray, g: float) -> np.ndarray:
     return amp * np.exp(expo) * ai * ai
 
 
-def _quantum_unit_pair(P: np.ndarray, g: float):
-    """The quantum density and its second derivative on the uniform grid P,
-    each by one inverse FFT of the characteristic function
-    exp(-k^2/2 + i g k^3/3) / sqrt(1 - 2 i g k) (the classical one times the
-    cubic Moyal phase). The transform is twice the grid, so nothing wraps;
-    modes past k = 40 underflow and stay zero."""
+def _unit_pair(P: np.ndarray, g: float, quantum: bool = True):
+    """The density and its second derivative on the uniform grid P, each by
+    one inverse FFT of the closed-form characteristic function: the
+    classical exp(-k^2/2) / sqrt(1 - 2 i g k), and for the quantum density
+    the same times the cubic Moyal phase exp(i g k^3/3). The transform is
+    twice the grid, so mass within the grid's own length of either end
+    does not wrap onto it. Modes past k = 40 underflow and stay zero; the
+    spacing must reach k = 9, where exp(-k^2/2) is below roundoff (dP < 0.3)."""
     n = len(P)
     d = (P[-1] - P[0]) / (n - 1)
     m = sfft.next_fast_len(2 * n, real=True)
     k = 2.0 * math.pi * sfft.rfftfreq(m, d)
     k = k[k <= 40.0]
-    spec = (np.exp(-0.5 * k * k - 1j * (g * k ** 3 / 3.0 - k * P[0]))
+    cubic = g * k ** 3 / 3.0 if quantum else 0.0
+    spec = (np.exp(-0.5 * k * k - 1j * (cubic - k * P[0]))
             / np.sqrt(1.0 + 2j * g * k))
     return tuple(sfft.irfft(s, m)[:n] / d for s in (spec, -k * k * spec))
+
+
+def _grid_pdfs(p: np.ndarray, tau1: float, tau2: float, tau3: float, h: float):
+    """The quantum and the classical final momentum density on the uniform
+    grid p, by _unit_pair. Use it only where the grid, extended by its own
+    length on each side, holds the mass; elsewhere the tails fold onto the
+    grid, and quantum_momentum_pdf / classical_momentum_pdf are exact."""
+    S, g = _scales(tau1, tau2, tau3, h)
+    P = np.asarray(p, dtype=float) / S
+    return tuple(_unit_pair(P, g, quantum)[0] / S for quantum in (True, False))
 
 
 @dataclass(frozen=True)
@@ -205,7 +215,8 @@ def constants(tau2: float = 1.0) -> BoundConstants:
     C1, C3, C4 are exact formulas; C2 and C5 are L1 norms of second
     derivatives of the closed-form densities; c_bar and c0 compare the two
     densities in L1 and through the observable exp(-p^2). All are sums on
-    one uniform grid, the quantum terms from one _quantum_unit_pair call.
+    one uniform grid, as the stored reference constants were made: q and q''
+    from _unit_pair cut to |zeta| <= 50, c and c'' by _classical_convolution.
     """
     if not (math.isfinite(tau2) and tau2 > 0):
         raise InvalidParameterError("tau2 must be positive and finite")
@@ -218,13 +229,10 @@ def constants(tau2: float = 1.0) -> BoundConstants:
 
     p = _standard_grid(tau2)
     dp = float(p[-1] - p[0]) / (len(p) - 1)
-    q, q2 = _quantum_unit_pair(p, tau2)
-    # the benchmark's stored reference constants sum q and q'' over
-    # |zeta| <= 50 only; this mask goes when they are regenerated
+    q, q2 = _unit_pair(p, tau2)
     near = np.abs(_quantum_args(p, tau2)[1]) <= _AIRY_CUT
     q, q2 = np.where(near, q, 0.0), np.where(near, q2, 0.0)
-    c = _classical_unit_curve(p, tau2)
-    c2 = _classical_unit_curve(p, tau2, deriv=2)
+    c, c2 = _classical_convolution(p, tau2)
 
     C2 = 0.5 * float(np.abs(q2).sum() * dp)
     C5 = float(np.abs(c2).sum() * dp)

@@ -341,11 +341,11 @@ def initial_coherent_field(params: SemiclassicalParams, grid: GridSpec,
     if grid.half_extent_u < 8 * root or grid.half_extent_v < 8 * root:
         raise CoverageError("grid extents must be at least 8*sqrt(h) per axis")
     u, v = grid.axes()
-    x = u[:, None]
-    p = v[None, :]
-    field = PhaseSpaceField(
-        frame=AffineFrame(0.0), u=u, v=v, kind=kind,
-        values=np.exp(-(x * x + p * p) / (2 * h)) / (2 * math.pi * h))
+    # separable: one exp row per axis and their outer product
+    gx = np.exp(-u * u / (2 * h)) / (2 * math.pi * h)
+    gp = np.exp(-v * v / (2 * h))
+    field = PhaseSpaceField(frame=AffineFrame(0.0), u=u, v=v, kind=kind,
+                            values=np.outer(gx, gp))
     if abs(field.mass() - 1.0) > 1e-8:
         raise CoverageError("more than 1e-8 of the state's mass lies off-grid")
     return field

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .closedform import (
+    _grid_pdfs,
     classical_momentum_pdf,
     constants,
     duhamel_bound,
@@ -177,11 +178,10 @@ def run_point(h: float, D: float, exponent: float,
     l1 = l1_distance(mq, mc)
     qb = duhamel_bound("quantum", h, D, sch)
     cb = duhamel_bound("classical", h, D, sch)
-    args = (sch.tau1, sch.tau2, sch.tau3, h)
-    meas_q = float(np.abs(mq.q - quantum_momentum_pdf(mq.p, *args)).sum()
-                   * mq.dp)
-    meas_c = float(np.abs(mc.q - classical_momentum_pdf(mc.p, *args)).sum()
-                   * mc.dp)
+    # one p grid (the final frame's); past the edge guards it holds the mass
+    q, c = _grid_pdfs(mc.p, sch.tau1, sch.tau2, sch.tau3, h)
+    meas_q = float(np.abs(mq.q - q).sum() * mq.dp)
+    meas_c = float(np.abs(mc.q - c).sum() * mc.dp)
     return SweepRecord(
         h=h, D=D, exponent=exponent, discrepancy_g0=disc, l1=l1,
         quantum_bound=qb, classical_bound=cb,
@@ -194,30 +194,23 @@ def _run_point_args(args):
     return run_point(*args)
 
 
-def _sorted_records(records):
-    return sorted(records, key=lambda r: (r.h, r.D))
-
-
-def _estimate_memory(config: RunConfig) -> int:
-    # a handful of complex working copies of the largest grid
-    return 16 * config.n_u * (2 * config.n_v) * 8
-
-
 def run_experiment(config: RunConfig, max_workers: int = None):
     """Run every sweep point, write artifacts if an output directory is set,
     and return the records sorted by (h, D)."""
-    if _estimate_memory(config) > 4 << 30:
+    # a handful of complex working copies of the largest grid
+    if 16 * config.n_u * (2 * config.n_v) * 8 > 4 << 30:
         raise InvalidParameterError("grid too large; per-run memory estimate "
                                     "exceeds 4 GiB")
     points = [(h, D, e, config) for h, D, e in config.points()]
     if max_workers is None:
         max_workers = min(4, os.cpu_count() or 1, len(points))
     if max_workers > 1 and len(points) > 1:
+        constants(config.tau2)  # cached here, the forked workers inherit it
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             records = list(pool.map(_run_point_args, points))
     else:
         records = [run_point(*p) for p in points]
-    records = _sorted_records(records)
+    records = sorted(records, key=lambda r: (r.h, r.D))
     if config.out_dir:
         write_artifacts(config, records)
     return records
@@ -331,9 +324,8 @@ def observable_table(tau2: float = 1.0):
     p = np.linspace(-10.0 - 2 * sigma, 40.0 * tau2 + 12.0 * sigma, 1 << 14)
     h_ref = 1e-3
     sch = _schedule_for(h_ref, tau2)
-    args = (sch.tau1, sch.tau2, sch.tau3, h_ref)
-    q = MomentumDistribution(p=p, q=quantum_momentum_pdf(p, *args))
-    c = MomentumDistribution(p=p, q=classical_momentum_pdf(p, *args))
+    q, c = (MomentumDistribution(p=p, q=pdf) for pdf in
+            _grid_pdfs(p, sch.tau1, sch.tau2, sch.tau3, h_ref))
     rows = []
     for n in range(9):
         obs = ObservableSpec(n)

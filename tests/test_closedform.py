@@ -179,7 +179,7 @@ class TestPredictedMoments:
 
 
 class TestConstants:
-    # Taken from the Airy evaluation of q and q'' that _quantum_unit_pair
+    # Taken from the Airy evaluation of q and q'' that _unit_pair
     # replaced: both are sums on the same grid and agree to 1e-12. c_bar
     # and c0 at tau2 = 0.5 and 1 are taken after the classical convolution
     # took the exact linspace spacing, which moved them by up to 3.9e-11.
@@ -251,7 +251,7 @@ class TestQuantumUnitPair:
     @staticmethod
     def _pair(tau2):
         p = closedform._standard_grid(tau2)
-        return p, *closedform._quantum_unit_pair(p, tau2)
+        return p, *closedform._unit_pair(p, tau2)
 
     @pytest.mark.parametrize("tau2", [0.5, 1.0, 2.0])
     def test_against_mpmath(self, tau2):
@@ -293,10 +293,58 @@ class TestQuantumUnitPair:
         n = len(p)
         d = (p[-1] - p[0]) / (n - 1)
         long = p[0] + d * np.arange(2 * n)
-        q, q2 = closedform._quantum_unit_pair(long[:n], tau2)
-        r, r2 = closedform._quantum_unit_pair(long, tau2)
+        q, q2 = closedform._unit_pair(long[:n], tau2)
+        r, r2 = closedform._unit_pair(long, tau2)
         assert np.abs(r[:n] - q).max() <= 1e-15 * q.max()
         assert np.abs(r2[:n] - q2).max() <= 2e-15 * np.abs(q2).max()
+
+
+class TestClassicalUnitPair:
+    """The same FFT pair without the Moyal phase, and the helper that serves
+    both densities on uniform grids in lab momentum."""
+
+    @pytest.mark.parametrize("tau2", [0.5, 1.0, 2.0, 4.0, 10.0])
+    def test_matches_bessel_form(self, tau2):
+        # tau1 = tau3 = 1e-300 at h = 1 gives S = 1 and g = tau2 exactly
+        p = closedform._standard_grid(tau2)
+        c, _ = closedform._unit_pair(p, tau2, quantum=False)
+        ref = classical_momentum_pdf(p, 1e-300, tau2, 1e-300, 1.0)
+        assert np.abs(c - ref).max() <= 2e-14 * ref.max()
+
+    @pytest.mark.parametrize("tau2", [0.5, 2.0])
+    def test_second_derivative(self, tau2):
+        p = closedform._standard_grid(tau2, n=1 << 13)
+        c, c2 = closedform._unit_pair(p, tau2, quantum=False)
+        dp = (p[-1] - p[0]) / (len(p) - 1)
+        fd = (c[2:] - 2.0 * c[1:-1] + c[:-2]) / dp ** 2
+        assert np.abs(fd - c2[1:-1]).max() <= 1e-4 * np.abs(c2).max()
+
+    def test_grid_pdfs_at_general_schedule(self):
+        args = (0.4, 0.5, 1.2, 0.05)
+        p = np.linspace(-6.0, 20.0, 1 << 12)
+        q, c = closedform._grid_pdfs(p, *args)
+        for got, ref in ((q, quantum_momentum_pdf(p, *args)),
+                         (c, classical_momentum_pdf(p, *args))):
+            assert np.abs(got - ref).max() <= 2e-14 * ref.max()
+
+
+class TestClassicalConvolution:
+    """constants()' classical terms: exact Gamma cell masses convolved with
+    the normal density and its second derivative."""
+
+    @pytest.mark.parametrize("tau2", [0.5, 1.0])
+    def test_against_direct_sum(self, tau2):
+        from scipy.special import erf
+        p = closedform._standard_grid(tau2, n=1 << 10)
+        c, c2 = closedform._classical_convolution(p, tau2)
+        d = (p[-1] - p[0]) / (len(p) - 1)
+        edges = d * np.arange(math.ceil(90.0 * tau2 / d) + 1)
+        masses = np.diff(erf(np.sqrt(edges / (2.0 * tau2))))
+        t = p[:, None] - 0.5 * (edges[1:] + edges[:-1])[None, :]
+        phi = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+        for got, kernel in ((c, phi), (c2, (t * t - 1.0) * phi)):
+            ref = kernel @ masses
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestDuhamelBound:

@@ -187,6 +187,12 @@ class TestInitialField:
         assert m.m4_x == pytest.approx(3 * h * h, rel=1e-8)
         assert m.m4_p == pytest.approx(3 * h * h, rel=1e-8)
 
+    def test_matches_two_dimensional_gaussian(self, coherent, h):
+        # built as an outer product of two rows; the same values to roundoff
+        x, p = coherent.u[:, None], coherent.v[None, :]
+        ref = np.exp(-(x * x + p * p) / (2 * h)) / (2 * math.pi * h)
+        assert np.abs(coherent.values - ref).max() <= 1e-15 * ref.max()
+
     def test_too_small_grid(self, h):
         params = SemiclassicalParams(hbar=2 * h)
         small = GridSpec.for_h(h, widths_u=4.0)

@@ -3,12 +3,17 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from qcthreshold import evolver, sweep
-from qcthreshold.closedform import constants
+from qcthreshold import closedform, evolver, sweep
+from qcthreshold.closedform import (
+    classical_momentum_pdf,
+    constants,
+    quantum_momentum_pdf,
+)
 from qcthreshold.core import initial_coherent_field, l1_distance, \
     momentum_marginal
 from qcthreshold.errors import InvalidParameterError, SolverFailureError
@@ -34,6 +39,11 @@ def small_records():
     cfg = RunConfig(h_list=(0.2,), d_rule=("exponent", (1.0, 4.0 / 3.0, 2.0)),
                     **FAST)
     return cfg, run_experiment(cfg, max_workers=1)
+
+
+def _point_pdfs(p, *args):
+    """What sweep._grid_pdfs returns, from the arbitrary-point evaluators."""
+    return quantum_momentum_pdf(p, *args), classical_momentum_pdf(p, *args)
 
 
 class TestRunConfig:
@@ -66,6 +76,32 @@ class TestRunConfig:
         cfg = RunConfig(n_u=1 << 14, n_v=1 << 15)
         with pytest.raises(InvalidParameterError):
             run_experiment(cfg)
+
+    def test_constants_computed_once_before_the_workers_fork(
+            self, monkeypatch, tmp_path):
+        # each line of the log is one sweep point or one constants() cache
+        # miss, with the process that ran it
+        log = tmp_path / "log"
+
+        def spy(kind, fn):
+            def wrapped(*args, **kwargs):
+                with open(log, "a") as fh:
+                    fh.write(f"{kind} {os.getpid()}\n")
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(sweep, "run_point", spy("point", run_point))
+        monkeypatch.setattr(closedform, "_standard_grid",
+                            spy("miss", closedform._standard_grid))
+        constants.cache_clear()
+        cfg = RunConfig(h_list=(0.2,), d_rule=("absolute", (0.01, 0.02)),
+                        **FAST)
+        run_experiment(cfg, max_workers=2)
+        lines = [line.split() for line in log.read_text().splitlines()]
+        points = {pid for kind, pid in lines if kind == "point"}
+        misses = [pid for kind, pid in lines if kind == "miss"]
+        assert points and str(os.getpid()) not in points
+        assert misses == [str(os.getpid())]
 
 
 class TestRunPoint:
@@ -195,6 +231,16 @@ class TestRunPoint:
             run_point(0.2, 0.2 ** (4.0 / 3.0), 4.0 / 3.0,
                       RunConfig(h_list=(0.2,), **FAST))
 
+    @pytest.mark.parametrize("D", [0.0, 0.2 ** (4.0 / 3.0)])
+    def test_measured_l1_matches_point_evaluators(self, monkeypatch, D):
+        cfg = RunConfig(h_list=(0.2,), **FAST)
+        grid = run_point(0.2, D, math.nan, cfg)
+        monkeypatch.setattr(sweep, "_grid_pdfs", _point_pdfs)
+        point = run_point(0.2, D, math.nan, cfg)
+        for name in ("measured_quantum_l1", "measured_classical_l1"):
+            assert getattr(grid, name) == pytest.approx(
+                getattr(point, name), rel=1e-12, abs=1e-14), name
+
     def test_record_metadata(self, small_records):
         _, records = small_records
         # the strongest-diffusion point gets the widened momentum grid
@@ -292,6 +338,16 @@ class TestFiguresAndTables:
             pytest.approx(constants(1.0).c0, abs=1e-4)
         # odd-n entries stay finite and ordered by index
         assert [row[0] for row in table] == list(range(9))
+
+    @pytest.mark.parametrize("tau2", [0.5, 1.0, 2.0, 4.0])
+    def test_observable_table_matches_point_evaluators(self, monkeypatch,
+                                                       tau2):
+        table = observable_table(tau2)
+        monkeypatch.setattr(sweep, "_grid_pdfs", _point_pdfs)
+        for row, ref in zip(table, observable_table(tau2)):
+            assert row[0] == ref[0]
+            for got, want in zip(row[1:], ref[1:]):
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0), row[0]
 
     def test_emit_figures(self, tmp_path):
         data = emit_figures(str(tmp_path))
