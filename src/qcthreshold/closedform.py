@@ -157,9 +157,9 @@ def _quantum_unit_curve(P: np.ndarray, g: float) -> np.ndarray:
 
 
 def _unit_pair(P: np.ndarray, g: float, quantum: bool = True):
-    """The density and its second derivative on the uniform grid P, each by
-    one inverse FFT of the closed-form characteristic function: the
-    classical exp(-k^2/2) / sqrt(1 - 2 i g k), and for the quantum density
+    """The density, then its second derivative, on the uniform grid P, each
+    by one inverse FFT (run when asked for) of the characteristic function:
+    the classical exp(-k^2/2) / sqrt(1 - 2 i g k), and for the quantum density
     the same times the cubic Moyal phase exp(i g k^3/3). The transform is
     twice the grid, so mass within the grid's own length of either end
     does not wrap onto it. Modes past k = 40 underflow and stay zero; the
@@ -172,17 +172,17 @@ def _unit_pair(P: np.ndarray, g: float, quantum: bool = True):
     cubic = g * k ** 3 / 3.0 if quantum else 0.0
     spec = (np.exp(-0.5 * k * k - 1j * (cubic - k * P[0]))
             / np.sqrt(1.0 + 2j * g * k))
-    return tuple(sfft.irfft(s, m)[:n] / d for s in (spec, -k * k * spec))
+    return (sfft.irfft(s, m)[:n] / d for s in (spec, -k * k * spec))
 
 
 def _grid_pdfs(p: np.ndarray, tau1: float, tau2: float, tau3: float, h: float):
     """The quantum and the classical final momentum density on the uniform
-    grid p, by _unit_pair. Use it only where the grid, extended by its own
-    length on each side, holds the mass; elsewhere the tails fold onto the
-    grid, and quantum_momentum_pdf / classical_momentum_pdf are exact."""
+    grid p, by next(_unit_pair). Use it only where the grid, extended by its
+    own length on each side, holds the mass; elsewhere the tails fold onto
+    the grid, and quantum_momentum_pdf / classical_momentum_pdf are exact."""
     S, g = _scales(tau1, tau2, tau3, h)
     P = np.asarray(p, dtype=float) / S
-    return tuple(_unit_pair(P, g, quantum)[0] / S for quantum in (True, False))
+    return tuple(next(_unit_pair(P, g, q)) / S for q in (True, False))
 
 
 @dataclass(frozen=True)

@@ -3,25 +3,28 @@ the three-window schedule with isotropic diffusion.
 
 The co-moving frame absorbs the stretch/squeeze transport exactly, so every
 grid operation is a Fourier or diagonal multiplier, and every window is
-taken in one step:
+taken in one step. Each window hands the next its output's (u, k_v)
+spectrum, so no spectrum is transformed twice, and every 2-D multiplier is
+built from 1-D factors:
 
   windows 1 and 3:  frame log-scale update (exact) plus diffusion with
                     time-integrated lab coefficients (exact per window,
-                    since all multipliers commute; the integrals take
-                    substeps_per_unit Gauss-Legendre panels per unit
-                    time);
+                    since all multipliers commute; substeps_per_unit
+                    Gauss-Legendre panels per unit time), its damping
+                    the outer product of one exp row per axis;
   window 2:         cubic kick as a momentum-direction Fourier multiplier
-                    exp(-i k x^2 delta). The frame is static there, so at
-                    D = 0 the multipliers commute and one kick over the
-                    whole window is exact. At D > 0 each k_v column of the
-                    (u, k_v) representation evolves under
-                    -i c(t) u^2 + d d^2/du^2 plus a scalar: the generator
-                    lies in sl(2), so the window's propagator is a linear
-                    canonical transform. Its 2x2 matrix comes from an
-                    adaptive DOP853 solve, and it factors as chirp, heat
-                    kernel, chirp: two diagonal multipliers around one
-                    complex FFT pair along u (Healy, Kutay, Ozaktas &
-                    Sheridan, Linear Canonical Transforms, Springer 2016).
+                    exp(-i k x^2 delta), linear in k: two small tables. The
+                    frame is static there, so at D = 0 the multipliers
+                    commute and one kick over the whole window is exact.
+                    At D > 0 each k_v column of the (u, k_v) representation
+                    evolves under -i c(t) u^2 + d d^2/du^2 plus a scalar:
+                    the generator lies in sl(2), so the propagator is a
+                    linear canonical transform. Its 2x2 matrix comes from
+                    an adaptive DOP853 solve, and it factors as chirp, heat
+                    kernel, chirp: two even diagonal multipliers, each
+                    mirrored from half its axis, around one complex FFT
+                    pair along u (Healy, Kutay, Ozaktas & Sheridan, Linear
+                    Canonical Transforms, Springer 2016).
 
 The Wigner-Moyal equation adds one term to the classical Fokker-Planck
 one, (h^2/3) chi_2(t) d^3/dp^3 (the Hamiltonian is cubic, the Lindblad
@@ -92,6 +95,7 @@ class EvolveResult:
     final: PhaseSpaceField
     checkpoints: tuple  # fields at t0, t1, t2, t3
     diagnostics: dict
+    spectra: dict  # (u, k_v) spectra at t2 and t3, t3's None at D = 0
 
 
 def _k_axis(n: int, spacing: float) -> np.ndarray:
@@ -102,15 +106,15 @@ def _rk_axis(n: int, spacing: float) -> np.ndarray:
     return 2.0 * math.pi * np.fft.rfftfreq(n, d=spacing)
 
 
-def _tail_fraction(spec: np.ndarray, axis: int) -> float:
-    """Share of |spec| in the top tenth of a half-spectrum along axis."""
-    mags = np.abs(np.moveaxis(spec, axis, -1))
-    tail = int(math.ceil(0.1 * mags.shape[-1]))
-    return float(mags[..., -tail:].sum()) / max(float(mags.sum()), 1e-300)
+def _tail_fraction(mags: np.ndarray, axis: int) -> float:
+    """Share of 2-D half-spectrum magnitudes in the top tenth along axis."""
+    mags = mags.sum(axis=1 - axis)
+    tail = int(math.ceil(0.1 * len(mags)))
+    return float(mags[-tail:].sum()) / max(float(mags.sum()), 1e-300)
 
 
 def _check_v_tail(spec: np.ndarray) -> None:
-    tail_mass = _tail_fraction(spec, axis=1)
+    tail_mass = _tail_fraction(np.abs(spec), axis=1)
     if tail_mass > _TAIL_TOL:
         raise ResolutionError(
             f"momentum spectral tail carries relative mass {tail_mass:.2e}")
@@ -126,15 +130,34 @@ def cubic_kick_substep(field: PhaseSpaceField,
     """
     if delta == 0.0:
         return field
-    s_x, s_p = field.frame.s_x, field.frame.s_p
-    k_lab = _rk_axis(len(field.v), field.dv) / s_p
-    x = (s_x * field.u)[:, None]
-    spec = np.fft.rfft(field.values, axis=1)
-    _check_v_tail(spec)
+    spec = _kicked_spectrum(field, delta, np.fft.rfft(field.values, axis=1))
+    return field.with_values(np.fft.irfft(spec, n=len(field.v), axis=1))
 
-    phase = k_lab[None, :] * (x * x) * delta
-    out = np.fft.irfft(spec * np.exp(-1j * phase), n=len(field.v), axis=1)
-    return field.with_values(out)
+
+def _kicked_spectrum(field: PhaseSpaceField, delta: float,
+                     spec: np.ndarray) -> np.ndarray:
+    """The kick by delta on field's (u, k_v) spectrum spec, in place. Its
+    phase k_j x_i^2 delta = theta_i j is linear in j = J a + b (J = isqrt n):
+    the product of the small tables exp(-i theta_i J a), exp(-i theta_i b)."""
+    _check_v_tail(spec)
+    n, J = spec.shape[1], math.isqrt(spec.shape[1])
+    t = -1j * (_rk_axis(len(field.v), field.dv)[1] / field.frame.s_p
+               * (field.frame.s_x * field.u) ** 2 * delta)[:, None, None]
+    table = np.exp(t * (J * np.arange(-(-n // J)))[:, None]) \
+        * np.exp(t * np.arange(J))
+    spec *= table.reshape(len(field.u), -1)[:, :n]
+    return spec
+
+
+def _moyal(field: PhaseSpaceField, spec: np.ndarray, schedule: Schedule,
+           params: SemiclassicalParams, a2: float):
+    """moyal_phase from field's (u, k_v) spectrum spec, multiplied in place."""
+    start, tau = schedule.window(2)
+    delta = schedule.bump_integral(2, start, start + tau)
+    k = _rk_axis(len(field.v), field.dv) * math.exp(a2)
+    spec *= np.exp(-1j * (params.h ** 2 / 3.0) * delta * k ** 3)
+    return replace(field, kind="wigner",
+                   values=np.fft.irfft(spec, n=len(field.v), axis=1))
 
 
 def moyal_phase(field: PhaseSpaceField, schedule: Schedule,
@@ -144,32 +167,29 @@ def moyal_phase(field: PhaseSpaceField, schedule: Schedule,
     window 2's bump integral and k = k_v e^(a2) the lab wavenumber at t2
     (frame log-scale a2). Window 3 only shifts the frame and damps each
     k_v, so the same multiplier holds after it."""
-    start, tau = schedule.window(2)
-    delta = schedule.bump_integral(2, start, start + tau)
-    k = _rk_axis(len(field.v), field.dv) * math.exp(a2)
-    spec = np.fft.rfft(field.values, axis=1)
-    spec *= np.exp(-1j * (params.h ** 2 / 3.0) * delta * k ** 3)
-    return replace(field, kind="wigner",
-                   values=np.fft.irfft(spec, n=len(field.v), axis=1))
+    return _moyal(field, np.fft.rfft(field.values, axis=1), schedule, params,
+                  a2)
 
 
 def _integrated_diffusion(field: PhaseSpaceField, params: SemiclassicalParams,
-                          I_u: float, I_v: float) -> PhaseSpaceField:
-    """Multiply by exp[-(D/2)(k_u^2 I_u + k_v^2 I_v)] in 2-D Fourier space.
+                          I_u: float, I_v: float, spec: np.ndarray = None):
+    """Multiply by exp[-(D/2)(k_u^2 I_u + k_v^2 I_v)] in 2-D Fourier space,
+    as one exp row per axis.
 
     I_u and I_v are the time integrals of e^(-2a(t)) and e^(+2a(t)); with a
     static frame both equal e^(-+2a) * dt and this is the plain lab heat
-    kernel for duration dt.
+    kernel for duration dt. Returns the field and its (u, k_v) spectrum
+    (None at D = 0); spec, the input's if carried, saves the rfft along v.
     """
     if params.D == 0.0 or (I_u == 0.0 and I_v == 0.0):
-        return field
-    ku = _k_axis(len(field.u), field.du)
-    kv = _rk_axis(len(field.v), field.dv)
-    damp = np.exp(-(params.D / 2.0)
-                  * (I_u * ku[:, None] ** 2 + I_v * kv[None, :] ** 2))
-    out = np.fft.irfft2(np.fft.rfft2(field.values) * damp,
-                        s=field.values.shape)
-    return field.with_values(out)
+        return field, None
+    c = -params.D / 2.0
+    spec = np.fft.fft(np.fft.rfft(field.values, axis=1) if spec is None
+                      else spec, axis=0)
+    spec *= np.exp(c * I_u * _k_axis(len(field.u), field.du) ** 2)[:, None]
+    spec *= np.exp(c * I_v * _rk_axis(len(field.v), field.dv) ** 2)
+    np.fft.ifft(spec, axis=0, out=spec)
+    return field.with_values(np.fft.irfft(spec, n=len(field.v), axis=1)), spec
 
 
 def diffusion_substep(field: PhaseSpaceField, params: SemiclassicalParams,
@@ -178,7 +198,7 @@ def diffusion_substep(field: PhaseSpaceField, params: SemiclassicalParams,
     a = field.frame.a
     return _integrated_diffusion(field, params,
                                  math.exp(-2.0 * a) * dt,
-                                 math.exp(2.0 * a) * dt)
+                                 math.exp(2.0 * a) * dt)[0]
 
 
 def _edge_metrics(field: PhaseSpaceField) -> dict:
@@ -197,10 +217,12 @@ def _edge_metrics(field: PhaseSpaceField) -> dict:
 def _check_field(field: PhaseSpaceField, mass0: float, label: str) -> dict:
     """Guard one checkpoint field and return its readings. They read only
     its values array and grid spacings, so an unchanged array reuses them."""
+    edges = _edge_metrics(field)  # its |values| is freed before spec is made
     mass = field.mass()
     if abs(mass - mass0) > 1e-4:
         raise SolverFailureError(f"mass drifted to {mass} at {label}")
-    u_tail = _tail_fraction(np.fft.rfft(field.values, axis=0), axis=0)
+    spec = np.fft.rfft(field.values, axis=0)  # |spec| in place: no copy
+    u_tail = _tail_fraction(np.abs(spec, out=spec).real, axis=0)
     if u_tail > _U_TAIL_TOL:
         raise ResolutionError(
             f"position spectral tail carries relative mass {u_tail:.2e} "
@@ -208,7 +230,6 @@ def _check_field(field: PhaseSpaceField, mass0: float, label: str) -> dict:
     low = field.min_value()
     if field.kind == "classical" and low < -1e-6:
         raise SolverFailureError(f"classical density reached {low} at {label}")
-    edges = _edge_metrics(field)
     if edges["corner"] > _EDGE_TOL:
         raise SolverFailureError(
             f"corner mass {edges['corner']:.2e} at {label} indicates wraparound")
@@ -221,8 +242,8 @@ def _check_field(field: PhaseSpaceField, mass0: float, label: str) -> dict:
 
 def _stretch_window(field: PhaseSpaceField, schedule: Schedule, i: int,
                     sign: float, params: SemiclassicalParams,
-                    config: EvolverConfig) -> PhaseSpaceField:
-    """Window 1 or 3: exact frame transport plus integrated diffusion."""
+                    config: EvolverConfig, spec: np.ndarray = None):
+    """Window 1 or 3: frame transport plus _integrated_diffusion."""
     start, tau = schedule.window(i)
     I_u = I_v = 0.0
     if params.D > 0.0:
@@ -230,7 +251,7 @@ def _stretch_window(field: PhaseSpaceField, schedule: Schedule, i: int,
         I_u, I_v = schedule.stretch_integrals(i, sign, field.frame.a, panels)
     field = field.with_frame(field.frame.shifted(
         sign * schedule.bump_integral(i, start, start + tau)))
-    return _integrated_diffusion(field, params, I_u, I_v)
+    return _integrated_diffusion(field, params, I_u, I_v, spec)
 
 
 def _window_matrices(schedule: Schedule, kx: np.ndarray, d: float,
@@ -318,50 +339,56 @@ def _window_factors(field: PhaseSpaceField, schedule: Schedule,
 
 
 def _kick_window(field: PhaseSpaceField, schedule: Schedule,
-                 params: SemiclassicalParams) -> tuple[PhaseSpaceField, dict]:
+                 params: SemiclassicalParams, spec: np.ndarray = None):
     """Window 2: the classical cubic kick, exact at every D.
 
-    Returns the kicked field and its diagnostics. The frame is static in
-    this window. At D = 0 the kick multipliers commute and their phase is
-    linear in delta, so one kick by the whole window's bump integral is
-    exact. At D > 0 the state stays in the (u, k_v) representation, where
-    each column takes its propagator from _window_factors (an adaptive
-    solve to _WINDOW_RTOL): two chirps around one complex FFT pair along u
-    per piece (one piece on every default-sweep point), then its damping;
-    columns damped below e^-46 are set to zero. The momentum tail is
-    checked on the window's input and output.
+    Returns the kicked field, its (u, k_v) spectrum and its diagnostics;
+    spec, the input's spectrum if window 1 carried it, is consumed. The
+    frame is static here. At D = 0 the kick multipliers commute and their
+    phase is linear in delta, so one kick by the whole window's bump
+    integral is exact. At D > 0 each k_v column takes its propagator from
+    _window_factors: two chirps around one complex FFT pair along u per
+    piece, then its damping; columns damped below e^-46 are set to zero.
+    The momentum tail is checked on the window's input and output.
     """
+    spec = np.fft.rfft(field.values, axis=1) if spec is None else spec
     if params.D == 0.0:
         start, tau = schedule.window(2)
         delta = schedule.bump_integral(2, start, start + tau)
-        return cubic_kick_substep(field, delta), \
-            {"kick_substeps": 1, "window_rhs_evals": 0,
-             "window_det_defect": 0.0, "kept_columns": len(field.v) // 2 + 1}
-    keep, damp, beta, g_in, g_out, info = _window_factors(
-        field, schedule, params)
-    spec = np.fft.rfft(field.values, axis=1)
-    _check_v_tail(spec)
-    u2 = (field.u ** 2 / 2.0)[:, None]
-    ku2 = (_k_axis(len(field.u), field.du) ** 2 / 2.0)[:, None]
-    cols = spec[:, keep]
-    for b, gi, go in zip(beta, g_in, g_out):
-        cols = np.fft.fft(cols * np.exp(1j * gi * u2), axis=0)
-        cols = np.fft.ifft(cols * np.exp(-1j * b * ku2), axis=0)
-        cols *= np.exp(1j * go * u2)
-    spec = np.zeros_like(spec)
-    spec[:, keep] = cols * damp
-    _check_v_tail(spec)
-    return field.with_values(np.fft.irfft(spec, n=len(field.v), axis=1)), info
+        spec = _kicked_spectrum(field, delta, spec)
+        info = {"kick_substeps": 1, "window_rhs_evals": 0,
+                "window_det_defect": 0.0, "kept_columns": spec.shape[1]}
+    else:
+        keep, damp, beta, g_in, g_out, info = _window_factors(
+            field, schedule, params)
+        _check_v_tail(spec)
+        # even factors: exp at |u| on (i - n/2) du and at |k_u|, mirrored
+        n, i = len(field.u), np.arange(len(field.u))
+        u2 = ((np.arange(n // 2 + 1) + n % 2 / 2.0) * field.du) ** 2 / 2.0
+        ku2 = _k_axis(n, field.du)[:n // 2 + 1] ** 2 / 2.0
+        iu, ik = np.abs(2 * i - n) // 2, np.minimum(i, n - i)
+        cols = spec[:, keep]
+        for b, gi, go in zip(beta, g_in, g_out):
+            cols *= np.exp(1j * np.multiply.outer(u2, gi))[iu]
+            np.fft.fft(cols, axis=0, out=cols)
+            cols *= np.exp(-1j * np.multiply.outer(ku2, b))[ik]
+            np.fft.ifft(cols, axis=0, out=cols)
+            cols *= np.exp(1j * np.multiply.outer(u2, go))[iu]
+        spec[:] = 0.0
+        spec[:, keep] = cols * damp
+        _check_v_tail(spec)
+    return field.with_values(np.fft.irfft(spec, n=len(field.v), axis=1)), \
+        spec, info
 
 
 def evolve(field: PhaseSpaceField, schedule: Schedule,
            params: SemiclassicalParams,
            config: EvolverConfig = EvolverConfig()) -> EvolveResult:
-    """Run the full schedule, returning the final field and the four
-    checkpoint snapshots (t0 through t3). A Wigner field takes the
-    classical kick window, then its Moyal phase (moyal_phase). A checkpoint
-    whose values array is the previous one's (windows 1 and 3 at D = 0 only
-    move the frame) takes a copy of the previous guard readings."""
+    """Run the full schedule, returning the final field, the four
+    checkpoint snapshots (t0 through t3) and the t2 and t3 spectra. A
+    Wigner field takes the classical kick window, then its Moyal phase. A
+    checkpoint whose values array is the previous one's (windows 1 and 3
+    at D = 0 only move the frame) takes a copy of the previous readings."""
     mass0 = field.mass()
     if abs(mass0 - 1.0) > 1e-6:
         raise InvalidParameterError("input field is not normalized")
@@ -374,20 +401,21 @@ def evolve(field: PhaseSpaceField, schedule: Schedule,
         checkpoints.append(field)
 
     checkpoint(field, "t0")
-    field = _stretch_window(field, schedule, 1, +1.0, params, config)
+    field, spec = _stretch_window(field, schedule, 1, +1.0, params, config)
     checkpoint(field, "t1")
 
-    field, window = _kick_window(field, schedule, params)
+    field, spec, window = _kick_window(field, schedule, params, spec)
     if field.kind == "wigner":
-        field = moyal_phase(field, schedule, params, field.frame.a)
+        field = _moyal(field, spec, schedule, params, field.frame.a)
     checkpoint(field, "t2")
     diagnostics["t2"].update(window)
 
-    field = _stretch_window(field, schedule, 3, -1.0, params, config)
+    field, s3 = _stretch_window(field, schedule, 3, -1.0, params, config,
+                                spec)
     # The momentum marginal is insensitive to position-direction wraparound,
     # which large-D runs incur late in window 3; only the corners and the
     # momentum edges are enforced (see _check_field).
     checkpoint(field, "t3")
 
-    return EvolveResult(final=field, checkpoints=tuple(checkpoints),
-                        diagnostics=diagnostics)
+    return EvolveResult(field, tuple(checkpoints), diagnostics,
+                        {"t2": spec, "t3": s3})

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft as sfft
@@ -406,6 +407,18 @@ def _kick_window_law(c: np.ndarray):
     return lam, G, L, float(j @ c) - float(lam.sum())
 
 
+@lru_cache(maxsize=8)
+def _kick_law(schedule: Schedule, n: int):
+    """(c, *_kick_window_law(c)) for window 2 in n equal steps, c_j = step
+    chi_2(midpoint j); kept across langevin_sample calls, so read-only."""
+    start, tau = schedule.window(2)
+    c = tau / n * schedule.chi(2, start + (np.arange(n) + 0.5) * (tau / n))
+    law = (c, *_kick_window_law(c))
+    for a in law[:-1]:
+        a.flags.writeable = False
+    return law
+
+
 def langevin_sample(m: int, schedule: Schedule, params: SemiclassicalParams,
                     dt: float = 1e-3, seed: int = 0):
     """Sampling of the classical dynamics; returns the four checkpoint
@@ -414,11 +427,11 @@ def langevin_sample(m: int, schedule: Schedule, params: SemiclassicalParams,
     Gaussian step each. Window 2 is p += tau2 x^2 at D = 0; at D > 0 it
     is Euler-Maruyama in n = ceil(tau2 / dt) equal steps, drawn whole:
     the move of x and the sum of the drifts chi2 x^2 are a linear and a
-    quadratic form of the n step normals (_kick_window_law). Per sample
-    the draw takes one normal for each of the quadratic form's top K
-    eigenpairs, two for the linear forms' exact remainder and one for the
-    momentum noise, N(0, D tau2), since nothing reads p inside the
-    window. K is the smallest of 32, 64, ... (at most n - 1) that leaves
+    quadratic form of the n step normals (_kick_law, once per schedule
+    and n). Per sample the draw takes one normal for each of the quadratic
+    form's top K eigenpairs, two for the linear forms' exact remainder and
+    one for the momentum noise, N(0, D tau2), since nothing reads p inside
+    the window. K is the smallest of 32, 64, ... (at most n - 1) that leaves
     at most 1e-6 of the quadratic form's variance to its tail, which is
     replaced by its exact mean; at the default dt and tau2 = 1, K = 32 of
     n = 1000."""
@@ -450,10 +463,8 @@ def langevin_sample(m: int, schedule: Schedule, params: SemiclassicalParams,
         elif D == 0.0:
             p += tau * x * x
         else:
-            step = tau / n
-            rd = math.sqrt(D * step)
-            c = step * schedule.chi(2, start + (np.arange(n) + 0.5) * step)
-            lam, G, L, tail_mean = _kick_window_law(c)
+            rd = math.sqrt(D * (tau / n))
+            c, lam, G, L, tail_mean = _kick_law(schedule, n)
             # forms[0] = 1^T xi, forms[1] = T^T xi; quad = xi^T M xi,
             # accumulated over blocks of 8 eigenpairs
             forms = np.zeros((2, m))

@@ -27,7 +27,6 @@ from .closedform import (
 )
 from .core import (
     GridSpec,
-    MomentumDistribution,
     ObservableSpec,
     SemiclassicalParams,
     expect_observable,
@@ -37,7 +36,7 @@ from .core import (
     standard_schedule,
 )
 from .errors import InvalidParameterError
-from .evolver import EvolverConfig, _check_field, evolve, moyal_phase
+from .evolver import EvolverConfig, _check_field, _moyal, evolve
 from .svg import BarPlot, LinePlot
 
 __all__ = [
@@ -155,21 +154,22 @@ def point_setup(h: float, D: float, config: RunConfig):
 def run_point(h: float, D: float, exponent: float,
               config: RunConfig) -> SweepRecord:
     """Evolve the classical density at one (h, D), derive the Wigner one
-    at t2 and t3 (evolver.moyal_phase, with the guards its own evolve would
-    run there), and measure the comparison metrics. When window 3 left the
-    values array unchanged (D = 0), the t3 Wigner field is the t2 one in
-    t3's frame, and the t2 guard stands for both."""
+    at t2 and t3 (evolver.moyal_phase on the spectra evolve carried, with
+    the guards its own evolve would run there), and measure the comparison
+    metrics. When window 3 left the values array unchanged (D = 0), the t3
+    Wigner field is the t2 one in t3's frame; the t2 guard stands for both."""
     t0 = time.perf_counter()
     sch, grid, params, evc = point_setup(h, D, config)
     f0 = initial_coherent_field(params, grid, "classical")
     res = evolve(f0, sch, params, evc)
     cp2 = res.checkpoints[2]
-    wigner = moyal_phase(cp2, sch, params, cp2.frame.a)
+    wigner = _moyal(cp2, res.spectra.pop("t2"), sch, params, cp2.frame.a)
     _check_field(wigner, f0.mass(), "t2")
     if res.final.values is cp2.values:
         wigner = wigner.with_frame(res.final.frame)
     else:
-        wigner = moyal_phase(res.final, sch, params, cp2.frame.a)
+        wigner = _moyal(res.final, res.spectra.pop("t3"), sch, params,
+                        cp2.frame.a)
         _check_field(wigner, f0.mass(), "t3")
     mq = momentum_marginal(wigner)  # the t3 field
     mc = momentum_marginal(res.final)
@@ -319,17 +319,18 @@ def write_bounds_csv(path, rows) -> None:
 
 
 def observable_table(tau2: float = 1.0):
-    """<g_n> under the two closed-form densities for n = 0 .. 8."""
+    """<g_n> under the two closed-form densities for n = 0 .. 8, with
+    g_n = p^n exp(-p^2) (ObservableSpec) taken as a running product."""
     sigma = math.sqrt(1.0 + 2.0 * tau2 * tau2)
     p = np.linspace(-10.0 - 2 * sigma, 40.0 * tau2 + 12.0 * sigma, 1 << 14)
     h_ref = 1e-3
     sch = _schedule_for(h_ref, tau2)
-    q, c = (MomentumDistribution(p=p, q=pdf) for pdf in
-            _grid_pdfs(p, sch.tau1, sch.tau2, sch.tau3, h_ref))
+    q, c = _grid_pdfs(p, sch.tau1, sch.tau2, sch.tau3, h_ref)
+    g, dp = np.exp(-p * p), float(p[1] - p[0])
     rows = []
     for n in range(9):
-        obs = ObservableSpec(n)
-        rows.append((n, expect_observable(q, obs), expect_observable(c, obs)))
+        rows.append((n, float((g * q).sum() * dp), float((g * c).sum() * dp)))
+        g *= p
     return rows
 
 

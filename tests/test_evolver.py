@@ -93,7 +93,7 @@ def _composed_kick_window(field, params, n, schedule=SCH):
 def _exact_kick_window(t1, schedule, params):
     """The evolver's window 2: the classical kick, then on a Wigner field
     its Moyal phase in one shot."""
-    got, info = _kick_window(t1, schedule, params)
+    got, _, info = _kick_window(t1, schedule, params)
     if got.kind == "wigner":
         got = moyal_phase(got, schedule, params, t1.frame.a)
     return got, info
@@ -106,7 +106,7 @@ def _strang_errors(h, D, schedule, kind):
     params = SemiclassicalParams(hbar=2 * h, D=D)
     grid = GridSpec.for_h(h, n_u=256, n_v=512)
     field = initial_coherent_field(params, grid, kind)
-    t1 = _stretch_window(field, schedule, 1, +1.0, params, EvolverConfig())
+    t1 = _stretch_window(field, schedule, 1, +1.0, params, EvolverConfig())[0]
     got, info = _exact_kick_window(t1, schedule, params)
     md = momentum_marginal(got)
     errs = [l1_distance(md, momentum_marginal(_composed_kick_window(
@@ -120,7 +120,7 @@ def _window_inputs(D):
     hands to _window_matrices at t1 on the 256x512 grid."""
     field, params = _initial("classical", D=D,
                              grid=GridSpec.for_h(H, n_u=256, n_v=512))
-    t1 = _stretch_window(field, SCH, 1, +1.0, params, EvolverConfig())
+    t1 = _stretch_window(field, SCH, 1, +1.0, params, EvolverConfig())[0]
     kv = 2.0 * math.pi * np.fft.rfftfreq(len(t1.v), d=t1.dv)
     a, frame = t1.frame.a, t1.frame
     keep = (D / 2.0) * math.exp(2.0 * a) * SCH.tau2 * kv ** 2 \
@@ -137,7 +137,7 @@ def _tau2_two_window_input():
     params = SemiclassicalParams(hbar=2 * h, D=h ** (4.0 / 3.0))
     field = initial_coherent_field(
         params, GridSpec.for_h(h, n_u=256, n_v=512), "classical")
-    return _stretch_window(field, sch, 1, +1.0, params, EvolverConfig()), \
+    return _stretch_window(field, sch, 1, +1.0, params, EvolverConfig())[0], \
         sch, params
 
 
@@ -261,8 +261,8 @@ class TestSubsteps:
             I_v += dt * float((_GL_W * np.exp(2.0 * a_nodes)).sum())
         moved = field.with_frame(field.frame.shifted(
             SCH.bump_integral(1, start, start + tau)))
-        ref = _integrated_diffusion(moved, params, I_u, I_v)
-        got = _stretch_window(field, SCH, 1, +1.0, params, cfg)
+        ref = _integrated_diffusion(moved, params, I_u, I_v)[0]
+        got = _stretch_window(field, SCH, 1, +1.0, params, cfg)[0]
         assert got.frame == ref.frame
         assert _rel_max_abs(got.values, ref.values) <= 1e-13
 
@@ -344,8 +344,8 @@ class TestDiffusiveEvolution:
         D = H
         grid = GridSpec.for_h(H, n_u=256, n_v=512)
         field, params = _initial("classical", D=D, grid=grid)
-        t1 = _stretch_window(field, SCH, 1, +1.0, params, EvolverConfig())
-        _, info = _kick_window(t1, SCH, params)
+        t1 = _stretch_window(field, SCH, 1, +1.0, params, EvolverConfig())[0]
+        _, _, info = _kick_window(t1, SCH, params)
         spec = np.abs(np.fft.rfft(t1.values, axis=1))
         kv = 2.0 * math.pi * np.fft.rfftfreq(len(t1.v), d=t1.dv)
         damp = np.exp(-(D / 2.0) * math.exp(2.0 * t1.frame.a) * SCH.tau2
@@ -393,6 +393,78 @@ class TestCheckpointReadings:
         assert cps[3].values is cps[2].values
         assert diag["t1"] == diag["t0"]
         assert diag["t3"] == {k: diag["t2"][k] for k in diag["t0"]}
+
+
+class TestFactoredMultipliers:
+    # each multiplier built from 1-D factors against the direct 2-D np.exp
+
+    @pytest.mark.parametrize("h", [0.2, 0.05])
+    def test_factored_kick_matches_direct_exp(self, h):
+        # on the default grid at t1 the phase k x^2 delta reaches 6.4e3, so
+        # the two tables differ by its roundoff, but only where the
+        # spectrum is below roundoff
+        params = SemiclassicalParams(hbar=2 * h)
+        sch = standard_schedule(h)
+        f0 = initial_coherent_field(params, GridSpec.for_h(h), "classical")
+        t1, _ = _stretch_window(f0, sch, 1, +1.0, params, EvolverConfig())
+        start, tau = sch.window(2)
+        delta = sch.bump_integral(2, start, start + tau)
+        k = 2.0 * math.pi * np.fft.rfftfreq(len(t1.v), d=t1.dv) \
+            / t1.frame.s_p
+        x = t1.frame.s_x * t1.u
+        want = np.fft.irfft(
+            np.fft.rfft(t1.values, axis=1)
+            * np.exp(-1j * np.multiply.outer(x * x * delta, k)),
+            n=len(t1.v), axis=1)
+        got = cubic_kick_substep(t1, delta).values
+        assert _rel_max_abs(got, want) <= 1e-15
+
+    @pytest.mark.parametrize("n_u", [256, 255])
+    def test_mirrored_chirp_and_heat_factors(self, n_u):
+        # the window's output spectrum against the same two pieces with
+        # each chirp and heat factor taken by np.exp on the whole symmetric
+        # u axis ((i - n_u/2) du, the field's u to roundoff) and k_u axis;
+        # an odd n_u has no u = 0 point
+        h = 0.1
+        sch = replace(standard_schedule(h), tau2=2.0)
+        params = SemiclassicalParams(hbar=2 * h, D=h ** (4.0 / 3.0))
+        f0 = initial_coherent_field(
+            params, GridSpec.for_h(h, n_u=n_u, n_v=512), "classical")
+        t1, _ = _stretch_window(f0, sch, 1, +1.0, params, EvolverConfig())
+        keep, damp, beta, g_in, g_out, info = evolver._window_factors(
+            t1, sch, params)
+        assert info["kick_substeps"] == 2
+        u = (np.arange(n_u) - n_u / 2.0) * t1.du
+        assert np.abs(u - t1.u).max() <= 1e-14 * np.abs(t1.u).max()
+        u2 = u ** 2 / 2.0
+        ku2 = (2.0 * math.pi * np.fft.fftfreq(n_u, d=t1.du)) ** 2 / 2.0
+        want = np.fft.rfft(t1.values, axis=1)
+        cols = want[:, keep]
+        for b, gi, go in zip(beta, g_in, g_out):
+            cols = cols * np.exp(1j * np.multiply.outer(u2, gi))
+            cols = np.fft.ifft(np.fft.fft(cols, axis=0)
+                               * np.exp(-1j * np.multiply.outer(ku2, b)),
+                               axis=0)
+            cols = cols * np.exp(1j * np.multiply.outer(u2, go))
+        want[:] = 0.0
+        want[:, keep] = cols * damp
+        _, got, _ = _kick_window(t1, sch, params)
+        assert _rel_max_abs(got, want) <= 1e-15
+
+    @pytest.mark.parametrize("D", [0.0, H ** (4.0 / 3.0)],
+                             ids=["closed", "diffusive"])
+    def test_wigner_from_carried_spectra(self, D):
+        # the Moyal phase on the spectra evolve carries against the one on
+        # the rfft of each checkpoint field; window 3 carries none at D = 0
+        field, params = _initial("classical", D=D)
+        res = evolve(field, SCH, params)
+        a2 = res.checkpoints[2].frame.a
+        assert (res.spectra["t3"] is None) == (D == 0.0)
+        for i, label in ((2, "t2"), (3, "t3"))[:1 if D == 0.0 else 2]:
+            cp = res.checkpoints[i]
+            got = evolver._moyal(cp, res.spectra[label], SCH, params, a2)
+            want = moyal_phase(cp, SCH, params, a2)
+            assert _rel_max_abs(got.values, want.values) <= 1e-13
 
 
 class TestGuards:

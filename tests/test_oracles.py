@@ -27,6 +27,7 @@ from qcthreshold.core import (
 )
 from qcthreshold.errors import (InvalidParameterError, ResolutionError,
                                 SolverFailureError)
+from qcthreshold import oracles
 from qcthreshold.evolver import evolve
 from qcthreshold.oracles import (
     DensityMatrixField,
@@ -352,6 +353,23 @@ class TestLangevin:
         b = langevin_sample(500, SCH, noisy, seed=7)
         assert np.array_equal(a[3].x, b[3].x)
         assert np.array_equal(a[3].p, b[3].p)
+
+    def test_cached_kick_law_is_bit_identical(self, monkeypatch):
+        # the window law is computed once per (schedule, steps) and reused;
+        # a seed gives the same ensembles from a miss, a hit and no cache
+        noisy = SemiclassicalParams(hbar=2 * H, D=H ** (4.0 / 3.0))
+        oracles._kick_law.cache_clear()
+        miss = langevin_sample(500, SCH, noisy, seed=7)
+        hit = langevin_sample(500, SCH, noisy, seed=7)
+        assert oracles._kick_law.cache_info()[:2] == (1, 1)  # hits, misses
+        law = oracles._kick_law(SCH, 1000)
+        assert not any(a.flags.writeable for a in law[:-1])
+        monkeypatch.setattr(oracles, "_kick_law", oracles._kick_law.__wrapped__)
+        fresh = langevin_sample(500, SCH, noisy, seed=7)
+        for ens in (hit, fresh):
+            for got, want in zip(ens, miss):
+                assert np.array_equal(got.x, want.x)
+                assert np.array_equal(got.p, want.p)
 
     def test_initial_ensemble_moments(self):
         ens = langevin_sample(400_000, SCH, PARAMS0, seed=1)[0]
