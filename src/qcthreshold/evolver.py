@@ -30,7 +30,8 @@ The Wigner-Moyal equation adds one term to the classical Fokker-Planck
 one, (h^2/3) chi_2(t) d^3/dp^3 (the Hamiltonian is cubic, the Lindblad
 operators linear). It is diagonal in k_v, like every other operator in the
 co-moving frame, so it commutes with them all: from t2 on, a Wigner field
-is the classical one times exp(-i (h^2/3) delta k^3) (moyal_phase).
+is the classical one times exp(-i (h^2/3) delta k^3), so evolve runs the
+classical density and derives the Wigner one from its carried spectra.
 """
 
 from __future__ import annotations
@@ -44,14 +45,7 @@ from scipy import integrate
 from .core import PhaseSpaceField, Schedule, SemiclassicalParams
 from .errors import InvalidParameterError, ResolutionError, SolverFailureError
 
-__all__ = [
-    "EvolverConfig",
-    "EvolveResult",
-    "evolve",
-    "cubic_kick_substep",
-    "diffusion_substep",
-    "moyal_phase",
-]
+__all__ = ["EvolverConfig", "EvolveResult", "evolve"]
 
 #: Relative spectral mass allowed in the top tenth of the momentum band.
 _TAIL_TOL = 1e-8
@@ -95,7 +89,7 @@ class EvolveResult:
     final: PhaseSpaceField
     checkpoints: tuple  # fields at t0, t1, t2, t3
     diagnostics: dict
-    spectra: dict  # (u, k_v) spectra at t2 and t3, t3's None at D = 0
+    wigner: PhaseSpaceField  # the guarded Wigner field at t3
 
 
 def _k_axis(n: int, spacing: float) -> np.ndarray:
@@ -120,20 +114,6 @@ def _check_v_tail(spec: np.ndarray) -> None:
             f"momentum spectral tail carries relative mass {tail_mass:.2e}")
 
 
-def cubic_kick_substep(field: PhaseSpaceField,
-                       delta: float) -> PhaseSpaceField:
-    """Apply the classical kick generated by -x^3/3 over integrated bump
-    weight delta.
-
-    In lab variables each x-column translates in p by delta*x^2, an exact
-    Fourier multiplier along the momentum axis.
-    """
-    if delta == 0.0:
-        return field
-    spec = _kicked_spectrum(field, delta, np.fft.rfft(field.values, axis=1))
-    return field.with_values(np.fft.irfft(spec, n=len(field.v), axis=1))
-
-
 def _kicked_spectrum(field: PhaseSpaceField, delta: float,
                      spec: np.ndarray) -> np.ndarray:
     """The kick by delta on field's (u, k_v) spectrum spec, in place. Its
@@ -151,7 +131,10 @@ def _kicked_spectrum(field: PhaseSpaceField, delta: float,
 
 def _moyal(field: PhaseSpaceField, spec: np.ndarray, schedule: Schedule,
            params: SemiclassicalParams, a2: float):
-    """moyal_phase from field's (u, k_v) spectrum spec, multiplied in place."""
+    """The Wigner field at t2 or later whose classical counterpart is field:
+    its (u, k_v) spectrum spec times exp(-i (h^2/3) delta k^3) in place,
+    delta window 2's bump integral and k = k_v e^(a2) the lab wavenumber
+    at t2. Window 3 only shifts the frame and damps each k_v."""
     start, tau = schedule.window(2)
     delta = schedule.bump_integral(2, start, start + tau)
     k = _rk_axis(len(field.v), field.dv) * math.exp(a2)
@@ -160,27 +143,12 @@ def _moyal(field: PhaseSpaceField, spec: np.ndarray, schedule: Schedule,
                    values=np.fft.irfft(spec, n=len(field.v), axis=1))
 
 
-def moyal_phase(field: PhaseSpaceField, schedule: Schedule,
-                params: SemiclassicalParams, a2: float) -> PhaseSpaceField:
-    """The Wigner field at t2 or later whose classical counterpart is field:
-    its momentum spectrum times exp(-i (h^2/3) delta k^3), with delta
-    window 2's bump integral and k = k_v e^(a2) the lab wavenumber at t2
-    (frame log-scale a2). Window 3 only shifts the frame and damps each
-    k_v, so the same multiplier holds after it."""
-    return _moyal(field, np.fft.rfft(field.values, axis=1), schedule, params,
-                  a2)
-
-
 def _integrated_diffusion(field: PhaseSpaceField, params: SemiclassicalParams,
                           I_u: float, I_v: float, spec: np.ndarray = None):
     """Multiply by exp[-(D/2)(k_u^2 I_u + k_v^2 I_v)] in 2-D Fourier space,
-    as one exp row per axis.
-
-    I_u and I_v are the time integrals of e^(-2a(t)) and e^(+2a(t)); with a
-    static frame both equal e^(-+2a) * dt and this is the plain lab heat
-    kernel for duration dt. Returns the field and its (u, k_v) spectrum
-    (None at D = 0); spec, the input's if carried, saves the rfft along v.
-    """
+    one exp row per axis, with I_u and I_v the time integrals of e^(-2a(t))
+    and e^(+2a(t)). Returns the field and its (u, k_v) spectrum (None at
+    D = 0); spec, the input's if carried, saves the rfft along v."""
     if params.D == 0.0 or (I_u == 0.0 and I_v == 0.0):
         return field, None
     c = -params.D / 2.0
@@ -190,15 +158,6 @@ def _integrated_diffusion(field: PhaseSpaceField, params: SemiclassicalParams,
     spec *= np.exp(c * I_v * _rk_axis(len(field.v), field.dv) ** 2)
     np.fft.ifft(spec, axis=0, out=spec)
     return field.with_values(np.fft.irfft(spec, n=len(field.v), axis=1)), spec
-
-
-def diffusion_substep(field: PhaseSpaceField, params: SemiclassicalParams,
-                      dt: float) -> PhaseSpaceField:
-    """Isotropic lab-frame diffusion for duration dt at the field's frame."""
-    a = field.frame.a
-    return _integrated_diffusion(field, params,
-                                 math.exp(-2.0 * a) * dt,
-                                 math.exp(2.0 * a) * dt)[0]
 
 
 def _edge_metrics(field: PhaseSpaceField) -> dict:
@@ -384,14 +343,18 @@ def _kick_window(field: PhaseSpaceField, schedule: Schedule,
 def evolve(field: PhaseSpaceField, schedule: Schedule,
            params: SemiclassicalParams,
            config: EvolverConfig = EvolverConfig()) -> EvolveResult:
-    """Run the full schedule, returning the final field, the four
-    checkpoint snapshots (t0 through t3) and the t2 and t3 spectra. A
-    Wigner field takes the classical kick window, then its Moyal phase. A
-    checkpoint whose values array is the previous one's (windows 1 and 3
-    at D = 0 only move the frame) takes a copy of the previous readings."""
+    """Run the classical density through the schedule, then derive and
+    guard the Wigner field at t2 and t3 (_moyal on each carried spectrum,
+    dropped once phased). Returns the final field, the t0-t3 checkpoints,
+    their readings and the t3 Wigner field; for a Wigner input the t2, t3
+    and final fields and readings are the Wigner ones. A checkpoint whose
+    values array is the previous one's (windows 1 and 3 at D = 0 only move
+    the frame) copies its readings, and at D = 0 the t3 Wigner field is
+    the t2 one in t3's frame."""
     mass0 = field.mass()
     if abs(mass0 - 1.0) > 1e-6:
         raise InvalidParameterError("input field is not normalized")
+    quantum = field.kind == "wigner"
     checkpoints, readings, diagnostics = [], [], {}
 
     def checkpoint(field: PhaseSpaceField, label: str) -> None:
@@ -404,9 +367,8 @@ def evolve(field: PhaseSpaceField, schedule: Schedule,
     field, spec = _stretch_window(field, schedule, 1, +1.0, params, config)
     checkpoint(field, "t1")
 
-    field, spec, window = _kick_window(field, schedule, params, spec)
-    if field.kind == "wigner":
-        field = _moyal(field, spec, schedule, params, field.frame.a)
+    field, spec, window = _kick_window(replace(field, kind="classical"),
+                                       schedule, params, spec)
     checkpoint(field, "t2")
     diagnostics["t2"].update(window)
 
@@ -417,5 +379,19 @@ def evolve(field: PhaseSpaceField, schedule: Schedule,
     # momentum edges are enforced (see _check_field).
     checkpoint(field, "t3")
 
-    return EvolveResult(field, tuple(checkpoints), diagnostics,
-                        {"t2": spec, "t3": s3})
+    a2 = checkpoints[2].frame.a
+    wigner = _moyal(checkpoints[2], spec, schedule, params, a2)
+    del spec
+    found = _check_field(wigner, mass0, "t2")
+    if quantum:
+        checkpoints[2], diagnostics["t2"] = wigner, {**found, **window}
+    if s3 is None:  # window 3 left the values array unchanged
+        wigner = wigner.with_frame(field.frame)
+    else:
+        wigner = _moyal(field, s3, schedule, params, a2)
+        del s3
+        found = _check_field(wigner, mass0, "t3")
+    if quantum:
+        checkpoints[3], diagnostics["t3"] = wigner, dict(found)
+    return EvolveResult(checkpoints[3], tuple(checkpoints), diagnostics,
+                        wigner)

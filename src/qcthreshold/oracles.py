@@ -174,19 +174,27 @@ def coherent_density_matrix(h: float, n: int = 1024) -> DensityMatrixField:
     return DensityMatrixField(xi=xi, values=np.outer(psi, psi).astype(complex))
 
 
-def _dm_check(rho: DensityMatrixField, label: str) -> None:
+def _dm_check(rho: DensityMatrixField, label: str,
+              S: np.ndarray = None) -> tuple:
     """Raise SolverFailureError if rho's trace has left 1 by more than 1e-4
-    or rho is not Hermitian to 1e-8 of its largest entry.
-
-    At D > 0 the later checkpoints are rebuilt by _full_matrix from half of
-    the diagonals, which makes them Hermitian by construction except on the
-    self-paired diagonals: the main one, which must stay real, and at even
-    n the one at offset n/2. The Hermiticity guard watches those.
-    """
-    if abs(rho.trace() - 1.0) > 1e-4:
-        raise SolverFailureError(f"trace drifted to {rho.trace()} at {label}")
-    if rho.hermiticity_defect() > 1e-8:
+    or rho is not Hermitian to 1e-8 of its largest entry; else return the
+    (trace, Hermiticity defect) readings. Given rho's _diagonals S (at
+    D > 0), whose _full_matrix is Hermitian except on the self-paired rows
+    r = 0 and, at even n, r = n/2 (entries paired n/2 apart), they are
+    read from those rows and equal the full matrix's."""
+    if S is None:
+        trace, defect = rho.trace(), rho.hermiticity_defect()
+    else:
+        n = S.shape[1]
+        trace = float(np.real(S[0].sum()) * rho.dxi)
+        defect = max(float(np.abs(np.conj(np.roll(S[r], r)) - S[r]).max())
+                     for r in ((0,) if n % 2 else (0, n // 2))) \
+            / max(float(np.abs(S).max()), 1e-300)
+    if abs(trace - 1.0) > 1e-4:
+        raise SolverFailureError(f"trace drifted to {trace} at {label}")
+    if defect > 1e-8:
         raise SolverFailureError(f"Hermiticity lost at {label}")
+    return trace, defect
 
 
 def _sheared(v: np.ndarray) -> np.ndarray:
@@ -251,9 +259,9 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
     # a column times its conjugate row (on S, the row read at x_(i - r))
     f = (s * xi) ** 3 / (3.0 * hbar)
 
-    def checkpoint(vals, scale, label):
+    def checkpoint(vals, scale, label, S=None):
         rho = DensityMatrixField(xi=xi, values=vals, scale=scale)
-        _dm_check(rho, label)
+        _dm_check(rho, label, S)
         return rho
 
     if D == 0.0:
@@ -302,11 +310,11 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
         return S
 
     S = stretch_window(_diagonals(rho0.values), 1, 1.0, a0)
-    cp1 = checkpoint(_full_matrix(S), s, "t1")
+    cp1 = checkpoint(_full_matrix(S), s, "t1", S)
     S = kick_window(S)
-    cp2 = checkpoint(_full_matrix(S), s, "t2")
+    cp2 = checkpoint(_full_matrix(S), s, "t2", S)
     S = stretch_window(S, 3, -1.0, a1)
-    return (rho0, cp1, cp2, checkpoint(_full_matrix(S), s3, "t3"))
+    return (rho0, cp1, cp2, checkpoint(_full_matrix(S), s3, "t3", S))
 
 
 def dm_momentum_marginal(rho: DensityMatrixField,
@@ -435,8 +443,9 @@ def langevin_sample(m: int, schedule: Schedule, params: SemiclassicalParams,
     at most 1e-6 of the quadratic form's variance to its tail, which is
     replaced by its exact mean; at the default dt and tau2 = 1, K = 32 of
     n = 1000."""
-    if m < 1:
-        raise InvalidParameterError("need at least one sample")
+    if isinstance(m, bool) or not (m >= 1 and float(m).is_integer()):
+        raise InvalidParameterError("need a whole number of samples >= 1")
+    m = int(m)
     if not 0.0 < dt <= 1e-3:
         raise InvalidParameterError("dt must lie in (0, 1e-3] for this oracle")
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -36,7 +36,7 @@ from .core import (
     standard_schedule,
 )
 from .errors import InvalidParameterError
-from .evolver import EvolverConfig, _check_field, _moyal, evolve
+from .evolver import EvolverConfig, evolve
 from .svg import BarPlot, LinePlot
 
 __all__ = [
@@ -153,25 +153,14 @@ def point_setup(h: float, D: float, config: RunConfig):
 
 def run_point(h: float, D: float, exponent: float,
               config: RunConfig) -> SweepRecord:
-    """Evolve the classical density at one (h, D), derive the Wigner one
-    at t2 and t3 (evolver.moyal_phase on the spectra evolve carried, with
-    the guards its own evolve would run there), and measure the comparison
-    metrics. When window 3 left the values array unchanged (D = 0), the t3
-    Wigner field is the t2 one in t3's frame; the t2 guard stands for both."""
+    """Evolve the classical density at one (h, D), which also derives and
+    guards the Wigner one at t2 and t3, and measure the comparison metrics
+    on their final momentum marginals."""
     t0 = time.perf_counter()
     sch, grid, params, evc = point_setup(h, D, config)
-    f0 = initial_coherent_field(params, grid, "classical")
-    res = evolve(f0, sch, params, evc)
-    cp2 = res.checkpoints[2]
-    wigner = _moyal(cp2, res.spectra.pop("t2"), sch, params, cp2.frame.a)
-    _check_field(wigner, f0.mass(), "t2")
-    if res.final.values is cp2.values:
-        wigner = wigner.with_frame(res.final.frame)
-    else:
-        wigner = _moyal(res.final, res.spectra.pop("t3"), sch, params,
-                        cp2.frame.a)
-        _check_field(wigner, f0.mass(), "t3")
-    mq = momentum_marginal(wigner)  # the t3 field
+    res = evolve(initial_coherent_field(params, grid, "classical"), sch,
+                 params, evc)
+    mq = momentum_marginal(res.wigner)
     mc = momentum_marginal(res.final)
     g0 = ObservableSpec(0)
     disc = abs(expect_observable(mq, g0) - expect_observable(mc, g0))

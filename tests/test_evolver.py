@@ -40,10 +40,7 @@ from qcthreshold.evolver import (
     _kick_window,
     _stretch_window,
     _window_matrices,
-    cubic_kick_substep,
-    diffusion_substep,
     evolve,
-    moyal_phase,
 )
 
 H = 0.05
@@ -59,43 +56,58 @@ def _initial(kind, D=0.0, grid=None):
         params
 
 
-def _quantum_substep(field, delta, h):
-    """The Moyal term over bump weight delta: the momentum multiplier
-    exp(-i (h^2/3) k^3 delta) at the field's own frame."""
-    k = 2.0 * math.pi * np.fft.rfftfreq(len(field.v), d=field.dv) \
-        / field.frame.s_p
-    spec = np.fft.rfft(field.values, axis=1)
-    spec *= np.exp(-1j * (h ** 2 / 3.0) * k ** 3 * delta)
-    return field.with_values(np.fft.irfft(spec, n=len(field.v), axis=1))
+def _kv(field):
+    return 2.0 * math.pi * np.fft.rfftfreq(len(field.v), d=field.dv)
+
+
+def _moyal_multiplier(field, delta, h, a):
+    """exp(-i (h^2/3) delta k^3) along k_v, k = k_v e^a the lab wavenumber
+    at frame log-scale a."""
+    k = _kv(field) * math.exp(a)
+    return np.exp(-1j * (h ** 2 / 3.0) * delta * k ** 3)
 
 
 def _composed_kick_window(field, params, n, schedule=SCH):
-    """Window 2 as a loop of substeps: n kicks, each followed by its
-    quantum phase on a Wigner field, Strang-split against diffusion when
-    D > 0."""
+    """Window 2 as a loop of n substeps built from plain full-grid np.exp
+    multipliers, none of them the evolver's: each kick
+    exp(-i k_v/s_p (s_x u)^2 delta) on the (u, k_v) spectrum, followed on a
+    Wigner field by its Moyal phase, and Strang-split against the heat
+    kernel exp(-(D/2)(k_u^2 e^(-2a) + k_v^2 e^(2a)) dt) on the (k_u, k_v)
+    spectrum when D > 0. The frame is static in window 2, so the spectrum
+    stays in k_v throughout."""
     start, tau = schedule.window(2)
     edges = [start + tau * j / n for j in range(n + 1)]
     deltas = [schedule.bump_integral(2, edges[j], edges[j + 1])
               for j in range(n)]
-    dt = tau / n
+    dt, a = tau / n, field.frame.a
+    x = field.frame.s_x * field.u
+    kick = np.multiply.outer(x * x, _kv(field) / field.frame.s_p)
+    ku = 2.0 * math.pi * np.fft.fftfreq(len(field.u), d=field.du)
+    rate = -(params.D / 2.0) * np.add.outer(
+        ku ** 2 * math.exp(-2.0 * a), _kv(field) ** 2 * math.exp(2.0 * a))
+    half, full = np.exp(rate * dt / 2.0), np.exp(rate * dt)
+
+    def diffuse(spec, heat):
+        return np.fft.ifft(np.fft.fft(spec, axis=0) * heat, axis=0)
+
+    spec = np.fft.rfft(field.values, axis=1)
     if params.D > 0.0:
-        field = diffusion_substep(field, params, dt / 2.0)
+        spec = diffuse(spec, half)
     for j, d in enumerate(deltas):
-        field = cubic_kick_substep(field, d)
+        spec = spec * np.exp(-1j * kick * d)
         if field.kind == "wigner":
-            field = _quantum_substep(field, d, params.h)
+            spec = spec * _moyal_multiplier(field, d, params.h, a)
         if params.D > 0.0:
-            field = diffusion_substep(field, params,
-                                      dt / 2.0 if j == n - 1 else dt)
-    return field
+            spec = diffuse(spec, half if j == n - 1 else full)
+    return field.with_values(np.fft.irfft(spec, n=len(field.v), axis=1))
 
 
 def _exact_kick_window(t1, schedule, params):
     """The evolver's window 2: the classical kick, then on a Wigner field
     its Moyal phase in one shot."""
-    got, _, info = _kick_window(t1, schedule, params)
+    got, spec, info = _kick_window(t1, schedule, params)
     if got.kind == "wigner":
-        got = moyal_phase(got, schedule, params, t1.frame.a)
+        got = evolver._moyal(got, spec, schedule, params, t1.frame.a)
     return got, info
 
 
@@ -207,10 +219,12 @@ class TestClosedEvolution:
 
 class TestSubsteps:
     def test_kick_translates_columns(self):
-        # each x-column shifts in p by delta * x^2
-        field, _ = _initial("classical")
-        delta = 0.05
-        kicked = cubic_kick_substep(field, delta)
+        # each x-column shifts in p by delta * x^2, delta the window's bump
+        # integral
+        field, params = _initial("classical")
+        start, tau = SCH.window(2)
+        delta = SCH.bump_integral(2, start, start + tau)
+        kicked = _kick_window(field, SCH, params)[0]
         x2 = (field.frame.s_x * field.u) ** 2
         mass = field.values.sum(axis=1) * field.dv
         keep = mass > 1e-6  # columns with enough mass for a stable mean
@@ -223,22 +237,19 @@ class TestSubsteps:
         field, params = _initial("wigner")
 
         def kick(f):
-            return moyal_phase(cubic_kick_substep(f, 0.03), SCH, params, 0.0)
+            got, spec, _ = _kick_window(f, SCH, params)
+            return evolver._moyal(got, spec, SCH, params, f.frame.a)
 
         a = kick(field)
         b = kick(field.with_values(2.0 * field.values))
         assert np.abs(b.values - 2.0 * a.values).max() < 1e-12
-
-    def test_kick_zero_delta_is_identity(self):
-        field, _ = _initial("classical")
-        assert cubic_kick_substep(field, 0.0) is field
 
     def test_diffusion_is_heat_kernel(self):
         # after time t a Gaussian stays Gaussian with variance + D t
         D, t = 0.01, 0.3
         field, params = _initial("classical", D=D)
         m0 = measure_central_moments(field)
-        out = diffusion_substep(field, params, t)
+        out = _integrated_diffusion(field, params, t, t)[0]
         m1 = measure_central_moments(out)
         assert m1.var_x == pytest.approx(m0.var_x + D * t, rel=1e-9)
         assert m1.var_p == pytest.approx(m0.var_p + D * t, rel=1e-9)
@@ -290,7 +301,7 @@ class TestDiffusiveEvolution:
 
     @pytest.mark.parametrize("pieces", [1, 2])
     def test_window_matches_substep_composition(self, pieces):
-        # the exact window against the public substeps it replaces: Strang's
+        # the exact window against an independent Strang composition: its
         # error is second order, so it must fall about fourfold when the
         # substeps double. At tau2 = 2 one piece would have a growing heat
         # factor, so the window is cut into two exact pieces.
@@ -368,9 +379,10 @@ class TestDiffusiveEvolution:
 
 class TestCheckpointReadings:
     # windows 1 and 3 at D = 0 only move the frame, so t1 keeps t0's values
-    # array and t3 keeps t2's; those checkpoints reuse the readings
+    # array and t3 keeps t2's; those checkpoints reuse the readings, and the
+    # derived t3 Wigner field reuses the t2 one's
 
-    @pytest.mark.parametrize("D, passes", [(0.0, 2), (H ** (4.0 / 3.0), 4)],
+    @pytest.mark.parametrize("D, passes", [(0.0, 3), (H ** (4.0 / 3.0), 6)],
                              ids=["closed", "diffusive"])
     def test_guard_passes(self, monkeypatch, D, passes):
         seen = []
@@ -416,7 +428,7 @@ class TestFactoredMultipliers:
             np.fft.rfft(t1.values, axis=1)
             * np.exp(-1j * np.multiply.outer(x * x * delta, k)),
             n=len(t1.v), axis=1)
-        got = cubic_kick_substep(t1, delta).values
+        got = _kick_window(t1, sch, params)[0].values
         assert _rel_max_abs(got, want) <= 1e-15
 
     @pytest.mark.parametrize("n_u", [256, 255])
@@ -454,17 +466,43 @@ class TestFactoredMultipliers:
     @pytest.mark.parametrize("D", [0.0, H ** (4.0 / 3.0)],
                              ids=["closed", "diffusive"])
     def test_wigner_from_carried_spectra(self, D):
-        # the Moyal phase on the spectra evolve carries against the one on
-        # the rfft of each checkpoint field; window 3 carries none at D = 0
+        # the t3 Wigner field evolve derives from the spectra its windows
+        # carry, against the Moyal phase of the rfft of the classical t3
+        # field
         field, params = _initial("classical", D=D)
         res = evolve(field, SCH, params)
-        a2 = res.checkpoints[2].frame.a
-        assert (res.spectra["t3"] is None) == (D == 0.0)
-        for i, label in ((2, "t2"), (3, "t3"))[:1 if D == 0.0 else 2]:
-            cp = res.checkpoints[i]
-            got = evolver._moyal(cp, res.spectra[label], SCH, params, a2)
-            want = moyal_phase(cp, SCH, params, a2)
-            assert _rel_max_abs(got.values, want.values) <= 1e-13
+        final, a2 = res.final, res.checkpoints[2].frame.a
+        start, tau = SCH.window(2)
+        delta = SCH.bump_integral(2, start, start + tau)
+        want = np.fft.irfft(np.fft.rfft(final.values, axis=1)
+                            * _moyal_multiplier(final, delta, params.h, a2),
+                            n=len(final.v), axis=1)
+        assert res.wigner.kind == "wigner"
+        assert res.wigner.frame == final.frame
+        assert _rel_max_abs(res.wigner.values, want) <= 1e-13
+
+    @pytest.mark.parametrize("D", [0.0, H ** (4.0 / 3.0), H],
+                             ids=["closed", "diffusive", "wide"])
+    def test_wigner_input_returns_derived_field(self, D):
+        # a Wigner input runs the classical density too, and its t2, t3 and
+        # final fields are the derived Wigner ones, bit for bit
+        grid = GridSpec.for_h(H, n_u=256, n_v=1024, widths_v=128.0) \
+            if D == H else GridSpec.for_h(H, n_u=256, n_v=512)
+
+        def run(kind):
+            field, params = _initial(kind, D=D, grid=grid)
+            return evolve(field, SCH, params)
+
+        q, c = run("wigner"), run("classical")
+        assert [cp.kind for cp in q.checkpoints] == ["wigner"] * 4
+        assert q.final is q.wigner is q.checkpoints[3]
+        assert q.final.frame == c.wigner.frame
+        np.testing.assert_array_equal(q.final.values, c.wigner.values)
+        for i in (0, 1):
+            np.testing.assert_array_equal(q.checkpoints[i].values,
+                                          c.checkpoints[i].values)
+        assert q.diagnostics["t2"]["kick_substeps"] \
+            == c.diagnostics["t2"]["kick_substeps"]
 
 
 class TestGuards:

@@ -1,6 +1,8 @@
-"""Every name a module exports in __all__ must exist in it, and importing
-the package pulls in no module it does not use."""
+"""Every name a module exports in __all__ must exist in it, importing the
+package pulls in no module it does not use, and no module reaches into the
+evolver's private names."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -31,3 +33,18 @@ def test_import_skips_scipy_signal():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert run.stdout.strip() == "False"
+
+
+def test_no_module_imports_private_evolver_names():
+    # the evolver owns its guards and its Moyal phase; other modules use
+    # only what evolver.__all__ offers
+    found = []
+    for path in Path(qcthreshold.__file__).parent.glob("*.py"):
+        if path.stem == "evolver":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                    "evolver", "qcthreshold.evolver"):
+                found += [f"{path.stem}: {a.name}" for a in node.names
+                          if a.name.startswith("_")]
+    assert not found, found

@@ -284,6 +284,31 @@ class TestLindbladDensityMatrix:
                            match="^Hermiticity lost at t0$"):
             lindblad_dm_evolve(replace(rho0, values=vals), SCH, PARAMS0)
 
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_guard_reads_self_paired_rows(self, n):
+        # at D > 0 the guard reads S's self-paired rows (r = 0, and r = n/2
+        # at even n) for the trace and the Hermiticity defect: its readings
+        # equal the full matrix's, and it fires on an imaginary main
+        # diagonal and on a broken n/2 pair
+        rho0 = coherent_density_matrix(H, n=n)
+        S = _diagonals(rho0.values)
+        big = np.abs(S).max()
+        cases = [(0, 1e-10j), (0, 1e-6j), (1, 1e-6j)]
+        if n % 2 == 0:
+            cases += [(n // 2, 1e-10), (n // 2, 1e-6)]
+        for r, eps in cases:
+            T = S.copy()
+            T[r, 3] += eps * big
+            rho = replace(rho0, values=_full_matrix(T))
+            if r in (0, n // 2) and abs(eps) > 1e-8:
+                for sheared in (T, None):
+                    with pytest.raises(SolverFailureError,
+                                       match="^Hermiticity lost at t1$"):
+                        oracles._dm_check(rho, "t1", sheared)
+            else:
+                assert oracles._dm_check(rho, "t1", T) \
+                    == oracles._dm_check(rho, "t1")
+
     def test_trace_guard_fires(self):
         rho0 = coherent_density_matrix(H, n=64)
         with pytest.raises(SolverFailureError,
@@ -521,3 +546,15 @@ class TestLangevin:
         for dt in (0.01, 0.0, -1e-3, math.nan):
             with pytest.raises(InvalidParameterError):
                 langevin_sample(10, SCH, PARAMS0, dt=dt)
+
+    def test_non_integer_sample_count_rejected(self):
+        # numpy's normal draw would raise its own TypeError on a fractional
+        # or bool size
+        for m in (2.5, True, math.nan, -1.0):
+            with pytest.raises(InvalidParameterError,
+                               match="whole number of samples"):
+                langevin_sample(m, SCH, PARAMS0)
+        ens = langevin_sample(3.0, SCH, PARAMS0, seed=1)
+        assert [e.count for e in ens] == [3] * 4
+        np.testing.assert_array_equal(
+            ens[3].p, langevin_sample(3, SCH, PARAMS0, seed=1)[3].p)

@@ -137,7 +137,7 @@ class TestRunPoint:
         # the derived Wigner field against evolving the Wigner field, and
         # to roundoff against the Moyal phase of the classical t3 field: it
         # phases the spectrum the evolve carried, not the rfft of the field
-        # (at D = 0 run_point moves the t2 Wigner field to t3's frame)
+        # (at D = 0 evolve moves the t2 Wigner field to t3's frame)
         D = 0.0 if math.isnan(exponent) else h ** exponent
         cfg = RunConfig(h_list=(h,), tau2=tau2, **FAST)
         quantum = []
@@ -157,8 +157,9 @@ class TestRunPoint:
         assert l1_distance(quantum[0], want) <= 1e-13
         f0 = initial_coherent_field(params, grid, "classical")
         res = evolver.evolve(f0, sch, params, evc)
-        derived = momentum_marginal(evolver.moyal_phase(
-            res.final, sch, params, res.checkpoints[2].frame.a))
+        derived = momentum_marginal(evolver._moyal(
+            res.final, np.fft.rfft(res.final.values, axis=1), sch, params,
+            res.checkpoints[2].frame.a))
         np.testing.assert_array_equal(quantum[0].p, derived.p)
         assert np.abs(quantum[0].q - derived.q).max() \
             <= 1e-13 * np.abs(derived.q).max()
@@ -189,7 +190,7 @@ class TestRunPoint:
         # at D = 0 windows 1 and 3 keep the values array: t1 and t3 reuse
         # the readings, and the t3 Wigner field is the t2 one
         counts = {"guards": 0, "phases": 0}
-        edge_metrics = evolver._edge_metrics
+        edge_metrics, moyal = evolver._edge_metrics, evolver._moyal
 
         def counted_guard(field):
             counts["guards"] += 1
@@ -197,10 +198,10 @@ class TestRunPoint:
 
         def counted_phase(*args):
             counts["phases"] += 1
-            return evolver._moyal(*args)
+            return moyal(*args)
 
         monkeypatch.setattr(evolver, "_edge_metrics", counted_guard)
-        monkeypatch.setattr(sweep, "_moyal", counted_phase)
+        monkeypatch.setattr(evolver, "_moyal", counted_phase)
         run_point(0.2, D, math.nan, RunConfig(h_list=(0.2,), **FAST))
         assert counts == {"guards": guards, "phases": phases}
 
@@ -209,26 +210,30 @@ class TestRunPoint:
         (0.2 ** (4.0 / 3.0), [("wigner", "t2"), ("wigner", "t3")])],
         ids=["closed", "diffusive"])
     def test_derived_wigner_guard_labels(self, monkeypatch, D, want):
-        seen = []
+        # the derived guards run after every classical one
+        seen, check_field = [], evolver._check_field
 
         def recorded(field, mass0, label):
             seen.append((field.kind, label))
-            return evolver._check_field(field, mass0, label)
+            return check_field(field, mass0, label)
 
-        monkeypatch.setattr(sweep, "_check_field", recorded)
+        monkeypatch.setattr(evolver, "_check_field", recorded)
         run_point(0.2, D, math.nan, RunConfig(h_list=(0.2,), **FAST))
-        assert seen == want
+        assert seen[-len(want):] == want
+        assert all(kind == "classical" for kind, _ in seen[:-len(want)])
 
     def test_derived_wigner_t3_guard_fires(self, monkeypatch):
         # no global limit isolates this check: at D = h^(4/3) its readings
         # lie below the classical field's own, so the guard itself is made
         # to fail there
+        check_field = evolver._check_field
+
         def failing(field, mass0, label):
             if (field.kind, label) == ("wigner", "t3"):
                 raise SolverFailureError(f"derived guard at {label}")
-            return evolver._check_field(field, mass0, label)
+            return check_field(field, mass0, label)
 
-        monkeypatch.setattr(sweep, "_check_field", failing)
+        monkeypatch.setattr(evolver, "_check_field", failing)
         with pytest.raises(SolverFailureError, match="derived guard at t3"):
             run_point(0.2, 0.2 ** (4.0 / 3.0), 4.0 / 3.0,
                       RunConfig(h_list=(0.2,), **FAST))
