@@ -21,8 +21,7 @@ import sys
 
 from .errors import (CoverageError, InvalidParameterError, ResolutionError,
                      SolverFailureError)
-from .oracles import cross_validate
-from .sweep import RunConfig, bound_passed, run_experiment
+from .sweep import RunConfig, bound_passed, cross_validate, run_experiment
 
 __all__ = ["main", "parse_d_rule", "load_config_file", "build_config"]
 

@@ -10,7 +10,7 @@ frame map is area preserving and densities carry over without a Jacobian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -280,12 +280,6 @@ class PhaseSpaceField:
 
     def min_value(self) -> float:
         return float(self.values.min())
-
-    def with_values(self, values: np.ndarray) -> "PhaseSpaceField":
-        return replace(self, values=values)
-
-    def with_frame(self, frame: AffineFrame) -> "PhaseSpaceField":
-        return replace(self, frame=frame)
 
 
 @dataclass(frozen=True)

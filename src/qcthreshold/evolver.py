@@ -157,7 +157,8 @@ def _integrated_diffusion(field: PhaseSpaceField, params: SemiclassicalParams,
     spec *= np.exp(c * I_u * _k_axis(len(field.u), field.du) ** 2)[:, None]
     spec *= np.exp(c * I_v * _rk_axis(len(field.v), field.dv) ** 2)
     np.fft.ifft(spec, axis=0, out=spec)
-    return field.with_values(np.fft.irfft(spec, n=len(field.v), axis=1)), spec
+    values = np.fft.irfft(spec, n=len(field.v), axis=1)
+    return replace(field, values=values), spec
 
 
 def _edge_metrics(field: PhaseSpaceField) -> dict:
@@ -208,7 +209,7 @@ def _stretch_window(field: PhaseSpaceField, schedule: Schedule, i: int,
     if params.D > 0.0:
         panels = max(1, math.ceil(config.substeps_per_unit * tau))
         I_u, I_v = schedule.stretch_integrals(i, sign, field.frame.a, panels)
-    field = field.with_frame(field.frame.shifted(
+    field = replace(field, frame=field.frame.shifted(
         sign * schedule.bump_integral(i, start, start + tau)))
     return _integrated_diffusion(field, params, I_u, I_v, spec)
 
@@ -336,8 +337,8 @@ def _kick_window(field: PhaseSpaceField, schedule: Schedule,
         spec[:] = 0.0
         spec[:, keep] = cols * damp
         _check_v_tail(spec)
-    return field.with_values(np.fft.irfft(spec, n=len(field.v), axis=1)), \
-        spec, info
+    values = np.fft.irfft(spec, n=len(field.v), axis=1)
+    return replace(field, values=values), spec, info
 
 
 def evolve(field: PhaseSpaceField, schedule: Schedule,
@@ -386,7 +387,7 @@ def evolve(field: PhaseSpaceField, schedule: Schedule,
     if quantum:
         checkpoints[2], diagnostics["t2"] = wigner, {**found, **window}
     if s3 is None:  # window 3 left the values array unchanged
-        wigner = wigner.with_frame(field.frame)
+        wigner = replace(wigner, frame=field.frame)
     else:
         wigner = _moyal(field, s3, schedule, params, a2)
         del s3

@@ -4,23 +4,21 @@ density-matrix solver, and a Langevin Monte-Carlo sampler.
 
 These are deliberately different discretizations of the same dynamics; they
 trade speed for independence and run at modest scales only. Windows 1 and 3
-are linear, so both open-system oracles take them exactly. At D > 0 the
-Lindblad solver holds rho(x, x') on its diagonals, where both decoherence
+are linear, so both open-system oracles take them exactly. The Lindblad
+solver holds rho(x, x') on its diagonals, where both decoherence
 terms act: (x - x')^2 is constant along each and (d/dx + d/dx')^2
 differentiates along it. The FFT runs along each periodic diagonal
 x - x' = r dxi (mod n dxi), which joins the diagonals at offsets -r and
 n - r, so there the two multipliers commute only up to that band edge.
 By Hermiticity it evolves only the n//2 + 1 periodic diagonals
-r = 0 .. n//2. In window 2 at D > 0 the Lindblad solver is Strang-split
-against the cubic phase; the sampler keeps the
-Euler-Maruyama scheme in n steps of at most dt but draws its outcome whole,
-as a linear and a quadratic form of the n step normals: the top K
-eigenpairs of the quadratic form exactly, the linear forms' remainder as
-one exact 2-D Gaussian, and the quadratic form's remainder as its exact
-mean. K doubles from 32, up to n - 1, until the modes left to that mean
-hold at most 1e-6 of the quadratic form's variance. cross_validate checks the
-oracles against the closed form and the spectral evolver; the solvers
-themselves never call the evolver.
+r = 0 .. n//2. In window 2 the Lindblad solver is Strang-split against
+the cubic phase; at D > 0 the sampler keeps the Euler-Maruyama scheme in
+n steps of at most dt but draws its outcome whole, as a linear and a
+quadratic form of the n step normals: the top K eigenpairs of the
+quadratic form exactly, the linear forms' remainder as one exact 2-D
+Gaussian, and the quadratic form's remainder as its exact mean. K doubles
+from 32, up to n - 1, until the modes left to that mean hold at most 1e-6
+of the quadratic form's variance. The solvers never call the evolver.
 """
 
 from __future__ import annotations
@@ -34,13 +32,8 @@ import scipy.fft as sfft
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .closedform import quantum_momentum_pdf
-from .core import (MomentumDistribution, Schedule, SemiclassicalParams,
-                   initial_coherent_field, momentum_marginal,
-                   resample_distribution)
+from .core import MomentumDistribution, Schedule, SemiclassicalParams
 from .errors import InvalidParameterError, ResolutionError, SolverFailureError
-from .evolver import evolve
-from .sweep import RunConfig, point_setup
 
 __all__ = [
     "WavefunctionField",
@@ -54,7 +47,6 @@ __all__ = [
     "dm_momentum_marginal",
     "langevin_sample",
     "histogram_distribution",
-    "cross_validate",
 ]
 
 
@@ -73,9 +65,6 @@ class WavefunctionField:
     @property
     def dxi(self) -> float:
         return float(self.xi[1] - self.xi[0])
-
-    def lab_x(self) -> np.ndarray:
-        return self.scale * self.xi
 
 
 def coherent_wavefunction(h: float, n: int = 8192) -> WavefunctionField:
@@ -99,7 +88,7 @@ def schrodinger_closed(psi0: WavefunctionField, schedule: Schedule, h: float):
     cp0 = psi0
     cp1 = replace(psi0, scale=psi0.scale * math.exp(schedule.tau1))
 
-    x = cp1.lab_x()
+    x = cp1.scale * cp1.xi
     # local phase gradient tau2 x^2 / 2h; require < pi/4 per grid cell
     dx = cp1.scale * cp1.dxi
     grad = schedule.tau2 * x * x / (2.0 * h)
@@ -178,8 +167,8 @@ def _dm_check(rho: DensityMatrixField, label: str,
               S: np.ndarray = None) -> tuple:
     """Raise SolverFailureError if rho's trace has left 1 by more than 1e-4
     or rho is not Hermitian to 1e-8 of its largest entry; else return the
-    (trace, Hermiticity defect) readings. Given rho's _diagonals S (at
-    D > 0), whose _full_matrix is Hermitian except on the self-paired rows
+    (trace, Hermiticity defect) readings. Given rho's _diagonals S,
+    whose _full_matrix is Hermitian except on the self-paired rows
     r = 0 and, at even n, r = n/2 (entries paired n/2 apart), they are
     read from those rows and equal the full matrix's."""
     if S is None:
@@ -231,8 +220,8 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
                        params: SemiclassicalParams, steps: int = 100):
     """Position-basis Lindblad evolution; returns the four checkpoints.
 
-    Dilations are carried by the scale. At D > 0 rho is held as half of
-    its diagonals, S = _diagonals(rho), and rebuilt in full only at each
+    Dilations are carried by the scale. rho is held as half of its
+    diagonals, S = _diagonals(rho), and rebuilt in full only at each
     checkpoint. Decoherence is exp[-(D/2 hbar^2)(x-x')^2 dt], one value on
     each diagonal, times exp[-(D/2) kappa^2 dt] on the 1-D spectrum along
     each row of S, kappa = 2 pi fftfreq(n, dxi). A row holds two diagonals,
@@ -240,10 +229,11 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
     multipliers commute only up to that band edge; each stretch window is
     still taken as one step with time-integrated coefficients, exact up to
     that non-commutation. Window 2 is Strang-split into ``steps`` substeps
-    against the cubic phase (x^3 - x'^3) / 3 hbar (one phase at D = 0, on
-    the full matrix).
+    against the cubic phase (x^3 - x'^3) / 3 hbar. At D = 0 every damping
+    is exactly 1.
     """
-    if not (steps >= 1 and float(steps).is_integer()):
+    if isinstance(steps, bool) or not (
+            steps >= 1 and float(steps).is_integer()):
         raise InvalidParameterError("steps must be an integer >= 1")
     steps = int(steps)
     hbar = params.hbar
@@ -259,16 +249,10 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
     # a column times its conjugate row (on S, the row read at x_(i - r))
     f = (s * xi) ** 3 / (3.0 * hbar)
 
-    def checkpoint(vals, scale, label, S=None):
-        rho = DensityMatrixField(xi=xi, values=vals, scale=scale)
+    def checkpoint(S, scale, label):
+        rho = DensityMatrixField(xi=xi, values=_full_matrix(S), scale=scale)
         _dm_check(rho, label, S)
         return rho
-
-    if D == 0.0:
-        cp1 = checkpoint(rho0.values, s, "t1")
-        col = np.exp(1j * tau * f)
-        cp2 = checkpoint(rho0.values * np.outer(col, col.conj()), s, "t2")
-        return (rho0, cp1, cp2, checkpoint(cp2.values, s3, "t3"))
 
     kappa2 = (2.0 * math.pi * np.fft.fftfreq(len(xi), d=rho0.dxi)) ** 2
 
@@ -310,11 +294,11 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
         return S
 
     S = stretch_window(_diagonals(rho0.values), 1, 1.0, a0)
-    cp1 = checkpoint(_full_matrix(S), s, "t1", S)
+    cp1 = checkpoint(S, s, "t1")
     S = kick_window(S)
-    cp2 = checkpoint(_full_matrix(S), s, "t2", S)
+    cp2 = checkpoint(S, s, "t2")
     S = stretch_window(S, 3, -1.0, a1)
-    return (rho0, cp1, cp2, checkpoint(_full_matrix(S), s3, "t3", S))
+    return (rho0, cp1, cp2, checkpoint(S, s3, "t3"))
 
 
 def dm_momentum_marginal(rho: DensityMatrixField,
@@ -504,47 +488,3 @@ def histogram_distribution(samples: np.ndarray, bins: int,
     centers = 0.5 * (edges[1:] + edges[:-1])
     q = counts / (len(samples) * width)
     return MomentumDistribution(p=centers, q=q)
-
-
-def _histogram_window(sp: MomentumDistribution):
-    """(bins, lo, hi) of the Langevin histogram: [-8, 16) in 0.25-wide
-    bins, its upper edge extended bin by bin until at most 1e-4 of the
-    mass of sp lies outside."""
-    lo, hi, width = -8.0, 16.0, 0.25
-    cell = sp.q * sp.dp
-    left = cell[sp.p < lo].sum()
-    while left + cell[sp.p >= hi].sum() > 1e-4 and hi < sp.p[-1]:
-        hi += width
-    return round((hi - lo) / width), lo, hi
-
-
-def cross_validate(h: float, config: RunConfig) -> list:
-    """Cross-check the oracles at h on the schedule, grid and stretch
-    panels the sweep runs under config; returns one line per failed check,
-    none when both pass.
-
-    The Schrodinger oracle's final momentum density must lie within 1e-3
-    (L1) of the Airy closed form, and at D = h^(4/3) a 200 000-sample
-    Langevin histogram (seeded with config.seed) within 3e-2 of the
-    spectral evolver's classical marginal, on a window that leaves at most
-    1e-4 of that marginal's mass outside.
-    """
-    fails = []
-    sch, grid, params, evc = point_setup(h, h ** (4.0 / 3.0), config)
-    psi = schrodinger_closed(coherent_wavefunction(h), sch, h)[3]
-    md = momentum_distribution(psi, h)
-    mask = (md.p > -14.0) & (md.p < 46.0)
-    ref = quantum_momentum_pdf(md.p[mask], sch.tau1, sch.tau2, sch.tau3, h)
-    l1 = float(np.abs(md.q[mask] - ref).sum() * md.dp)
-    if not l1 < 1e-3:
-        fails.append(f"Schrodinger vs closed form: L1 {l1:.4g} >= 1e-3")
-
-    f0 = initial_coherent_field(params, grid, "classical")
-    sp = momentum_marginal(evolve(f0, sch, params, evc).final)
-    ens = langevin_sample(200_000, sch, params, seed=config.seed)
-    hist = histogram_distribution(ens[3].p, *_histogram_window(sp))
-    refc = resample_distribution(sp, hist.p)
-    l1 = float(np.abs(hist.q - refc.q).sum() * hist.dp)
-    if not l1 < 3e-2:
-        fails.append(f"Langevin vs spectral evolver: L1 {l1:.4g} >= 3e-2")
-    return fails

@@ -12,6 +12,8 @@ __all__ = ["LinePlot", "BarPlot"]
 
 _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 60, 20, 36, 48
+#: pixel box (left, top, width, height) of a plot's main axes
+_BOX = (_ML, _MT, _W - _ML - _MR, _H - _MT - _MB)
 
 _PALETTE = {"red": "#c0392b", "blue": "#2563a8", "gray": "#777777",
             "green": "#2f7d32", "orange": "#d07a1f"}
@@ -95,13 +97,11 @@ class _Axes:
     def py(self, y):
         return self.y0 + self.h - (y - self.ylo) / (self.yhi - self.ylo) * self.h
 
-    def frame(self, ticks=True, size=11):
+    def frame(self, x_ticks=True, size=11):
         c = self.c
         c.line(self.x0, self.y0 + self.h, self.x0 + self.w, self.y0 + self.h)
         c.line(self.x0, self.y0, self.x0, self.y0 + self.h)
-        if not ticks:
-            return
-        for t in _nice_ticks(self.xlo, self.xhi):
+        for t in _nice_ticks(self.xlo, self.xhi) if x_ticks else ():
             x = self.px(t)
             c.line(x, self.y0 + self.h, x, self.y0 + self.h + 4)
             c.text(x, self.y0 + self.h + 16, _tick_label(t), size=size)
@@ -115,13 +115,32 @@ class _Axes:
         self.c.polyline(pts, _PALETTE.get(color, color), width)
 
 
-class LinePlot:
-    """A single-axes line plot with optional inset axes."""
+class _Plot:
+    """A figure's title and axis labels, and its file output."""
 
     def __init__(self, title="", xlabel="", ylabel=""):
         self.title = title
         self.xlabel = xlabel
         self.ylabel = ylabel
+
+    def _labels(self, c):
+        if self.title:
+            c.text(_W / 2, 22, self.title, size=15)
+        if self.xlabel:
+            c.text(_ML + (_W - _ML - _MR) / 2, _H - 12, self.xlabel)
+        if self.ylabel:
+            c.text(16, _MT + (_H - _MT - _MB) / 2, self.ylabel, angle=-90)
+
+    def write(self, path):
+        with open(path, "w") as fh:
+            fh.write(self.render())
+
+
+class LinePlot(_Plot):
+    """A single-axes line plot with optional inset axes."""
+
+    def __init__(self, title="", xlabel="", ylabel=""):
+        super().__init__(title, xlabel, ylabel)
         self.curves = []        # (xs, ys, color, label)
         self.inset_curves = []
 
@@ -143,16 +162,11 @@ class LinePlot:
     def render(self) -> str:
         c = _Canvas()
         xr, yr = self._ranges(self.curves)
-        ax = _Axes(c, (_ML, _MT, _W - _ML - _MR, _H - _MT - _MB), xr, yr)
+        ax = _Axes(c, _BOX, xr, yr)
         ax.frame()
         for xs, ys, color, _ in self.curves:
             ax.curve(xs, ys, color)
-        if self.title:
-            c.text(_W / 2, 22, self.title, size=15)
-        if self.xlabel:
-            c.text(_ML + (_W - _ML - _MR) / 2, _H - 12, self.xlabel)
-        if self.ylabel:
-            c.text(16, _MT + (_H - _MT - _MB) / 2, self.ylabel, angle=-90)
+        self._labels(c)
         ly = _MT + 14
         for xs, ys, color, label in self.curves:
             if not label:
@@ -172,18 +186,12 @@ class LinePlot:
                 iax.curve(xs, ys, color, width=1.2)
         return c.render()
 
-    def write(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.render())
 
-
-class BarPlot:
+class BarPlot(_Plot):
     """Grouped bars over integer categories, two series."""
 
     def __init__(self, title="", xlabel="", ylabel=""):
-        self.title = title
-        self.xlabel = xlabel
-        self.ylabel = ylabel
+        super().__init__(title, xlabel, ylabel)
         self.groups = []  # (category label, value_a, value_b)
         self.series = ("a", "b")
         self.colors = ("red", "blue")
@@ -196,13 +204,8 @@ class BarPlot:
         vals = [v for g in self.groups for v in g[1:]]
         hi = max(vals + [0.0]) * 1.1 or 1.0
         lo = min(vals + [0.0])
-        ax = _Axes(c, (_ML, _MT, _W - _ML - _MR, _H - _MT - _MB),
-                   (0.0, len(self.groups)), (lo, hi))
-        ax.frame(ticks=False)
-        for t in _nice_ticks(lo, hi):
-            y = ax.py(t)
-            c.line(_ML - 4, y, _ML, y)
-            c.text(_ML - 7, y + 4, f"{t:g}", size=11, anchor="end")
+        ax = _Axes(c, _BOX, (0.0, len(self.groups)), (lo, hi))
+        ax.frame(x_ticks=False)
         width = (_W - _ML - _MR) / len(self.groups)
         for i, (label, a, b) in enumerate(self.groups):
             x = _ML + i * width
@@ -213,12 +216,7 @@ class BarPlot:
                 c.rect(bx, min(top, base), width * 0.32, abs(base - top),
                        _PALETTE[self.colors[j]])
             c.text(x + width / 2, _H - _MB + 16, label, size=11)
-        if self.title:
-            c.text(_W / 2, 22, self.title, size=15)
-        if self.xlabel:
-            c.text(_ML + (_W - _ML - _MR) / 2, _H - 12, self.xlabel)
-        if self.ylabel:
-            c.text(16, _MT + (_H - _MT - _MB) / 2, self.ylabel, angle=-90)
+        self._labels(c)
         ly = _MT + 14
         for name, color in zip(self.series, self.colors):
             lx = _W - _MR - 150
@@ -226,7 +224,3 @@ class BarPlot:
             c.text(lx + 22, ly, name, anchor="start", size=12)
             ly += 18
         return c.render()
-
-    def write(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.render())

@@ -1,9 +1,11 @@
 """Experiment harness: (h, D) sweeps, threshold crossing estimates, bound
-reports, and figure emission.
+reports, figure emission, and the --oracle cross-checks.
 
 Each sweep point evolves the classical state, derives the quantum one from
 it, measures the final momentum distributions, and records the observable
 discrepancy, the L1 distance, and the analytic error bounds.
+cross_validate checks the independent solvers in oracles against the
+closed form and the spectral evolver on the sweep's own setup.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, oracles
 from .closedform import (
     _grid_pdfs,
     classical_momentum_pdf,
@@ -27,12 +29,14 @@ from .closedform import (
 )
 from .core import (
     GridSpec,
+    MomentumDistribution,
     ObservableSpec,
     SemiclassicalParams,
     expect_observable,
     initial_coherent_field,
     l1_distance,
     momentum_marginal,
+    resample_distribution,
     standard_schedule,
 )
 from .errors import InvalidParameterError
@@ -46,6 +50,7 @@ __all__ = [
     "run_point",
     "run_experiment",
     "bound_passed",
+    "cross_validate",
     "emit_figures",
     "CSV_COLUMNS",
 ]
@@ -95,7 +100,6 @@ class SweepRecord:
 class RunConfig:
     h_list: tuple = (0.2, 0.1, 0.05)
     d_rule: tuple = ("exponent", (1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0))
-    include_zero: bool = True
     tau2: float = 1.0
     n_u: int = 512
     n_v: int = 1024
@@ -119,11 +123,11 @@ class RunConfig:
             raise InvalidParameterError(f"seed {self.seed} must be >= 0")
 
     def points(self):
-        """All (h, D, exponent) sweep points, exponent nan for absolute D."""
+        """All (h, D, exponent) sweep points, exponent nan for absolute D;
+        each h starts with its D = 0 point."""
         pts = []
         for h in self.h_list:
-            if self.include_zero:
-                pts.append((h, 0.0, math.nan))
+            pts.append((h, 0.0, math.nan))
             kind, values = self.d_rule
             for v in values:
                 if kind == "exponent":
@@ -219,6 +223,11 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _json_value(v):
+    """v, or None (JSON null) for a NaN float, which JSON cannot hold."""
+    return None if isinstance(v, float) and math.isnan(v) else v
+
+
 def write_summary_json(path, config: RunConfig, records, extra=None) -> None:
     payload = {
         "schema": "v1",
@@ -226,23 +235,21 @@ def write_summary_json(path, config: RunConfig, records, extra=None) -> None:
         "config": {
             "h_list": list(config.h_list),
             "d_rule": [config.d_rule[0], list(config.d_rule[1])],
-            "include_zero": config.include_zero,
+            "include_zero": True,  # every sweep runs D = 0; schema v1 key
             "tau2": config.tau2,
             "grid": f"{config.n_u}x{config.n_v}",
             "substeps": config.substeps,
             "seed": config.seed,
         },
         "records": [
-            {c: (None if isinstance(d[c], float) and math.isnan(d[c])
-                 else d[c])
-             for c in CSV_COLUMNS if c != "wall_time"}
+            {c: _json_value(d[c]) for c in CSV_COLUMNS if c != "wall_time"}
             for d in map(asdict, records)
         ],
     }
     if extra:
         payload.update(extra)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -252,59 +259,49 @@ def write_artifacts(config: RunConfig, records) -> None:
     extra = {}
     crossings = crossing_estimates(records, config.tau2)
     if crossings:
-        extra["crossings"] = {repr(h): v for h, v in sorted(crossings.items())}
+        extra["crossings"] = {repr(h): _json_value(v)
+                              for h, v in sorted(crossings.items())}
     write_summary_json(os.path.join(config.out_dir, "summary.json"),
                        config, records, extra)
     if config.figures:
         emit_figures(config.out_dir, tau2=config.tau2)
-    write_bounds_csv(os.path.join(config.out_dir, "bounds.csv"),
-                     _bound_rows(records))
-
-
-def _bound_rows(records) -> list:
-    """One bound report row per record and side, quantum first."""
-    rows = []
-    for r in records:
-        for side, meas, bound in (
-                ("quantum", r.measured_quantum_l1, r.quantum_bound),
-                ("classical", r.measured_classical_l1, r.classical_bound)):
-            rows.append({"h": r.h, "D": r.D, "side": side, "measured": meas,
-                         "bound": bound, "passed": bound_passed(meas, bound)})
-    return rows
+    write_bounds_csv(os.path.join(config.out_dir, "bounds.csv"), records)
 
 
 def crossing_estimates(records, tau2: float) -> dict:
-    """Per-h estimate of the D where discrepancy falls to c0(tau2)/2, by
-    log-linear interpolation across the sweep's D > 0 points."""
+    """Per-h estimate of the D where discrepancy falls through c0(tau2)/2,
+    by log-linear interpolation across the first pair of consecutive D > 0
+    points that brackets it (the first at or above c0/2, the next below);
+    nan when no pair does."""
     half = constants(tau2).c0 / 2.0
-    out = {}
     by_h = {}
-    for r in records:
+    for r in sorted(records, key=lambda r: r.D):
         if r.D > 0:
             by_h.setdefault(r.h, []).append(r)
+    out = {}
     for h, rows in by_h.items():
-        rows = sorted(rows, key=lambda r: r.D)
-        prev = None
-        for r in rows:
-            if r.discrepancy_g0 < half and prev is not None:
+        out[h] = math.nan
+        for prev, r in zip(rows, rows[1:]):
+            if prev.discrepancy_g0 >= half > r.discrepancy_g0:
                 f = (math.log(prev.discrepancy_g0 / half)
                      / math.log(prev.discrepancy_g0 / max(r.discrepancy_g0, 1e-12)))
                 out[h] = math.exp(math.log(prev.D)
                                   + f * math.log(r.D / prev.D))
                 break
-            prev = r
-        else:
-            out[h] = math.nan
     return out
 
 
-def write_bounds_csv(path, rows) -> None:
+def write_bounds_csv(path, records) -> None:
+    """One bound report row per record and side, quantum first."""
     with open(path, "w", newline="") as fh:
         fh.write("h,D,side,measured,bound,passed\n")
-        for r in rows:
-            fh.write(f"{r['h']!r},{r['D']!r},{r['side']},"
-                     f"{r['measured']!r},{r['bound']!r},"
-                     f"{'PASS' if r['passed'] else 'FAIL'}\n")
+        for r in records:
+            for side, meas, bound in (
+                    ("quantum", r.measured_quantum_l1, r.quantum_bound),
+                    ("classical", r.measured_classical_l1, r.classical_bound)):
+                verdict = "PASS" if bound_passed(meas, bound) else "FAIL"
+                fh.write(f"{r.h!r},{r.D!r},{side},{meas!r},{bound!r},"
+                         f"{verdict}\n")
 
 
 def observable_table(tau2: float = 1.0):
@@ -359,3 +356,48 @@ def emit_figures(out_dir, tau2: float = 1.0) -> dict:
         for n, qv, cv in table:
             fh.write(f"{n},{qv!r},{cv!r},{abs(qv - cv)!r}\n")
     return {"fig2": (p, q, c), "fig2_inset": (pi_, qi, ci), "fig3": table}
+
+
+def _histogram_window(sp: MomentumDistribution):
+    """(bins, lo, hi) of the Langevin histogram: [-8, 16) in 0.25-wide
+    bins, its upper edge extended bin by bin until at most 1e-4 of the
+    mass of sp lies outside."""
+    lo, hi, width = -8.0, 16.0, 0.25
+    cell = sp.q * sp.dp
+    left = cell[sp.p < lo].sum()
+    while left + cell[sp.p >= hi].sum() > 1e-4 and hi < sp.p[-1]:
+        hi += width
+    return round((hi - lo) / width), lo, hi
+
+
+def cross_validate(h: float, config: RunConfig) -> list:
+    """Cross-check the oracles at h on the schedule, grid and stretch
+    panels the sweep runs under config; returns one line per failed check,
+    none when both pass.
+
+    The Schrodinger oracle's final momentum density must lie within 1e-3
+    (L1) of the Airy closed form, and at D = h^(4/3) a 200 000-sample
+    Langevin histogram (seeded with config.seed) within 3e-2 of the
+    spectral evolver's classical marginal, on a window that leaves at most
+    1e-4 of that marginal's mass outside.
+    """
+    fails = []
+    sch, grid, params, evc = point_setup(h, h ** (4.0 / 3.0), config)
+    psi = oracles.schrodinger_closed(oracles.coherent_wavefunction(h), sch,
+                                     h)[3]
+    md = oracles.momentum_distribution(psi, h)
+    mask = (md.p > -14.0) & (md.p < 46.0)
+    ref = quantum_momentum_pdf(md.p[mask], sch.tau1, sch.tau2, sch.tau3, h)
+    l1 = float(np.abs(md.q[mask] - ref).sum() * md.dp)
+    if not l1 < 1e-3:
+        fails.append(f"Schrodinger vs closed form: L1 {l1:.4g} >= 1e-3")
+
+    f0 = initial_coherent_field(params, grid, "classical")
+    sp = momentum_marginal(evolve(f0, sch, params, evc).final)
+    ens = oracles.langevin_sample(200_000, sch, params, seed=config.seed)
+    hist = oracles.histogram_distribution(ens[3].p, *_histogram_window(sp))
+    refc = resample_distribution(sp, hist.p)
+    l1 = float(np.abs(hist.q - refc.q).sum() * hist.dp)
+    if not l1 < 3e-2:
+        fails.append(f"Langevin vs spectral evolver: L1 {l1:.4g} >= 3e-2")
+    return fails

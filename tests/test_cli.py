@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qcthreshold import oracles
+from qcthreshold import oracles, sweep
 from qcthreshold.cli import build_config, load_config_file, main, parse_d_rule
 from qcthreshold.core import momentum_marginal
 from qcthreshold.errors import InvalidParameterError, ResolutionError
@@ -197,20 +197,22 @@ class TestMain:
         # the evolver run that the Langevin histogram is held against uses
         # the sweep's tau2, grid and stretch panels (Langevin shrunk to
         # 2 000 samples, so that the run stays quick; at tau2 = 2 the D = 0
-        # point needs 512 u-points)
+        # point needs 512 u-points); the sweep's own D = 0 evolve is not
+        # recorded
         seen = []
-        evolve = oracles.evolve
+        evolve = sweep.evolve
         langevin_sample = oracles.langevin_sample
 
         def recorded(field, schedule, params, config=EvolverConfig()):
-            seen.append((field.values.shape, schedule.tau2,
-                         config.substeps_per_unit))
+            if params.D == 0.2 ** (4.0 / 3.0):
+                seen.append((field.values.shape, schedule.tau2,
+                             config.substeps_per_unit))
             return evolve(field, schedule, params, config)
 
         def small_sample(m, schedule, params, seed):
             return langevin_sample(2_000, schedule, params, seed=seed)
 
-        monkeypatch.setattr(oracles, "evolve", recorded)
+        monkeypatch.setattr(sweep, "evolve", recorded)
         monkeypatch.setattr(oracles, "langevin_sample", small_sample)
         argv = ["--h-list", "0.2", "--d-rule", "abs:", "--oracle",
                 "--tau2", "2", "--grid", "512x512", "--substeps", "25"]
@@ -220,15 +222,17 @@ class TestMain:
     def test_oracle_histogram_covers_the_marginal(self, monkeypatch):
         # at tau2 = 2 the classical marginal reaches far past p = 16; the
         # histogram window grows in 0.25-wide bins until at most 1e-4 of
-        # its mass lies outside (Langevin shrunk to 2 000 samples)
+        # its mass lies outside (Langevin shrunk to 2 000 samples; the
+        # sweep's own D = 0 evolve is not recorded)
         finals, windows = [], []
-        evolve = oracles.evolve
+        evolve = sweep.evolve
         langevin_sample = oracles.langevin_sample
         histogram_distribution = oracles.histogram_distribution
 
         def recorded_evolve(field, schedule, params, config=EvolverConfig()):
             result = evolve(field, schedule, params, config)
-            finals.append(momentum_marginal(result.final))
+            if params.D == 0.2 ** (4.0 / 3.0):
+                finals.append(momentum_marginal(result.final))
             return result
 
         def small_sample(m, schedule, params, seed):
@@ -238,7 +242,7 @@ class TestMain:
             windows.append((bins, lo, hi))
             return histogram_distribution(samples, bins, lo, hi)
 
-        monkeypatch.setattr(oracles, "evolve", recorded_evolve)
+        monkeypatch.setattr(sweep, "evolve", recorded_evolve)
         monkeypatch.setattr(oracles, "langevin_sample", small_sample)
         monkeypatch.setattr(oracles, "histogram_distribution",
                             recorded_histogram)

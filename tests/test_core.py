@@ -2,6 +2,7 @@
 metrics, and moment measurement."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,7 +219,7 @@ class TestMarginals:
     def test_frame_rescaling(self, h):
         params = SemiclassicalParams(hbar=2 * h)
         base = initial_coherent_field(params, GridSpec.for_h(h), "classical")
-        tilted = base.with_frame(AffineFrame(0.4))
+        tilted = replace(base, frame=AffineFrame(0.4))
         md = momentum_marginal(tilted)
         m = measure_central_moments(tilted)
         # frame stretches lab x by e^0.4 and shrinks lab p by e^-0.4

@@ -99,7 +99,7 @@ def _composed_kick_window(field, params, n, schedule=SCH):
             spec = spec * _moyal_multiplier(field, d, params.h, a)
         if params.D > 0.0:
             spec = diffuse(spec, half if j == n - 1 else full)
-    return field.with_values(np.fft.irfft(spec, n=len(field.v), axis=1))
+    return replace(field, values=np.fft.irfft(spec, n=len(field.v), axis=1))
 
 
 def _exact_kick_window(t1, schedule, params):
@@ -241,7 +241,7 @@ class TestSubsteps:
             return evolver._moyal(got, spec, SCH, params, f.frame.a)
 
         a = kick(field)
-        b = kick(field.with_values(2.0 * field.values))
+        b = kick(replace(field, values=2.0 * field.values))
         assert np.abs(b.values - 2.0 * a.values).max() < 1e-12
 
     def test_diffusion_is_heat_kernel(self):
@@ -270,7 +270,7 @@ class TestSubsteps:
                                 for t in t_nodes])
             I_u += dt * float((_GL_W * np.exp(-2.0 * a_nodes)).sum())
             I_v += dt * float((_GL_W * np.exp(2.0 * a_nodes)).sum())
-        moved = field.with_frame(field.frame.shifted(
+        moved = replace(field, frame=field.frame.shifted(
             SCH.bump_integral(1, start, start + tau)))
         ref = _integrated_diffusion(moved, params, I_u, I_v)[0]
         got = _stretch_window(field, SCH, 1, +1.0, params, cfg)[0]
@@ -528,7 +528,7 @@ class TestGuards:
 
     def test_unnormalized_input_rejected(self):
         field, params = _initial("classical")
-        bad = field.with_values(1.5 * field.values)
+        bad = replace(field, values=1.5 * field.values)
         with pytest.raises(InvalidParameterError):
             evolve(bad, SCH, params)
 

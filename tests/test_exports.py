@@ -1,6 +1,6 @@
 """Every name a module exports in __all__ must exist in it, importing the
-package pulls in no module it does not use, and no module reaches into the
-evolver's private names."""
+package pulls in no module it does not use, no module reaches into the
+evolver's private names, and the oracles share no code with the evolver."""
 
 import ast
 import importlib
@@ -48,3 +48,21 @@ def test_no_module_imports_private_evolver_names():
                 found += [f"{path.stem}: {a.name}" for a in node.names
                           if a.name.startswith("_")]
     assert not found, found
+
+
+def test_oracles_import_only_core_and_errors():
+    # the oracles are independent references: from the package they may
+    # use only the domain types and the error classes
+    path = Path(qcthreshold.__file__).parent / "oracles.py"
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            # "from .core import x" names core; "from . import x" names x
+            found |= ({node.module} if node.module
+                      else {a.name for a in node.names})
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            # the package imports itself only relatively; flag any other
+            names = [node.module] if isinstance(node, ast.ImportFrom) \
+                else [a.name for a in node.names]
+            found |= {n for n in names if n.split(".")[0] == "qcthreshold"}
+    assert found <= {"core", "errors"}, found

@@ -239,10 +239,10 @@ class TestLindbladDensityMatrix:
 
     def test_invalid_arguments(self):
         rho0 = coherent_density_matrix(H, n=64)
-        for steps in (0, -3, 2.5, math.nan):
+        for steps in (0, -3, 2.5, math.nan, True):
             with pytest.raises(InvalidParameterError):
                 lindblad_dm_evolve(rho0, SCH, PARAMS0, steps=steps)
-        for n in (1, 0):
+        for n in (1, 0, -1):
             with pytest.raises(InvalidParameterError):
                 coherent_density_matrix(H, n=n)
 

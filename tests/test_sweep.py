@@ -41,6 +41,15 @@ def small_records():
     return cfg, run_experiment(cfg, max_workers=1)
 
 
+def _synthetic_records(h, points):
+    """SweepRecords at h with the given (D, discrepancy) pairs."""
+    return [SweepRecord(h=h, D=D, exponent=math.nan, discrepancy_g0=g,
+                        l1=0.1, quantum_bound=1.0, classical_bound=1.0,
+                        grid="64x128", substeps=25, wall_time=0.0,
+                        measured_quantum_l1=0.0, measured_classical_l1=0.0)
+            for D, g in points]
+
+
 def _point_pdfs(p, *args):
     """What sweep._grid_pdfs returns, from the arbitrary-point evaluators."""
     return quantum_momentum_pdf(p, *args), classical_momentum_pdf(p, *args)
@@ -55,11 +64,11 @@ class TestRunConfig:
         assert pts[2] == (0.1, pytest.approx(0.01), 2.0)
 
     def test_absolute_rule(self):
-        cfg = RunConfig(h_list=(0.1,), d_rule=("absolute", (0.005,)),
-                        include_zero=False)
+        cfg = RunConfig(h_list=(0.1,), d_rule=("absolute", (0.005,)))
         pts = cfg.points()
-        assert len(pts) == 1
-        assert pts[0][:2] == (0.1, 0.005)
+        assert len(pts) == 2
+        assert pts[0][:2] == (0.1, 0.0)
+        assert pts[1][:2] == (0.1, 0.005) and math.isnan(pts[1][2])
 
     def test_invalid(self):
         with pytest.raises(InvalidParameterError):
@@ -339,20 +348,41 @@ class TestCrossing:
     def test_threshold_follows_tau2(self, tmp_path, tau2, bracket):
         # c0/2 is 0.0321 at tau2 = 1 and 0.0405 at tau2 = 2, so the
         # synthetic discrepancies cross them in different D intervals
-        records = [SweepRecord(h=0.1, D=D, exponent=math.nan,
-                               discrepancy_g0=g, l1=0.1, quantum_bound=1.0,
-                               classical_bound=1.0, grid="64x128",
-                               substeps=25, wall_time=0.0,
-                               measured_quantum_l1=0.0,
-                               measured_classical_l1=0.0)
-                   for D, g in ((0.01, 0.06), (0.02, 0.038), (0.04, 0.025),
-                                (0.08, 0.01))]
+        records = _synthetic_records(0.1, ((0.01, 0.06), (0.02, 0.038),
+                                           (0.04, 0.025), (0.08, 0.01)))
         assert bracket[0] < crossing_estimates(records, tau2)[0.1] \
             < bracket[1]
         cfg = RunConfig(h_list=(0.1,), tau2=tau2, out_dir=str(tmp_path))
         write_artifacts(cfg, records)
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert bracket[0] < summary["crossings"]["0.1"] < bracket[1]
+
+    def test_no_estimate_without_a_bracketing_pair(self):
+        # c0/2 is 0.0321 at tau2 = 1: both points of the first h lie below
+        # it, both of the second above, so neither pair brackets it and
+        # nothing may be extrapolated past the swept D; the third h's first
+        # pair brackets it and its estimate is unchanged by the points below
+        records = (_synthetic_records(0.2, ((0.117, 0.0154), (0.2, 0.008)))
+                   + _synthetic_records(0.1, ((0.01, 0.06), (0.02, 0.04)))
+                   + _synthetic_records(0.05, ((0.01, 0.06), (0.02, 0.02),
+                                               (0.04, 0.01))))
+        est = crossing_estimates(records, 1.0)
+        assert math.isnan(est[0.2]) and math.isnan(est[0.1])
+        assert est[0.05] == crossing_estimates(records[4:6], 1.0)[0.05]
+        assert 0.01 < est[0.05] < 0.02
+
+    def test_missing_crossing_is_json_null(self, tmp_path):
+        # both discrepancies lie above c0/2 = 0.0321: no crossing at h = 0.2
+        records = _synthetic_records(0.2, ((0.117, 0.06), (0.2, 0.04)))
+        write_artifacts(RunConfig(h_list=(0.2,), out_dir=str(tmp_path)),
+                        records)
+
+        def reject(name):
+            raise ValueError(f"summary.json holds {name}")
+
+        summary = json.loads((tmp_path / "summary.json").read_text(),
+                             parse_constant=reject)
+        assert summary["crossings"] == {"0.2": None}
 
 
 class TestFiguresAndTables:
