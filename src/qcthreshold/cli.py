@@ -5,13 +5,14 @@ Usage:
                 --out results/ --figures
 
 Options may also come from a flat key = value config file (--config);
-command-line flags override file entries. An unknown config key, a value
-that cannot be read, or a grid too coarse to hold the initial state ends
-the run with "error: ..." and exit code 2; a sweep point or oracle run
-that the solver cannot resolve, or that fails a solver diagnostic, ends it
-with "error: <class>: ..." and exit code 3. Exit code 1 means a bound or
-oracle check failed; each failure is printed as a BOUND FAIL or ORACLE FAIL
-line.
+command-line flags override file entries; _OPTIONS lists them all. An
+unknown config key, a value that cannot be read, a repeated sweep point,
+--substeps below 1, --figures without --out, or a grid too coarse to hold
+the initial state ends the run with "error: ..." and exit code 2; a sweep
+point or oracle run that the solver cannot resolve, or that fails a solver
+diagnostic, ends it with "error: <class>: ..." and exit code 3. Exit code
+1 means a bound or oracle check failed; each failure is printed as a BOUND
+FAIL or ORACLE FAIL line.
 """
 
 from __future__ import annotations
@@ -55,17 +56,19 @@ def _switch(text: str) -> bool:
     return word in ("1", "true", "yes", "on")
 
 
-#: Every option a config file may set, with the reader of its value.
-_READERS = {
-    "h_list": _floats,
-    "d_rule": parse_d_rule,
-    "tau2": float,
-    "grid": _grid,
-    "substeps": int,
-    "out": str,
-    "seed": int,
-    "oracle": _switch,
-    "figures": _switch,
+#: Every option, {key: (reader of its value, --help text)}: each is both a
+#: --flag (the key with '-') and a config-file key; a _switch is a bare flag.
+_OPTIONS = {
+    "h_list": (_floats, "comma-separated h values"),
+    "d_rule": (parse_d_rule, "exp:p1,p2,... for D = h^p or abs:D1,D2,..."),
+    "tau2": (float, "kick window duration"),
+    "grid": (_grid, "grid as N_UxN_V, e.g. 512x1024"),
+    "substeps": (int, "quadrature panels per unit time for the stretch-"
+                      "window diffusion integrals (the kick window is exact)"),
+    "out": (str, "output directory for artifacts"),
+    "seed": (int, "seed recorded in outputs"),
+    "oracle": (_switch, "also run the oracle cross-checks"),
+    "figures": (_switch, "emit fig2.svg / fig3.svg"),
 }
 
 
@@ -83,7 +86,7 @@ def load_config_file(path) -> dict:
                     f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _READERS:
+            if key not in _OPTIONS:
                 raise InvalidParameterError(
                     f"{path}:{lineno}: unknown key {key!r}")
             out[key] = value.strip()
@@ -96,21 +99,10 @@ def _parser():
         description="Sweep the quantum-classical discrepancy over (h, D) "
                     "and verify the analytic error bounds.")
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--h-list", help="comma-separated h values")
-    p.add_argument("--d-rule",
-                   help="exp:p1,p2,... for D = h^p or abs:D1,D2,...")
-    p.add_argument("--tau2", help="kick window duration")
-    p.add_argument("--grid", help="grid as N_UxN_V, e.g. 512x1024")
-    p.add_argument("--substeps",
-                   help="quadrature panels per unit time for the stretch-"
-                        "window diffusion integrals (the kick window is "
-                        "exact)")
-    p.add_argument("--out", help="output directory for artifacts")
-    p.add_argument("--seed", help="seed recorded in outputs")
-    p.add_argument("--oracle", action="store_const", const="true",
-                   help="also run the oracle cross-checks")
-    p.add_argument("--figures", action="store_const", const="true",
-                   help="emit fig2.svg / fig3.svg")
+    for key, (read, text) in _OPTIONS.items():
+        bare = {"action": "store_const", "const": "true"} if read is _switch \
+            else {}
+        p.add_argument("--" + key.replace("_", "-"), help=text, **bare)
     return p
 
 
@@ -121,7 +113,7 @@ def build_config(argv=None) -> RunConfig:
     merged = {}
     if args.config:
         merged.update(load_config_file(args.config))
-    for key in _READERS:
+    for key in _OPTIONS:
         val = getattr(args, key)
         if val is not None:
             merged[key] = val
@@ -129,7 +121,7 @@ def build_config(argv=None) -> RunConfig:
     kwargs = {}
     for key, value in merged.items():
         try:
-            read = _READERS[key](value)
+            read = _OPTIONS[key][0](value)
         except ValueError as exc:
             raise InvalidParameterError(
                 f"--{key.replace('_', '-')} {value!r}: {exc}") from None

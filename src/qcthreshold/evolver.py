@@ -12,10 +12,11 @@ built from 1-D factors:
                     since all multipliers commute; substeps_per_unit
                     Gauss-Legendre panels per unit time), its damping
                     the outer product of one exp row per axis;
-  window 2:         cubic kick as a momentum-direction Fourier multiplier
-                    exp(-i k x^2 delta), linear in k: two small tables. The
-                    frame is static there, so at D = 0 the multipliers
-                    commute and one kick over the whole window is exact.
+  window 2:         input's momentum tail checked first; cubic kick as
+                    a momentum-direction Fourier multiplier exp(-i k x^2
+                    tau2), tau2 the bump integral, linear in k: two small
+                    tables. The frame is static there, so at D = 0 the
+                    multipliers commute and one kick is exact.
                     At D > 0 each k_v column of the (u, k_v) representation
                     evolves under -i c(t) u^2 + d d^2/du^2 plus a scalar:
                     the generator lies in sl(2), so the propagator is a
@@ -30,7 +31,7 @@ The Wigner-Moyal equation adds one term to the classical Fokker-Planck
 one, (h^2/3) chi_2(t) d^3/dp^3 (the Hamiltonian is cubic, the Lindblad
 operators linear). It is diagonal in k_v, like every other operator in the
 co-moving frame, so it commutes with them all: from t2 on, a Wigner field
-is the classical one times exp(-i (h^2/3) delta k^3), so evolve runs the
+is the classical one times exp(-i (h^2/3) tau2 k^3), so evolve runs the
 classical density and derives the Wigner one from its carried spectra.
 """
 
@@ -114,31 +115,14 @@ def _check_v_tail(spec: np.ndarray) -> None:
             f"momentum spectral tail carries relative mass {tail_mass:.2e}")
 
 
-def _kicked_spectrum(field: PhaseSpaceField, delta: float,
-                     spec: np.ndarray) -> np.ndarray:
-    """The kick by delta on field's (u, k_v) spectrum spec, in place. Its
-    phase k_j x_i^2 delta = theta_i j is linear in j = J a + b (J = isqrt n):
-    the product of the small tables exp(-i theta_i J a), exp(-i theta_i b)."""
-    _check_v_tail(spec)
-    n, J = spec.shape[1], math.isqrt(spec.shape[1])
-    t = -1j * (_rk_axis(len(field.v), field.dv)[1] / field.frame.s_p
-               * (field.frame.s_x * field.u) ** 2 * delta)[:, None, None]
-    table = np.exp(t * (J * np.arange(-(-n // J)))[:, None]) \
-        * np.exp(t * np.arange(J))
-    spec *= table.reshape(len(field.u), -1)[:, :n]
-    return spec
-
-
 def _moyal(field: PhaseSpaceField, spec: np.ndarray, schedule: Schedule,
            params: SemiclassicalParams, a2: float):
     """The Wigner field at t2 or later whose classical counterpart is field:
-    its (u, k_v) spectrum spec times exp(-i (h^2/3) delta k^3) in place,
-    delta window 2's bump integral and k = k_v e^(a2) the lab wavenumber
+    its (u, k_v) spectrum spec times exp(-i (h^2/3) tau2 k^3) in place,
+    tau2 window 2's bump integral and k = k_v e^(a2) the lab wavenumber
     at t2. Window 3 only shifts the frame and damps each k_v."""
-    start, tau = schedule.window(2)
-    delta = schedule.bump_integral(2, start, start + tau)
     k = _rk_axis(len(field.v), field.dv) * math.exp(a2)
-    spec *= np.exp(-1j * (params.h ** 2 / 3.0) * delta * k ** 3)
+    spec *= np.exp(-1j * (params.h ** 2 / 3.0) * schedule.tau2 * k ** 3)
     return replace(field, kind="wigner",
                    values=np.fft.irfft(spec, n=len(field.v), axis=1))
 
@@ -204,13 +188,12 @@ def _stretch_window(field: PhaseSpaceField, schedule: Schedule, i: int,
                     sign: float, params: SemiclassicalParams,
                     config: EvolverConfig, spec: np.ndarray = None):
     """Window 1 or 3: frame transport plus _integrated_diffusion."""
-    start, tau = schedule.window(i)
+    tau = schedule.window(i)[1]
     I_u = I_v = 0.0
     if params.D > 0.0:
         panels = max(1, math.ceil(config.substeps_per_unit * tau))
         I_u, I_v = schedule.stretch_integrals(i, sign, field.frame.a, panels)
-    field = replace(field, frame=field.frame.shifted(
-        sign * schedule.bump_integral(i, start, start + tau)))
+    field = replace(field, frame=field.frame.shifted(sign * tau))
     return _integrated_diffusion(field, params, I_u, I_v, spec)
 
 
@@ -304,24 +287,31 @@ def _kick_window(field: PhaseSpaceField, schedule: Schedule,
 
     Returns the kicked field, its (u, k_v) spectrum and its diagnostics;
     spec, the input's spectrum if window 1 carried it, is consumed. The
-    frame is static here. At D = 0 the kick multipliers commute and their
-    phase is linear in delta, so one kick by the whole window's bump
-    integral is exact. At D > 0 each k_v column takes its propagator from
-    _window_factors: two chirps around one complex FFT pair along u per
-    piece, then its damping; columns damped below e^-46 are set to zero.
-    The momentum tail is checked on the window's input and output.
+    input's momentum tail is checked before any other work. The frame is
+    static here. At D = 0 the kick multipliers commute, so one kick by the
+    window's bump integral tau2 is exact; its phase k_j x_i^2 tau2 =
+    theta_i j is linear in j = J a + b (J = isqrt n): the product of the
+    small tables exp(-i theta_i J a) and exp(-i theta_i b). At D > 0 each
+    k_v column takes its propagator from _window_factors: two chirps
+    around one complex FFT pair along u per piece, then its damping;
+    columns damped below e^-46 are set to zero, and the output's momentum
+    tail is checked too.
     """
     spec = np.fft.rfft(field.values, axis=1) if spec is None else spec
+    _check_v_tail(spec)
     if params.D == 0.0:
-        start, tau = schedule.window(2)
-        delta = schedule.bump_integral(2, start, start + tau)
-        spec = _kicked_spectrum(field, delta, spec)
+        n, J = spec.shape[1], math.isqrt(spec.shape[1])
+        t = -1j * (_rk_axis(len(field.v), field.dv)[1] / field.frame.s_p
+                   * (field.frame.s_x * field.u) ** 2
+                   * schedule.tau2)[:, None, None]
+        table = np.exp(t * (J * np.arange(-(-n // J)))[:, None]) \
+            * np.exp(t * np.arange(J))
+        spec *= table.reshape(len(field.u), -1)[:, :n]
         info = {"kick_substeps": 1, "window_rhs_evals": 0,
-                "window_det_defect": 0.0, "kept_columns": spec.shape[1]}
+                "window_det_defect": 0.0, "kept_columns": n}
     else:
         keep, damp, beta, g_in, g_out, info = _window_factors(
             field, schedule, params)
-        _check_v_tail(spec)
         # even factors: exp at |u| on (i - n/2) du and at |k_u|, mirrored
         n, i = len(field.u), np.arange(len(field.u))
         u2 = ((np.arange(n // 2 + 1) + n % 2 / 2.0) * field.du) ** 2 / 2.0

@@ -49,13 +49,11 @@ def _tick_label(t: float) -> str:
 
 
 class _Canvas:
-    def __init__(self, width=_W, height=_H):
-        self.width = width
-        self.height = height
+    def __init__(self):
         self.parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">',
-            f'<rect width="{width}" height="{height}" fill="white"/>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
+            f'height="{_H}" viewBox="0 0 {_W} {_H}">',
+            f'<rect width="{_W}" height="{_H}" fill="white"/>',
         ]
 
     def text(self, x, y, s, size=13, anchor="middle", angle=None):

@@ -64,6 +64,9 @@ CSV_COLUMNS = ["h", "D", "exponent", "discrepancy_g0", "l1",
 #: otherwise wrap around the momentum boundary.
 _WIDE_D_RATIO = 1.5
 
+#: h of the closed-form densities in fig2 and fig3.
+_H_REF = 1e-3
+
 #: Kick-window duration of fig2's inset, where the quantum fringes are
 #: denser than at the run's own tau2.
 _INSET_TAU2 = 10.0
@@ -121,6 +124,17 @@ class RunConfig:
             raise InvalidParameterError("d_rule must be exponent or absolute")
         if self.seed < 0:
             raise InvalidParameterError(f"seed {self.seed} must be >= 0")
+        if self.substeps < 1:
+            raise InvalidParameterError(
+                f"substeps {self.substeps} must be >= 1")
+        if self.figures and not self.out_dir:
+            raise InvalidParameterError("--figures needs --out")
+        pts = [pt[:2] for pt in self.points()]
+        for i, (h, D) in enumerate(pts):
+            if (h, D) in pts[:i]:
+                raise InvalidParameterError(
+                    f"sweep point h={h!r}, D={D!r} repeats: each h, and "
+                    "each D at one h (D = 0 included), must be distinct")
 
     def points(self):
         """All (h, D, exponent) sweep points, exponent nan for absolute D;
@@ -228,7 +242,9 @@ def _json_value(v):
     return None if isinstance(v, float) and math.isnan(v) else v
 
 
-def write_summary_json(path, config: RunConfig, records, extra=None) -> None:
+def write_summary_json(path, config: RunConfig, records) -> None:
+    """The run's config and records, without wall_time, plus the per-h
+    crossing estimates when any record has D > 0."""
     payload = {
         "schema": "v1",
         "code_version": __version__,
@@ -246,8 +262,10 @@ def write_summary_json(path, config: RunConfig, records, extra=None) -> None:
             for d in map(asdict, records)
         ],
     }
-    if extra:
-        payload.update(extra)
+    crossings = crossing_estimates(records, config.tau2)
+    if crossings:
+        payload["crossings"] = {repr(h): _json_value(v)
+                                for h, v in sorted(crossings.items())}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
@@ -256,13 +274,8 @@ def write_summary_json(path, config: RunConfig, records, extra=None) -> None:
 def write_artifacts(config: RunConfig, records) -> None:
     os.makedirs(config.out_dir, exist_ok=True)
     write_records_csv(os.path.join(config.out_dir, "records.csv"), records)
-    extra = {}
-    crossings = crossing_estimates(records, config.tau2)
-    if crossings:
-        extra["crossings"] = {repr(h): _json_value(v)
-                              for h, v in sorted(crossings.items())}
     write_summary_json(os.path.join(config.out_dir, "summary.json"),
-                       config, records, extra)
+                       config, records)
     if config.figures:
         emit_figures(config.out_dir, tau2=config.tau2)
     write_bounds_csv(os.path.join(config.out_dir, "bounds.csv"), records)
@@ -309,9 +322,8 @@ def observable_table(tau2: float = 1.0):
     g_n = p^n exp(-p^2) (ObservableSpec) taken as a running product."""
     sigma = math.sqrt(1.0 + 2.0 * tau2 * tau2)
     p = np.linspace(-10.0 - 2 * sigma, 40.0 * tau2 + 12.0 * sigma, 1 << 14)
-    h_ref = 1e-3
-    sch = _schedule_for(h_ref, tau2)
-    q, c = _grid_pdfs(p, sch.tau1, sch.tau2, sch.tau3, h_ref)
+    sch = _schedule_for(_H_REF, tau2)
+    q, c = _grid_pdfs(p, sch.tau1, sch.tau2, sch.tau3, _H_REF)
     g, dp = np.exp(-p * p), float(p[1] - p[0])
     rows = []
     for n in range(9):
@@ -324,13 +336,12 @@ def emit_figures(out_dir, tau2: float = 1.0) -> dict:
     """Write fig2.svg (density overlay with a tau2 = 10 inset) and fig3.svg
     plus fig3.csv (observable table); returns the plotted data."""
     os.makedirs(out_dir, exist_ok=True)
-    h_ref = 1e-3
 
     def curves(t2, lo, hi, n=900):
-        sch = _schedule_for(h_ref, t2)
+        sch = _schedule_for(_H_REF, t2)
         p = np.linspace(lo, hi, n)
-        q = quantum_momentum_pdf(p, sch.tau1, sch.tau2, sch.tau3, h_ref)
-        c = classical_momentum_pdf(p, sch.tau1, sch.tau2, sch.tau3, h_ref)
+        q = quantum_momentum_pdf(p, sch.tau1, sch.tau2, sch.tau3, _H_REF)
+        c = classical_momentum_pdf(p, sch.tau1, sch.tau2, sch.tau3, _H_REF)
         return p, q, c
 
     p, q, c = curves(tau2, -4.0, 8.0 * max(tau2, 1.0))

@@ -4,13 +4,15 @@ small end-to-end run with artifact and determinism checks."""
 import csv
 import importlib.metadata
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from qcthreshold import oracles, sweep
-from qcthreshold.cli import build_config, load_config_file, main, parse_d_rule
+from qcthreshold import cli, oracles, sweep
+from qcthreshold.cli import (_OPTIONS, _switch, build_config, load_config_file,
+                             main, parse_d_rule)
 from qcthreshold.core import momentum_marginal
 from qcthreshold.errors import InvalidParameterError, ResolutionError
 from qcthreshold.evolver import EvolverConfig
@@ -53,7 +55,8 @@ class TestConfigFile:
             "d-rule = exp:1.0,2.0\n"
             "grid = 256x512\n"
             "substeps = 80\n"
-            "figures = true\n")
+            "figures = true\n"
+            "out = results\n")
         cfg = build_config(["--config", str(cfg_file)])
         assert cfg.h_list == (0.2, 0.1)
         assert cfg.d_rule == ("exponent", (1.0, 2.0))
@@ -88,6 +91,36 @@ class TestConfigFile:
         assert cfg.h_list == (0.2, 0.1, 0.05)
         assert cfg.out_dir == ""
         assert cfg.oracle is False
+
+
+class TestOptionTable:
+    #: a value other than the default for every option
+    VALUES = {"h_list": "0.2,0.1", "d_rule": "abs:0.01", "tau2": "2.0",
+              "grid": "256x512", "substeps": "80", "out": "results",
+              "seed": "3", "oracle": "true", "figures": "true"}
+
+    @pytest.mark.parametrize("key", list(_OPTIONS))
+    def test_flag_and_config_key_agree(self, tmp_path, key):
+        keys = (key, "out") if key == "figures" else (key,)  # needs --out
+        argv, lines = [], ""
+        for k in keys:
+            flag = "--" + k.replace("_", "-")
+            switch = _OPTIONS[k][0] is _switch
+            argv += [flag] if switch else [flag, self.VALUES[k]]
+            lines += f"{k} = {self.VALUES[k]}\n"
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(lines)
+        from_flags = build_config(argv)
+        assert from_flags == build_config(["--config", str(cfg_file)])
+        assert from_flags != build_config([])
+
+    def test_help_lists_each_flag_once(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        listed = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
+        want = ["--config"] + ["--" + k.replace("_", "-") for k in _OPTIONS]
+        assert sorted(listed) == sorted(want)
 
 
 class TestMain:
@@ -142,6 +175,26 @@ class TestMain:
         assert main(ORACLE_ARGV + ["--seed=-1"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: seed -1")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        # every sweep runs D = 0, so an absolute 0 repeats it
+        (["--d-rule", "abs:0,0.01"], "sweep point h=0.2, D=0.0 repeats"),
+        (["--h-list", "0.2,0.2"], "sweep point h=0.2, D=0.0 repeats"),
+        (["--d-rule", "exp:1,1"], "sweep point h=0.2, D=0.2 repeats"),
+        (["--figures"], "--figures needs --out"),
+        (["--substeps", "0"], "substeps 0 must be >= 1"),
+    ], ids=["abs-zero", "repeated-h", "repeated-exponent", "figures-no-out",
+            "substeps-zero"])
+    def test_rejected_before_any_work(self, monkeypatch, capsys, argv,
+                                      message):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_experiment", no_sweep)
+        assert main(["--h-list", "0.2"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
         assert captured.out == ""
 
     @pytest.mark.parametrize("tau2", ["nan", "inf"])

@@ -541,6 +541,23 @@ class TestGuards:
             with pytest.raises(ResolutionError, match="momentum spectral tail"):
                 evolve(field, SCH, params)
 
+    def test_kick_window_checks_input_tail_before_solving(self,
+                                                          monkeypatch):
+        # the D > 0 propagator's matrix solves must not run on a spectrum
+        # that already fails the momentum tail check
+        def no_solve(*args):
+            raise AssertionError("_window_matrices ran")
+
+        monkeypatch.setattr(evolver, "_window_matrices", no_solve)
+        grid = GridSpec.for_h(H, n_u=256, n_v=256, widths_u=16.0,
+                              widths_v=64.0)
+        for D in (0.0, 0.01 * H ** (4.0 / 3.0)):
+            field, params = _initial("classical", D=D, grid=grid)
+            t1, spec = _stretch_window(field, SCH, 1, +1.0, params,
+                                       EvolverConfig())
+            with pytest.raises(ResolutionError, match="momentum spectral tail"):
+                _kick_window(t1, SCH, params, spec)
+
     def test_coarse_position_axis_raises_resolution_error(self):
         # the kick folds each momentum row, sharpening the state along u
         grid = GridSpec.for_h(H, n_u=128)

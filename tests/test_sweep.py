@@ -80,6 +80,20 @@ class TestRunConfig:
                 RunConfig(tau2=tau2)
         with pytest.raises(InvalidParameterError, match="seed"):
             RunConfig(seed=-1)
+        with pytest.raises(InvalidParameterError, match="substeps"):
+            RunConfig(substeps=0)
+        with pytest.raises(InvalidParameterError, match="--figures"):
+            RunConfig(figures=True)
+
+    @pytest.mark.parametrize("h_list, d_rule", [
+        ((0.2,), ("absolute", (0.0, 0.01))),  # D = 0 runs anyway
+        ((0.2,), ("absolute", (0.01, 0.01))),
+        ((0.2,), ("exponent", (1.0, 1.0))),
+        ((0.2, 0.1, 0.2), ("exponent", (1.0,))),
+    ])
+    def test_repeated_point_rejected(self, h_list, d_rule):
+        with pytest.raises(InvalidParameterError, match="repeats"):
+            RunConfig(h_list=h_list, d_rule=d_rule)
 
     def test_memory_gate(self):
         cfg = RunConfig(n_u=1 << 14, n_v=1 << 15)
