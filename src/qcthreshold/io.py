@@ -1,5 +1,9 @@
-"""Serialization of one-dimensional marginals as two-column CSV (p, density),
-with every float written by repr so that it reads back exactly."""
+"""Every CSV artifact, and the marginal reader.
+
+write_csv writes each float by repr, so that it reads back exactly, and
+anything else by str; the sweep's records, bound report and observable
+table, and the two-column (p, density) marginals all go through it.
+"""
 
 from __future__ import annotations
 
@@ -10,17 +14,25 @@ import numpy as np
 from .core import MomentumDistribution
 
 __all__ = [
+    "write_csv",
     "write_marginal_csv",
     "read_marginal_csv",
 ]
 
 
-def write_marginal_csv(path, dist: MomentumDistribution) -> None:
+def write_csv(path, header, rows) -> None:
+    """Write the header, then one comma-separated line per row, each line
+    ending in "\\n"."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "density"])
-        for p, q in zip(dist.p, dist.q):
-            writer.writerow([repr(float(p)), repr(float(q))])
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(
+                repr(float(v)) if isinstance(v, (float, np.floating))
+                else str(v) for v in row) + "\n")
+
+
+def write_marginal_csv(path, dist: MomentumDistribution) -> None:
+    write_csv(path, ["p", "density"], zip(dist.p, dist.q))
 
 
 def read_marginal_csv(path) -> MomentumDistribution:

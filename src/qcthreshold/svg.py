@@ -1,22 +1,21 @@
-"""Minimal deterministic SVG plotting: axes, polylines, bars, legend.
+"""Deterministic SVG figures: a line plot with an inset, and grouped bars.
 
-Output bytes depend only on the data passed in; all numbers are formatted
-with fixed precision so identical inputs give identical files.
+Output bytes depend only on the data passed in; every number is formatted
+with fixed precision, so identical inputs give identical files.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["LinePlot", "BarPlot"]
+__all__ = ["line_plot", "bar_plot"]
 
 _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 60, 20, 36, 48
 #: pixel box (left, top, width, height) of a plot's main axes
 _BOX = (_ML, _MT, _W - _ML - _MR, _H - _MT - _MB)
 
-_PALETTE = {"red": "#c0392b", "blue": "#2563a8", "gray": "#777777",
-            "green": "#2f7d32", "orange": "#d07a1f"}
+_PALETTE = {"red": "#c0392b", "blue": "#2563a8"}
 
 
 def _fmt(v: float) -> str:
@@ -78,8 +77,14 @@ class _Canvas:
             f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" '
             f'height="{_fmt(h)}" fill="{fill}" stroke="{stroke}"/>')
 
-    def render(self) -> str:
-        return "\n".join(self.parts + ["</svg>"]) + "\n"
+    def labels(self, title, xlabel, ylabel):
+        self.text(_W / 2, 22, title, size=15)
+        self.text(_ML + (_W - _ML - _MR) / 2, _H - 12, xlabel)
+        self.text(16, _MT + (_H - _MT - _MB) / 2, ylabel, angle=-90)
+
+    def write(self, path):
+        with open(path, "w") as fh:
+            fh.write("\n".join(self.parts + ["</svg>"]) + "\n")
 
 
 class _Axes:
@@ -109,116 +114,67 @@ class _Axes:
             c.text(self.x0 - 7, y + 4, _tick_label(t), size=size, anchor="end")
 
     def curve(self, xs, ys, color, width=1.6):
-        pts = [(self.px(x), self.py(y)) for x, y in zip(xs, ys)]
-        self.c.polyline(pts, _PALETTE.get(color, color), width)
+        # Python floats: numpy scalars would make each point slower
+        pts = [(self.px(x), self.py(y))
+               for x, y in zip(map(float, xs), map(float, ys))]
+        self.c.polyline(pts, _PALETTE[color], width)
 
 
-class _Plot:
-    """A figure's title and axis labels, and its file output."""
-
-    def __init__(self, title="", xlabel="", ylabel=""):
-        self.title = title
-        self.xlabel = xlabel
-        self.ylabel = ylabel
-
-    def _labels(self, c):
-        if self.title:
-            c.text(_W / 2, 22, self.title, size=15)
-        if self.xlabel:
-            c.text(_ML + (_W - _ML - _MR) / 2, _H - 12, self.xlabel)
-        if self.ylabel:
-            c.text(16, _MT + (_H - _MT - _MB) / 2, self.ylabel, angle=-90)
-
-    def write(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.render())
 
 
-class LinePlot(_Plot):
-    """A single-axes line plot with optional inset axes."""
-
-    def __init__(self, title="", xlabel="", ylabel=""):
-        super().__init__(title, xlabel, ylabel)
-        self.curves = []        # (xs, ys, color, label)
-        self.inset_curves = []
-
-    def add(self, xs, ys, color, label=""):
-        self.curves.append((list(map(float, xs)), list(map(float, ys)),
-                            color, label))
-
-    def add_inset(self, xs, ys, color):
-        self.inset_curves.append((list(map(float, xs)),
-                                  list(map(float, ys)), color))
-
-    @staticmethod
-    def _ranges(curves):
-        xs = [x for c in curves for x in c[0]]
-        ys = [y for c in curves for y in c[1]]
-        pad = 0.05 * (max(ys) - min(ys) or 1.0)
-        return (min(xs), max(xs)), (min(0.0, min(ys)) - pad, max(ys) + pad)
-
-    def render(self) -> str:
-        c = _Canvas()
-        xr, yr = self._ranges(self.curves)
-        ax = _Axes(c, _BOX, xr, yr)
-        ax.frame()
-        for xs, ys, color, _ in self.curves:
-            ax.curve(xs, ys, color)
-        self._labels(c)
-        ly = _MT + 14
-        for xs, ys, color, label in self.curves:
-            if not label:
-                continue
-            lx = _W - _MR - 150
-            c.line(lx, ly - 4, lx + 24, ly - 4, _PALETTE.get(color, color), 2)
-            c.text(lx + 30, ly, label, anchor="start", size=12)
-            ly += 18
-        if self.inset_curves:
-            box = (_W - _MR - 230, _MT + 60, 210, 140)
-            c.rect(box[0] - 36, box[1] - 10, box[2] + 46, box[3] + 34,
-                   "white", stroke="#aaaaaa")
-            ixr, iyr = self._ranges(self.inset_curves)
-            iax = _Axes(c, box, ixr, iyr)
-            iax.frame(size=9)
-            for xs, ys, color in self.inset_curves:
-                iax.curve(xs, ys, color, width=1.2)
-        return c.render()
+def _ranges(curves):
+    xs = [float(x) for c in curves for x in c[0]]
+    ys = [float(y) for c in curves for y in c[1]]
+    pad = 0.05 * (max(ys) - min(ys) or 1.0)
+    return (min(xs), max(xs)), (min(0.0, min(ys)) - pad, max(ys) + pad)
 
 
-class BarPlot(_Plot):
-    """Grouped bars over integer categories, two series."""
+def line_plot(path, curves, inset, title, xlabel, ylabel) -> None:
+    """Write a line plot of curves, each (xs, ys, color, label), with a
+    legend and an inset axes box drawing inset, each (xs, ys, color)."""
+    c = _Canvas()
+    ax = _Axes(c, _BOX, *_ranges(curves))
+    ax.frame()
+    for xs, ys, color, _ in curves:
+        ax.curve(xs, ys, color)
+    c.labels(title, xlabel, ylabel)
+    lx = _W - _MR - 150
+    for i, (_, _, color, label) in enumerate(curves):
+        ly = _MT + 14 + 18 * i
+        c.line(lx, ly - 4, lx + 24, ly - 4, _PALETTE[color], 2)
+        c.text(lx + 30, ly, label, anchor="start", size=12)
+    box = (_W - _MR - 230, _MT + 60, 210, 140)
+    c.rect(box[0] - 36, box[1] - 10, box[2] + 46, box[3] + 34, "white",
+           stroke="#aaaaaa")
+    iax = _Axes(c, box, *_ranges(inset))
+    iax.frame(size=9)
+    for xs, ys, color in inset:
+        iax.curve(xs, ys, color, width=1.2)
+    c.write(path)
 
-    def __init__(self, title="", xlabel="", ylabel=""):
-        super().__init__(title, xlabel, ylabel)
-        self.groups = []  # (category label, value_a, value_b)
-        self.series = ("a", "b")
-        self.colors = ("red", "blue")
 
-    def add_group(self, label, a, b):
-        self.groups.append((str(label), float(a), float(b)))
-
-    def render(self) -> str:
-        c = _Canvas()
-        vals = [v for g in self.groups for v in g[1:]]
-        hi = max(vals + [0.0]) * 1.1 or 1.0
-        lo = min(vals + [0.0])
-        ax = _Axes(c, _BOX, (0.0, len(self.groups)), (lo, hi))
-        ax.frame(x_ticks=False)
-        width = (_W - _ML - _MR) / len(self.groups)
-        for i, (label, a, b) in enumerate(self.groups):
-            x = _ML + i * width
-            base = ax.py(0.0)
-            for j, v in enumerate((a, b)):
-                bx = x + width * (0.15 + 0.36 * j)
-                top = ax.py(v)
-                c.rect(bx, min(top, base), width * 0.32, abs(base - top),
-                       _PALETTE[self.colors[j]])
-            c.text(x + width / 2, _H - _MB + 16, label, size=11)
-        self._labels(c)
-        ly = _MT + 14
-        for name, color in zip(self.series, self.colors):
-            lx = _W - _MR - 150
-            c.rect(lx, ly - 10, 16, 10, _PALETTE[color])
-            c.text(lx + 22, ly, name, anchor="start", size=12)
-            ly += 18
-        return c.render()
+def bar_plot(path, groups, series, title, xlabel, ylabel) -> None:
+    """Write grouped bars, one group per (label, a, b) in groups, a red and
+    b blue, with series the legend names of a and b."""
+    c = _Canvas()
+    vals = [v for g in groups for v in g[1:]]
+    hi = max(vals + [0.0]) * 1.1 or 1.0
+    lo = min(vals + [0.0])
+    ax = _Axes(c, _BOX, (0.0, len(groups)), (lo, hi))
+    ax.frame(x_ticks=False)
+    width = (_W - _ML - _MR) / len(groups)
+    base = ax.py(0.0)
+    for i, (label, *pair) in enumerate(groups):
+        x = _ML + i * width
+        for j, (v, fill) in enumerate(zip(pair, _PALETTE.values())):
+            bx = x + width * (0.15 + 0.36 * j)
+            top = ax.py(v)
+            c.rect(bx, min(top, base), width * 0.32, abs(base - top), fill)
+        c.text(x + width / 2, _H - _MB + 16, label, size=11)
+    c.labels(title, xlabel, ylabel)
+    lx = _W - _MR - 150
+    for j, (name, fill) in enumerate(zip(series, _PALETTE.values())):
+        ly = _MT + 14 + 18 * j
+        c.rect(lx, ly - 10, 16, 10, fill)
+        c.text(lx + 22, ly, name, anchor="start", size=12)
+    c.write(path)

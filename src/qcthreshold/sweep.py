@@ -41,7 +41,8 @@ from .core import (
 )
 from .errors import InvalidParameterError
 from .evolver import EvolverConfig, evolve
-from .svg import BarPlot, LinePlot
+from .io import write_csv
+from .svg import bar_plot, line_plot
 
 __all__ = [
     "RunConfig",
@@ -129,8 +130,18 @@ class RunConfig:
                 f"substeps {self.substeps} must be >= 1")
         if self.figures and not self.out_dir:
             raise InvalidParameterError("--figures needs --out")
-        pts = [pt[:2] for pt in self.points()]
+        for h in self.h_list:
+            if not 0.0 < h < 1.0:
+                raise InvalidParameterError(f"h {h!r} must lie in (0, 1)")
+        try:
+            pts = [pt[:2] for pt in self.points()]
+        except OverflowError:
+            raise InvalidParameterError(
+                f"D = h^p overflows for p in {self.d_rule[1]!r}") from None
         for i, (h, D) in enumerate(pts):
+            if not (math.isfinite(D) and D >= 0):
+                raise InvalidParameterError(
+                    f"D {D!r} at h={h!r} must be finite and >= 0")
             if (h, D) in pts[:i]:
                 raise InvalidParameterError(
                     f"sweep point h={h!r}, D={D!r} repeats: each h, and "
@@ -224,17 +235,8 @@ def run_experiment(config: RunConfig, max_workers: int = None):
 
 
 def write_records_csv(path, records) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for r in records:
-            d = asdict(r)
-            fh.write(",".join(_csv_cell(d[c]) for c in CSV_COLUMNS) + "\n")
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    write_csv(path, CSV_COLUMNS,
+              ([getattr(r, c) for c in CSV_COLUMNS] for r in records))
 
 
 def _json_value(v):
@@ -306,15 +308,13 @@ def crossing_estimates(records, tau2: float) -> dict:
 
 def write_bounds_csv(path, records) -> None:
     """One bound report row per record and side, quantum first."""
-    with open(path, "w", newline="") as fh:
-        fh.write("h,D,side,measured,bound,passed\n")
-        for r in records:
-            for side, meas, bound in (
-                    ("quantum", r.measured_quantum_l1, r.quantum_bound),
-                    ("classical", r.measured_classical_l1, r.classical_bound)):
-                verdict = "PASS" if bound_passed(meas, bound) else "FAIL"
-                fh.write(f"{r.h!r},{r.D!r},{side},{meas!r},{bound!r},"
-                         f"{verdict}\n")
+    write_csv(path, ["h", "D", "side", "measured", "bound", "passed"], [
+        (r.h, r.D, side, meas, bound,
+         "PASS" if bound_passed(meas, bound) else "FAIL")
+        for r in records
+        for side, meas, bound in (
+            ("quantum", r.measured_quantum_l1, r.quantum_bound),
+            ("classical", r.measured_classical_l1, r.classical_bound))])
 
 
 def observable_table(tau2: float = 1.0):
@@ -345,27 +345,20 @@ def emit_figures(out_dir, tau2: float = 1.0) -> dict:
         return p, q, c
 
     p, q, c = curves(tau2, -4.0, 8.0 * max(tau2, 1.0))
-    fig2 = LinePlot(title="Final momentum distributions",
-                    xlabel="p", ylabel="density")
-    fig2.add(p, q, "red", "quantum")
-    fig2.add(p, c, "blue", "classical")
     sig = math.sqrt(1.0 + 2.0 * _INSET_TAU2 ** 2)
     pi_, qi, ci = curves(_INSET_TAU2, -2.0 * sig, _INSET_TAU2 + 2.5 * sig)
-    fig2.add_inset(pi_, qi, "red")
-    fig2.add_inset(pi_, ci, "blue")
-    fig2.write(os.path.join(out_dir, "fig2.svg"))
+    line_plot(os.path.join(out_dir, "fig2.svg"),
+              [(p, q, "red", "quantum"), (p, c, "blue", "classical")],
+              [(pi_, qi, "red"), (pi_, ci, "blue")],
+              "Final momentum distributions", "p", "density")
 
     table = observable_table(tau2)
-    fig3 = BarPlot(title="Observable averages p^n exp(-p^2)",
-                   xlabel="n", ylabel="expectation")
-    fig3.series = ("quantum", "classical")
-    for n, qv, cv in table:
-        fig3.add_group(n, qv, cv)
-    fig3.write(os.path.join(out_dir, "fig3.svg"))
-    with open(os.path.join(out_dir, "fig3.csv"), "w", newline="") as fh:
-        fh.write("n,quantum,classical,difference\n")
-        for n, qv, cv in table:
-            fh.write(f"{n},{qv!r},{cv!r},{abs(qv - cv)!r}\n")
+    bar_plot(os.path.join(out_dir, "fig3.svg"), table,
+             ("quantum", "classical"), "Observable averages p^n exp(-p^2)",
+             "n", "expectation")
+    write_csv(os.path.join(out_dir, "fig3.csv"),
+              ["n", "quantum", "classical", "difference"],
+              [(n, qv, cv, abs(qv - cv)) for n, qv, cv in table])
     return {"fig2": (p, q, c), "fig2_inset": (pi_, qi, ci), "fig3": table}
 
 

@@ -184,8 +184,15 @@ class TestMain:
         (["--d-rule", "exp:1,1"], "sweep point h=0.2, D=0.2 repeats"),
         (["--figures"], "--figures needs --out"),
         (["--substeps", "0"], "substeps 0 must be >= 1"),
+        # out-of-range h or D, rejected before the pool starts
+        (["--h-list", "0.2,1.5"], "h 1.5 must lie in (0, 1)"),
+        (["--h-list", "nan"], "h nan must lie in (0, 1)"),
+        (["--d-rule", "abs:-1"], "D -1.0 at h=0.2 must be finite and >= 0"),
+        (["--d-rule", "exp:nan"], "D nan at h=0.2 must be finite and >= 0"),
+        (["--d-rule", "exp:-1000"], "D = h^p overflows"),
     ], ids=["abs-zero", "repeated-h", "repeated-exponent", "figures-no-out",
-            "substeps-zero"])
+            "substeps-zero", "h-above-1", "h-nan", "abs-negative", "exp-nan",
+            "exp-overflow"])
     def test_rejected_before_any_work(self, monkeypatch, capsys, argv,
                                       message):
         def no_sweep(*args, **kwargs):

@@ -84,6 +84,15 @@ class TestRunConfig:
             RunConfig(substeps=0)
         with pytest.raises(InvalidParameterError, match="--figures"):
             RunConfig(figures=True)
+        for h in (0.0, 1.0, 1.5, -0.1, math.nan):
+            with pytest.raises(InvalidParameterError, match=f"h {h!r} "):
+                RunConfig(h_list=(0.2, h))
+        for d_rule in (("absolute", (-1.0,)), ("absolute", (math.inf,)),
+                       ("exponent", (math.nan,))):
+            with pytest.raises(InvalidParameterError, match="finite and >= 0"):
+                RunConfig(d_rule=d_rule)
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            RunConfig(d_rule=("exponent", (-1000.0,)))
 
     @pytest.mark.parametrize("h_list, d_rule", [
         ((0.2,), ("absolute", (0.0, 0.01))),  # D = 0 runs anyway
