@@ -20,8 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (CoverageError, InvalidParameterError, ResolutionError,
-                     SolverFailureError)
+from .errors import InvalidParameterError, ResolutionError, SolverFailureError
 from .sweep import RunConfig, bound_passed, cross_validate, run_experiment
 
 __all__ = ["main", "parse_d_rule", "load_config_file", "build_config"]
@@ -138,7 +137,7 @@ def main(argv=None) -> int:
         records = run_experiment(config)
         h = max(config.h_list)
         oracle_fails = cross_validate(h, config) if config.oracle else []
-    except (InvalidParameterError, CoverageError, OSError) as exc:
+    except (InvalidParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ResolutionError, SolverFailureError) as exc:

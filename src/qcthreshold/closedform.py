@@ -36,7 +36,7 @@ from scipy.special import airy as _airy, airye as _airye, erf as _erf
 from scipy.special import ive as _ive, kve as _kve
 
 from .core import MomentRecord, Schedule, is_standard_schedule
-from .errors import InvalidParameterError, ValidityError
+from .errors import InvalidParameterError
 
 __all__ = [
     "BoundConstants",
@@ -305,7 +305,7 @@ def duhamel_bound(side: str, h: float, D: float, schedule: Schedule) -> float:
     if not (math.isfinite(h) and h > 0 and math.isfinite(D) and D >= 0):
         raise InvalidParameterError("need h > 0 and D >= 0, both finite")
     if schedule.tau1 >= 0.25 * math.log(1.0 / h):
-        raise ValidityError("bound requires tau1 < (1/4) log(1/h)")
+        raise InvalidParameterError("bound requires tau1 < (1/4) log(1/h)")
     k = constants(schedule.tau2)
     if is_standard_schedule(schedule, h):
         C = k.C_qu if side == "quantum" else k.C_cl

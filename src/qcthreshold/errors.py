@@ -1,24 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one class per exit path of
+the CLI: a bad input (code 2) or a run the solver cannot trust (code 3)."""
 
 
 class InvalidParameterError(ValueError):
-    """A parameter violates a documented precondition."""
-
-
-class CoverageError(ValueError):
-    """A grid is too small to hold the requested state (mass would leak)."""
-
-
-class DomainError(ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
-
-
-class RangeError(ValueError):
-    """Evaluation would overflow or leave the supported argument range."""
-
-
-class GridMismatchError(ValueError):
-    """Two distributions live on incompatible grids even after resampling."""
+    """An input violates a documented precondition: a parameter out of
+    range, a grid too small for the state, or an argument outside the
+    domain or regime that an operation supports."""
 
 
 class ResolutionError(RuntimeError):
@@ -27,7 +14,3 @@ class ResolutionError(RuntimeError):
 
 class SolverFailureError(RuntimeError):
     """An evolution run violated a conservation or positivity diagnostic."""
-
-
-class ValidityError(ValueError):
-    """A bound or formula was requested outside its regime of validity."""

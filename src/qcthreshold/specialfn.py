@@ -1,17 +1,16 @@
-"""The parabolic cylinder function D_ell from its real integral
-representation (valid for ell < 0): the tests' quadrature reference for
-the classical density. The closed forms themselves take Bessel and Airy
-functions from scipy.special directly.
+"""The parabolic cylinder function D_ell at one real argument, from its
+real integral representation (valid for ell < 0): the tests' quadrature
+reference for the classical density. The closed forms themselves take
+Bessel and Airy functions from scipy.special directly.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
 from scipy import integrate
 
-from .errors import DomainError, RangeError
+from .errors import InvalidParameterError
 
 __all__ = [
     "parabolic_cylinder_D",
@@ -39,24 +38,19 @@ def _pcf_integral(ell: float, z: float) -> float:
     return out[0]
 
 
-def parabolic_cylinder_D(ell: float, z):
-    """Parabolic cylinder function D_ell(z) for ell < 0.
+def parabolic_cylinder_D(ell: float, z: float) -> float:
+    """Parabolic cylinder function D_ell(z) for ell < 0 at one real z with
+    |z| <= PCF_MAX_ARG.
 
     Computed from the real integral representation
         D_ell(z) = exp(-z^2/4) / Gamma(-ell) * int_0^inf e^{-zs - s^2/2} s^{-ell-1} ds,
-    which is valid only for Re(ell) < 0. Accepts scalar or array z with
-    |z| <= PCF_MAX_ARG.
+    which is valid only for Re(ell) < 0.
     """
     if ell >= 0:
-        raise DomainError("integral representation of D_ell requires ell < 0")
-    arr = np.asarray(z, dtype=float)
-    if np.any(np.abs(arr) > PCF_MAX_ARG):
-        raise RangeError(f"parabolic_cylinder_D argument exceeds |z| = {PCF_MAX_ARG}")
+        raise InvalidParameterError(
+            "integral representation of D_ell requires ell < 0")
+    if abs(z) > PCF_MAX_ARG:
+        raise InvalidParameterError(
+            f"parabolic_cylinder_D argument exceeds |z| = {PCF_MAX_ARG}")
     norm = 1.0 / math.gamma(-ell)
-
-    def one(zv: float) -> float:
-        return norm * math.exp(-zv * zv / 4.0) * _pcf_integral(ell, zv)
-
-    if np.isscalar(z) or arr.ndim == 0:
-        return one(float(arr))
-    return np.array([one(zv) for zv in arr.ravel()]).reshape(arr.shape)
+    return norm * math.exp(-z * z / 4.0) * _pcf_integral(ell, z)

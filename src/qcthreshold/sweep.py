@@ -30,7 +30,6 @@ from .closedform import (
 from .core import (
     GridSpec,
     MomentumDistribution,
-    ObservableSpec,
     SemiclassicalParams,
     expect_observable,
     initial_coherent_field,
@@ -191,8 +190,7 @@ def run_point(h: float, D: float, exponent: float,
                  params, evc)
     mq = momentum_marginal(res.wigner)
     mc = momentum_marginal(res.final)
-    g0 = ObservableSpec(0)
-    disc = abs(expect_observable(mq, g0) - expect_observable(mc, g0))
+    disc = abs(expect_observable(mq) - expect_observable(mc))
     l1 = l1_distance(mq, mc)
     qb = duhamel_bound("quantum", h, D, sch)
     cb = duhamel_bound("classical", h, D, sch)
@@ -319,7 +317,7 @@ def write_bounds_csv(path, records) -> None:
 
 def observable_table(tau2: float = 1.0):
     """<g_n> under the two closed-form densities for n = 0 .. 8, with
-    g_n = p^n exp(-p^2) (ObservableSpec) taken as a running product."""
+    g_n = p^n exp(-p^2) taken as a running product."""
     sigma = math.sqrt(1.0 + 2.0 * tau2 * tau2)
     p = np.linspace(-10.0 - 2 * sigma, 40.0 * tau2 + 12.0 * sigma, 1 << 14)
     sch = _schedule_for(_H_REF, tau2)

@@ -20,7 +20,6 @@ from qcthreshold.closedform import (
 )
 from qcthreshold.core import (
     GridSpec,
-    ObservableSpec,
     SemiclassicalParams,
     expect_observable,
     initial_coherent_field,
@@ -204,7 +203,6 @@ class TestCriterion7DiscrepancyOrdering:
 
     @staticmethod
     def _discrepancy(D):
-        g0 = ObservableSpec(0)
         grid = GridSpec.for_h(H) if D <= 1.5 * H ** (4.0 / 3.0) else \
             GridSpec.for_h(H, n_v=2048, widths_v=128.0)
         vals = {}
@@ -212,7 +210,7 @@ class TestCriterion7DiscrepancyOrdering:
             params = SemiclassicalParams(hbar=2 * H, D=D)
             field = initial_coherent_field(params, grid, kind)
             md = momentum_marginal(evolve(field, SCH, params).final)
-            vals[kind] = expect_observable(md, g0)
+            vals[kind] = expect_observable(md)
         return abs(vals["wigner"] - vals["classical"])
 
     def test_ordering(self):

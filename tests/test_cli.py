@@ -217,6 +217,18 @@ class TestMain:
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("error: ResolutionError: ")
 
+    def test_bound_failure_exit_code(self, monkeypatch, tmp_path, capsys):
+        # a negative slack fails even the D = 0 point's zero bounds
+        monkeypatch.setattr(sweep, "BOUND_SLACK", -1.0)
+        argv = ["--h-list", "0.2", "--d-rule", "abs:", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("BOUND FAIL h=0.2 D=0.0: measured (")
+        assert captured.out == "1 sweep points, 0 bound-check passes\n"
+        with open(tmp_path / "bounds.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["passed"] for row in rows] == ["FAIL", "FAIL"]
+
     def test_tau2_2_runs(self, tmp_path, capsys):
         # at tau2 = 2 the wide-grid point D = h asks the Airy closed form
         # for momenta far below its support

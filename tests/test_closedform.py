@@ -25,7 +25,7 @@ from qcthreshold.closedform import (
     quantum_momentum_pdf,
 )
 from qcthreshold.core import Schedule, standard_schedule
-from qcthreshold.errors import InvalidParameterError, ValidityError
+from qcthreshold.errors import InvalidParameterError
 from qcthreshold.specialfn import parabolic_cylinder_D
 
 
@@ -374,10 +374,18 @@ class TestDuhamelBound:
             + k.C2 * 1.5 * d * math.exp(3.0)
         assert duhamel_bound("quantum", 0.05, d, sch) == \
             pytest.approx(expected, rel=1e-12)
+        # tau2^2 = 4: (1 + 4 tau2^2) / (1 + 2 tau2^2) = 17/9 and
+        # tau2 / sqrt(1 + 2 tau2^2) = 2/3
+        expected = (k.C3 * 17.0 / 9.0 + k.C4 * 2.0 / 3.0) \
+            * (0.3 + 2.0) * d * math.exp(0.6) / 0.05 \
+            + 0.5 * k.C5 * 1.5 * d * math.exp(3.0)
+        assert duhamel_bound("classical", 0.05, d, sch) == \
+            pytest.approx(expected, rel=1e-12)
 
     def test_validity_gate(self):
         sch = Schedule(tau1=1.0, tau2=1.0, tau3=1.0)
-        with pytest.raises(ValidityError):
+        with pytest.raises(InvalidParameterError,
+                           match=r"tau1 < \(1/4\) log\(1/h\)"):
             duhamel_bound("quantum", 0.5, 1e-3, sch)
 
     def test_invalid_side(self):

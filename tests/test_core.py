@@ -13,7 +13,6 @@ from qcthreshold.core import (
     BumpProfile,
     GridSpec,
     MomentumDistribution,
-    ObservableSpec,
     PhaseSpaceField,
     Schedule,
     SemiclassicalParams,
@@ -26,7 +25,7 @@ from qcthreshold.core import (
     resample_distribution,
     standard_schedule,
 )
-from qcthreshold.errors import CoverageError, InvalidParameterError
+from qcthreshold.errors import InvalidParameterError
 
 
 class TestParams:
@@ -197,7 +196,7 @@ class TestInitialField:
     def test_too_small_grid(self, h):
         params = SemiclassicalParams(hbar=2 * h)
         small = GridSpec.for_h(h, widths_u=4.0)
-        with pytest.raises(CoverageError):
+        with pytest.raises(InvalidParameterError, match="at least 8"):
             initial_coherent_field(params, small)
 
 
@@ -253,11 +252,14 @@ class TestL1Distance:
         assert l1_distance(a, b) == pytest.approx(2.0, abs=1e-6)
 
     def test_resampling_path(self):
+        # two grids are rejected; resampling is the caller's step
         p1 = np.linspace(-10, 10, 1000, endpoint=False)
         p2 = np.linspace(-8, 8, 640, endpoint=False)
         a = _gaussian_dist(0.3, 1.2, p1)
         b = _gaussian_dist(0.3, 1.2, p2)
-        assert l1_distance(b, a) < 1e-7
+        with pytest.raises(InvalidParameterError, match="one grid"):
+            l1_distance(b, a)
+        assert l1_distance(b, resample_distribution(a, p2)) < 1e-7
 
     @given(st.integers(0, 1_000_000))
     @settings(max_examples=20, deadline=None)
@@ -278,20 +280,8 @@ class TestObservables:
         # int e^{-p^2} N(0, 1)(p) dp has the closed form 1/sqrt(3)
         p = np.linspace(-8, 8, 2048, endpoint=False)
         d = _gaussian_dist(0.0, 1.0, p)
-        assert expect_observable(d, ObservableSpec(0)) == \
+        assert expect_observable(d) == \
             pytest.approx(1.0 / math.sqrt(3.0), rel=1e-9)
-
-    def test_gaussian_weighted_moment(self):
-        # int p^2 e^{-p^2} N(0, 1/2)(p) dp has the closed form 1/(4 sqrt 2)
-        p = np.linspace(-8, 8, 4096, endpoint=False)
-        d = _gaussian_dist(0.0, 0.5, p)
-        exact = 1.0 / (4.0 * math.sqrt(2.0))
-        assert expect_observable(d, ObservableSpec(2)) == \
-            pytest.approx(exact, rel=1e-9)
-
-    def test_invalid_n(self):
-        with pytest.raises(InvalidParameterError):
-            ObservableSpec(-1)
 
 
 class TestMomentMeasurement:

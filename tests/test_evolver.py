@@ -577,6 +577,30 @@ class TestGuards:
         assert max(tails) == diag["t2"]["u_tail"]
         assert 0.0 < diag["t2"]["u_tail"] < _U_TAIL_TOL
 
+    @pytest.fixture
+    def coherent_128(self):
+        h = 0.1
+        return initial_coherent_field(SemiclassicalParams(hbar=2 * h),
+                                      GridSpec.for_h(h, n_u=128, n_v=128),
+                                      "classical")
+
+    def test_mass_drift_guard_fires(self, coherent_128):
+        evolver._check_field(coherent_128, 1.0, "t0")
+        bad = replace(coherent_128, values=1.001 * coherent_128.values)
+        with pytest.raises(SolverFailureError, match="mass drifted to 1.001"):
+            evolver._check_field(bad, 1.0, "t1")
+
+    def test_classical_negativity_guard_fires(self, coherent_128):
+        # one cell far out in v, where the density is below 1e-200: the
+        # mass moves by 2.5e-5 and the u-tail stays at roundoff, so the
+        # negativity check is the first to fire
+        values = coherent_128.values.copy()
+        values[64, 32] = -1e-3
+        bad = replace(coherent_128, values=values)
+        with pytest.raises(SolverFailureError,
+                           match="classical density reached -0.001 at t1"):
+            evolver._check_field(bad, 1.0, "t1")
+
     def test_undersized_momentum_extent_raises(self):
         # the kicked density needs lab momenta far beyond 16 sqrt(h); a
         # narrow box wraps around and trips the momentum-edge diagnostic

@@ -547,6 +547,12 @@ class TestLangevin:
             with pytest.raises(InvalidParameterError):
                 langevin_sample(10, SCH, PARAMS0, dt=dt)
 
+    def test_runaway_guard_fires(self):
+        # window 1 grows x by e^6, so |x| passes 50 on 100 samples
+        with pytest.raises(SolverFailureError, match=r"past \|x\| = 50"):
+            langevin_sample(100, Schedule(6.0, 1.0, 1.0),
+                            SemiclassicalParams(hbar=0.1))
+
     def test_non_integer_sample_count_rejected(self):
         # numpy's normal draw would raise its own TypeError on a fractional
         # or bool size

@@ -13,7 +13,7 @@ import pytest
 from scipy import integrate
 from scipy.special import airy
 
-from qcthreshold.errors import DomainError, RangeError
+from qcthreshold.errors import InvalidParameterError
 from qcthreshold.specialfn import parabolic_cylinder_D
 
 
@@ -95,9 +95,9 @@ class TestParabolicCylinder:
         assert parabolic_cylinder_D(-0.5, 0.0) == pytest.approx(exact, rel=1e-10)
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidParameterError, match="requires ell < 0"):
             parabolic_cylinder_D(0.5, 1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidParameterError, match="requires ell < 0"):
             parabolic_cylinder_D(0.0, 1.0)
 
     def test_large_z_decay(self):
@@ -106,7 +106,7 @@ class TestParabolicCylinder:
         assert val == pytest.approx(1.0, rel=1e-2)
 
     def test_range_guard(self):
-        with pytest.raises(RangeError):
+        with pytest.raises(InvalidParameterError, match=r"exceeds \|z\| = 36"):
             parabolic_cylinder_D(-0.5, 40.0)
 
     @pytest.mark.parametrize("c", [0.5, 2.0])

@@ -215,6 +215,14 @@ class TestRunPoint:
                            match="momentum-edge mass .* at t2"):
             run_point(0.2, 0.0, math.nan, cfg)
 
+    def test_corner_wraparound_guard_fires(self):
+        # lambda = 20 at h = 0.2 outgrows the default grid's corners
+        # (Direction 3 sizes the grid from the state instead)
+        with pytest.raises(SolverFailureError,
+                           match="corner mass .* at t2 indicates wraparound"):
+            run_point(0.2, 20 * 0.2 ** (4.0 / 3.0), math.nan,
+                      RunConfig(h_list=(0.2,)))
+
     @pytest.mark.parametrize("D, guards, phases",
                              [(0.0, 3, 1), (0.2 ** (4.0 / 3.0), 6, 2)],
                              ids=["closed", "diffusive"])
