@@ -4,21 +4,21 @@ density-matrix solver, and a Langevin Monte-Carlo sampler.
 
 These are deliberately different discretizations of the same dynamics; they
 trade speed for independence and run at modest scales only. Windows 1 and 3
-are linear, so both open-system oracles take them exactly. The Lindblad
-solver holds rho(x, x') on its diagonals, where both decoherence
-terms act: (x - x')^2 is constant along each and (d/dx + d/dx')^2
-differentiates along it. The FFT runs along each periodic diagonal
-x - x' = r dxi (mod n dxi), which joins the diagonals at offsets -r and
-n - r, so there the two multipliers commute only up to that band edge.
-By Hermiticity it evolves only the n//2 + 1 periodic diagonals
-r = 0 .. n//2. In window 2 the Lindblad solver is Strang-split against
-the cubic phase; at D > 0 the sampler keeps the Euler-Maruyama scheme in
-n steps of at most dt but draws its outcome whole, as a linear and a
-quadratic form of the n step normals: the top K eigenpairs of the
-quadratic form exactly, the linear forms' remainder as one exact 2-D
-Gaussian, and the quadratic form's remainder as its exact mean. K doubles
-from 32, up to n - 1, until the modes left to that mean hold at most 1e-6
-of the quadratic form's variance. The solvers never call the evolver.
+are linear, so both open-system oracles take them exactly. A density matrix
+rho(x, x') is held, from input to momentum marginal, as its n//2 + 1
+periodic diagonals x - x' = r dxi (mod n dxi), r = 0 .. n//2; Hermiticity
+gives the rest. Both decoherence terms act along them: (x - x')^2 is
+constant on each diagonal and (d/dx + d/dx')^2 differentiates along it. A
+periodic diagonal joins the diagonals at offsets -r and n - r, so the two
+multipliers commute only up to that band edge. In window 2 the Lindblad
+solver is Strang-split against the cubic phase; at D > 0 the sampler
+keeps the Euler-Maruyama scheme in n steps of at most dt but draws its
+outcome whole, as a linear and a quadratic form of the n step normals:
+the top K eigenpairs of the quadratic form exactly, the linear forms'
+remainder as one exact 2-D Gaussian, and the quadratic form's remainder
+as its exact mean. K doubles from 32, up to n - 1, until the modes left
+to that mean hold at most 1e-6 of the quadratic form's variance. The
+solvers never call the evolver.
 """
 
 from __future__ import annotations
@@ -67,13 +67,22 @@ class WavefunctionField:
         return float(self.xi[1] - self.xi[0])
 
 
+def _coherent_state(h: float, n: int, half_width: float):
+    """The grid of n points spanning +-half_width sqrt(h), and on it the
+    ground-state Gaussian psi0(x) = (2 pi h)^(-1/4) exp(-x^2 / 4h)."""
+    if not 0.0 < h < math.inf:
+        raise InvalidParameterError("h must be positive and finite")
+    if isinstance(n, bool) or not (n >= 2 and float(n).is_integer()):
+        raise InvalidParameterError("need a whole number of grid points >= 2")
+    edge = half_width * math.sqrt(h)
+    xi = np.linspace(-edge, edge, int(n), endpoint=False)
+    return xi, (2.0 * math.pi * h) ** (-0.25) * np.exp(-xi * xi / (4.0 * h))
+
+
 def coherent_wavefunction(h: float, n: int = 8192) -> WavefunctionField:
-    """Ground-state Gaussian psi0(x) = (2 pi h)^(-1/4) exp(-x^2 / 4h) on n
-    points spanning +-16 sqrt(h)."""
-    edge = 16.0 * math.sqrt(h)
-    xi = np.linspace(-edge, edge, n, endpoint=False)
-    vals = (2.0 * math.pi * h) ** (-0.25) * np.exp(-xi * xi / (4.0 * h))
-    return WavefunctionField(xi=xi, values=vals.astype(complex), scale=1.0)
+    """Ground-state Gaussian psi0 on n points spanning +-16 sqrt(h)."""
+    xi, psi = _coherent_state(h, n, 16.0)
+    return WavefunctionField(xi=xi, values=psi.astype(complex), scale=1.0)
 
 
 def schrodinger_closed(psi0: WavefunctionField, schedule: Schedule, h: float):
@@ -123,67 +132,32 @@ def momentum_distribution(psi: WavefunctionField,
 
 @dataclass(frozen=True)
 class DensityMatrixField:
-    """Complex rho(x, x') on a shared uniform grid in frame coordinates;
-    lab-frame rho is scale^(-1) * values(x/scale, x'/scale)."""
+    """Complex rho(x, x') on a shared uniform grid in frame coordinates,
+    held as its periodic diagonals: diagonals[r, i] = rho(xi_i,
+    xi_((i - r) mod n)), r = 0 .. n//2. Row r holds the diagonals at
+    offsets -r and n - r; the diagonals not held are the conjugates of
+    these, so rho is Hermitian by construction except on the self-paired
+    rows (r = 0, and r = n/2 at even n, whose entries pair n/2 apart).
+    Lab-frame rho is scale^(-1) * rho(x/scale, x'/scale)."""
 
     xi: np.ndarray
-    values: np.ndarray  # (n, n) complex
+    diagonals: np.ndarray  # (n//2 + 1, n)
     scale: float = 1.0
 
     def __post_init__(self):
-        if len(self.xi) < 2:
+        n = len(self.xi)
+        if n < 2:
             raise InvalidParameterError("need at least two grid points")
+        if np.shape(self.diagonals) != (n // 2 + 1, n):
+            raise InvalidParameterError(
+                f"diagonals must have shape ({n // 2 + 1}, {n})")
 
     @property
     def dxi(self) -> float:
         return float(self.xi[1] - self.xi[0])
 
     def trace(self) -> float:
-        return float(np.real(np.trace(self.values)) * self.dxi)
-
-    def purity(self) -> float:
-        return float((np.abs(self.values) ** 2).sum() * self.dxi ** 2)
-
-    def hermiticity_defect(self) -> float:
-        # np.conjugate always returns a new array (ndarray.conj() returns
-        # a real array itself), so d is one n x n temporary owned here
-        d = np.conjugate(self.values.T)
-        d -= self.values
-        return float(np.abs(d).max() / max(np.abs(self.values).max(), 1e-300))
-
-
-def coherent_density_matrix(h: float, n: int = 1024) -> DensityMatrixField:
-    """The pure state psi0 psi0^* of coherent_wavefunction on n points
-    spanning +-14 sqrt(h)."""
-    if n < 2:
-        raise InvalidParameterError("need at least two grid points")
-    edge = 14.0 * math.sqrt(h)
-    xi = np.linspace(-edge, edge, n, endpoint=False)
-    psi = (2.0 * math.pi * h) ** (-0.25) * np.exp(-xi * xi / (4.0 * h))
-    return DensityMatrixField(xi=xi, values=np.outer(psi, psi).astype(complex))
-
-
-def _dm_check(rho: DensityMatrixField, label: str,
-              S: np.ndarray = None) -> tuple:
-    """Raise SolverFailureError if rho's trace has left 1 by more than 1e-4
-    or rho is not Hermitian to 1e-8 of its largest entry; else return the
-    (trace, Hermiticity defect) readings. Given rho's _diagonals S,
-    whose _full_matrix is Hermitian except on the self-paired rows
-    r = 0 and, at even n, r = n/2 (entries paired n/2 apart), they are
-    read from those rows and equal the full matrix's."""
-    if S is None:
-        trace, defect = rho.trace(), rho.hermiticity_defect()
-    else:
-        n = S.shape[1]
-        trace = float(np.real(S[0].sum()) * rho.dxi)
-        defect = max(float(np.abs(np.conj(np.roll(S[r], r)) - S[r]).max())
-                     for r in ((0,) if n % 2 else (0, n // 2))) \
-            / max(float(np.abs(S).max()), 1e-300)
-    if abs(trace - 1.0) > 1e-4:
-        raise SolverFailureError(f"trace drifted to {trace} at {label}")
-    if defect > 1e-8:
-        raise SolverFailureError(f"Hermiticity lost at {label}")
-    return trace, defect
+        return float(np.real(self.diagonals[0].sum()) * self.dxi)
 
 
 def _sheared(v: np.ndarray) -> np.ndarray:
@@ -194,41 +168,50 @@ def _sheared(v: np.ndarray) -> np.ndarray:
     return windows[n:n - n // 2 - 1:-1]  # row r starts at v[n - r]
 
 
-def _diagonals(vals: np.ndarray) -> np.ndarray:
-    """The sheared layout S[r, i] = vals[i, (i - r) mod n], r = 0 .. n//2:
-    row r holds the diagonals at offsets -r and n - r. Of a Hermitian
-    matrix that is half; _full_matrix rebuilds the rest."""
-    i = np.arange(len(vals))
-    return vals[i, _sheared(i)]
+def coherent_density_matrix(h: float, n: int = 1024) -> DensityMatrixField:
+    """The pure state psi0 psi0^* on n points spanning +-14 sqrt(h)."""
+    xi, psi = _coherent_state(h, n, 14.0)
+    return DensityMatrixField(xi=xi,
+                              diagonals=(psi * _sheared(psi)).astype(complex))
 
 
-def _full_matrix(S: np.ndarray) -> np.ndarray:
-    """The n x n matrix whose _diagonals are S, its other half filled by
-    Hermiticity. The self-paired diagonals (r = 0, and r = n/2 at even n)
-    are taken as S holds them, so the result is Hermitian except where S
-    is not."""
+def _dm_check(rho: DensityMatrixField, label: str) -> tuple:
+    """Raise SolverFailureError if rho's trace has left 1 by more than 1e-4
+    or rho is not Hermitian to 1e-8 of its largest entry; else return the
+    (trace, Hermiticity defect) readings. Only the self-paired rows can
+    break Hermiticity, so the defect is read from them."""
+    S = rho.diagonals
     n = S.shape[1]
-    i = np.arange(n)
-    j = _sheared(i)
-    vals = np.empty((n, n), dtype=complex)
-    vals[j, i] = S.conj()
-    vals[i, j] = S
-    return vals
+    trace = rho.trace()
+    defect = max(float(np.abs(np.conj(np.roll(S[r], r)) - S[r]).max())
+                 for r in ((0,) if n % 2 else (0, n // 2))) \
+        / max(float(np.abs(S).max()), 1e-300)
+    if abs(trace - 1.0) > 1e-4:
+        raise SolverFailureError(f"trace drifted to {trace} at {label}")
+    if defect > 1e-8:
+        raise SolverFailureError(f"Hermiticity lost at {label}")
+    return trace, defect
+
+
+#: Gauss-Legendre panels per unit time of the stretch-window decoherence
+#: integrals, the evolver's default panel density.
+_STRETCH_PANELS_PER_UNIT = 200
 
 
 def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
                        params: SemiclassicalParams, steps: int = 100):
     """Position-basis Lindblad evolution; returns the four checkpoints.
 
-    Dilations are carried by the scale. rho is held as half of its
-    diagonals, S = _diagonals(rho), and rebuilt in full only at each
-    checkpoint. Decoherence is exp[-(D/2 hbar^2)(x-x')^2 dt], one value on
-    each diagonal, times exp[-(D/2) kappa^2 dt] on the 1-D spectrum along
-    each row of S, kappa = 2 pi fftfreq(n, dxi). A row holds two diagonals,
+    Dilations are carried by the scale. The evolved S starts as a complex
+    copy of rho0's diagonals, and each checkpoint holds a copy of S.
+    Decoherence is exp[-(D/2 hbar^2)(x-x')^2 dt], one value on each
+    diagonal, times exp[-(D/2) kappa^2 dt] on the 1-D spectrum along each
+    row of S, kappa = 2 pi fftfreq(n, dxi). A row holds two diagonals,
     offsets -r and n - r, whose (x-x')^2 differ, so along the row the two
     multipliers commute only up to that band edge; each stretch window is
-    still taken as one step with time-integrated coefficients, exact up to
-    that non-commutation. Window 2 is Strang-split into ``steps`` substeps
+    still taken as one step with time-integrated coefficients
+    (_STRETCH_PANELS_PER_UNIT panels per unit time), exact up to that
+    non-commutation. Window 2 is Strang-split into ``steps`` substeps
     against the cubic phase (x^3 - x'^3) / 3 hbar. At D = 0 every damping
     is exactly 1.
     """
@@ -250,8 +233,8 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
     f = (s * xi) ** 3 / (3.0 * hbar)
 
     def checkpoint(S, scale, label):
-        rho = DensityMatrixField(xi=xi, values=_full_matrix(S), scale=scale)
-        _dm_check(rho, label, S)
+        rho = DensityMatrixField(xi=xi, diagonals=S.copy(), scale=scale)
+        _dm_check(rho, label)
         return rho
 
     kappa2 = (2.0 * math.pi * np.fft.fftfreq(len(xi), d=rho0.dxi)) ** 2
@@ -271,7 +254,8 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
 
     def stretch_window(S, i, sign, a):
         # overwrites S; a is the log-scale at the window's start
-        I_p, I_x = schedule.stretch_integrals(i, sign, a, steps)
+        panels = math.ceil(_STRETCH_PANELS_PER_UNIT * schedule.window(i)[1])
+        I_p, I_x = schedule.stretch_integrals(i, sign, a, panels)
         x_damp, k_damp = dampings(I_x, I_p)
         S *= x_damp
         return p_decoherence(S, k_damp)
@@ -293,7 +277,7 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
             S *= _sheared(col.conj())
         return S
 
-    S = stretch_window(_diagonals(rho0.values), 1, 1.0, a0)
+    S = stretch_window(rho0.diagonals.astype(complex), 1, 1.0, a0)
     cp1 = checkpoint(S, s, "t1")
     S = kick_window(S)
     cp2 = checkpoint(S, s, "t2")
@@ -305,18 +289,24 @@ def dm_momentum_marginal(rho: DensityMatrixField,
                          params: SemiclassicalParams) -> MomentumDistribution:
     """q(p) = <p|rho|p> via the autocorrelation C(y) = int rho(x, x - y) dx
     followed by an hbar-scaled Fourier transform, zero-padded to 4 times
-    the length."""
+    the length. Row r of the diagonals, summed over i >= r, gives C at
+    y = r dx and, summed over i < r, at y = (r - n) dx; the other offsets
+    follow from C(-y) = conj C(y)."""
     hbar = params.hbar
-    n = len(rho.xi)
+    S = rho.diagonals
+    n = S.shape[1]
+    half = n // 2
     dx = rho.scale * rho.dxi
-    # C at lab offsets y = r * dx, r = -(n-1) .. n-1
+    ahead = np.arange(n) >= np.arange(half + 1)[:, None]
+    # C at lab offsets y = k * dx, k = -(n-1) .. n-1, held at k + n - 1
     C = np.empty(2 * n - 1, dtype=complex)
-    for r in range(n):
-        C[n - 1 + r] = np.trace(rho.values, offset=-r)
-        if r:
-            C[n - 1 - r] = np.trace(rho.values, offset=r)
+    C[n - 1:n + half] = np.where(ahead, S, 0.0).sum(axis=1)  # k = 0 .. half
+    C[:half] = np.where(ahead, 0.0, S)[1:].sum(axis=1)  # k = 1-n .. half-n
+    # k = half+1 .. n-1 and half+1-n .. -1
+    C[n + half:] = C[:n - 1 - half][::-1].conj()
+    C[half:n - 1] = C[n:2 * n - 1 - half][::-1].conj()
     C *= rho.dxi  # sum over the diagonal becomes an integral (lab measure
-    # s * dxi against lab density s^-1 * values)
+    # s * dxi against lab density s^-1 * rho)
     m = (2 * n - 1) * 4
     # q(p) = (1/2 pi hbar) int C(y) e^{-i p y / hbar} dy
     y0 = -(n - 1) * dx

@@ -31,8 +31,6 @@ from qcthreshold import oracles
 from qcthreshold.evolver import evolve
 from qcthreshold.oracles import (
     DensityMatrixField,
-    _diagonals,
-    _full_matrix,
     _kick_window_law,
     coherent_density_matrix,
     coherent_wavefunction,
@@ -93,6 +91,74 @@ class TestSchrodinger:
             schrodinger_closed(psi, SCH, H)
 
 
+def _diagonals(vals):
+    """The DensityMatrixField layout read off an n x n matrix: S[r, i] =
+    vals[i, (i - r) mod n], r = 0 .. n//2."""
+    n = len(vals)
+    i = np.arange(n)
+    return vals[i, (i - np.arange(n // 2 + 1)[:, None]) % n]
+
+
+def _full_matrix(S):
+    """The n x n matrix whose _diagonals are S, its other half filled by
+    Hermiticity. The self-paired diagonals (r = 0, and r = n/2 at even n)
+    are taken as S holds them, so the result is Hermitian except where S
+    is not."""
+    n = S.shape[1]
+    i = np.arange(n)
+    j = (i - np.arange(n // 2 + 1)[:, None]) % n
+    vals = np.empty((n, n), dtype=complex)
+    vals[j, i] = S.conj()
+    vals[i, j] = S
+    return vals
+
+
+def _full_readings(rho):
+    """(trace, Hermiticity defect) of rho's full matrix, read the way the
+    guard did before it read the diagonals alone."""
+    vals = _full_matrix(rho.diagonals)
+    defect = np.abs(vals.conj().T - vals).max() / max(np.abs(vals).max(),
+                                                       1e-300)
+    return float(np.real(np.trace(vals)) * rho.dxi), float(defect)
+
+
+def _purity(rho):
+    return float((np.abs(_full_matrix(rho.diagonals)) ** 2).sum()
+                 * rho.dxi ** 2)
+
+
+def _trace_loop_marginal(rho, params):
+    """dm_momentum_marginal as a loop of per-offset traces of the full
+    matrix (its implementation before it read the diagonals directly)."""
+    vals = _full_matrix(rho.diagonals)
+    hbar = params.hbar
+    n = len(rho.xi)
+    dx = rho.scale * rho.dxi
+    C = np.empty(2 * n - 1, dtype=complex)
+    for r in range(n):
+        C[n - 1 + r] = np.trace(vals, offset=-r)
+        if r:
+            C[n - 1 - r] = np.trace(vals, offset=r)
+    C *= rho.dxi
+    m = (2 * n - 1) * 4
+    y0 = -(n - 1) * dx
+    spec = np.fft.fft(C, n=m)
+    p = 2.0 * math.pi * hbar * np.fft.fftfreq(m, d=dx)
+    q = np.real(np.exp(-1j * p * y0 / hbar) * spec) * dx / (2.0 * math.pi * hbar)
+    order = np.argsort(p)
+    return p[order], q[order]
+
+
+def _random_field(n, seed):
+    """A DensityMatrixField holding the diagonals of a random Hermitian
+    n x n matrix."""
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    xi = np.linspace(-1.0, 1.0, n, endpoint=False)
+    return DensityMatrixField(
+        xi=xi, diagonals=_diagonals((b + b.conj().T) / 2.0), scale=1.3)
+
+
 def _lindblad_substep_window(rho, schedule, params, i, steps):
     """Window i of the Lindblad solver as a loop of Strang substeps, each
     with its own Gauss-Legendre coefficient integrals (the solver's former
@@ -118,7 +184,7 @@ def _lindblad_substep_window(rho, schedule, params, i, steps):
         return np.fft.ifft2(spec)
 
     phase_unit = ((s * xi)[:, None] ** 3 - (s * xi)[None, :] ** 3) / (3.0 * hbar)
-    vals = rho.values
+    vals = _full_matrix(rho.diagonals)
     for j in range(steps):
         ta = start + tau * j / steps
         tb = start + tau * (j + 1) / steps
@@ -135,7 +201,8 @@ def _lindblad_substep_window(rho, schedule, params, i, steps):
         vals = vals * half
         vals = p_decoherence(vals, coeff)
         vals = vals * half
-    return replace(rho, values=vals, scale=math.exp(a0 + sign * tau))
+    return replace(rho, diagonals=_diagonals(vals),
+                   scale=math.exp(a0 + sign * tau))
 
 
 def _dm_run(n):
@@ -158,12 +225,14 @@ class TestLindbladDensityMatrix:
     def test_trace_and_hermiticity(self, dm_run):
         _, cps = dm_run
         for rho in cps:
+            trace, defect = _full_readings(rho)
             assert rho.trace() == pytest.approx(1.0, abs=1e-6)
-            assert rho.hermiticity_defect() < 1e-10
+            assert trace == pytest.approx(1.0, abs=1e-6)
+            assert defect < 1e-10
 
     def test_purity_decreases(self, dm_run):
         _, cps = dm_run
-        purities = [r.purity() for r in cps]
+        purities = [_purity(r) for r in cps]
         assert purities[0] == pytest.approx(1.0, abs=1e-6)
         assert purities[3] < purities[0] - 0.01
 
@@ -171,7 +240,7 @@ class TestLindbladDensityMatrix:
         params = SemiclassicalParams(hbar=2 * H, D=H ** (4.0 / 3.0))
         rho0 = coherent_density_matrix(H, n=192)
         final = lindblad_dm_evolve(rho0, SCH, params, steps=40)[3]
-        eigs = np.linalg.eigvalsh(final.values * final.dxi)
+        eigs = np.linalg.eigvalsh(_full_matrix(final.diagonals) * final.dxi)
         assert eigs.min() > -1e-6
 
     def test_marginal_matches_spectral_evolver(self, dm_run):
@@ -182,6 +251,24 @@ class TestLindbladDensityMatrix:
         mask = (md.p > -14.0) & (md.p < 46.0)
         ref = resample_distribution(sp, md.p[mask])
         assert float(np.abs(md.q[mask] - ref.q).sum() * md.dp) < 1e-4
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 512])
+    def test_marginal_matches_trace_loop(self, n):
+        # C(y) read off the diagonals equals the per-offset traces of the
+        # full matrix, both halves of each row and the mirrored offsets
+        rho = _random_field(n, seed=n)
+        params = SemiclassicalParams(hbar=0.1)
+        md = dm_momentum_marginal(rho, params)
+        p, q = _trace_loop_marginal(rho, params)
+        assert np.array_equal(md.p, p)
+        assert np.abs(md.q - q).max() <= 1e-14 * np.abs(q).max()
+
+    def test_checkpoint_marginals_match_trace_loop(self, dm_run, dm_run_odd):
+        for params, cps in (dm_run, dm_run_odd):
+            for rho in cps:
+                q = _trace_loop_marginal(rho, params)[1]
+                got = dm_momentum_marginal(rho, params).q
+                assert np.abs(got - q).max() <= 1e-14 * np.abs(q).max()
 
     @pytest.mark.parametrize("window", [1, 2, 3])
     def test_window_matches_substep_loop(self, dm_run, window):
@@ -200,8 +287,19 @@ class TestLindbladDensityMatrix:
         # at odd n only the main diagonal pairs with itself
         self.test_window_matches_substep_loop(dm_run_odd, window)
 
+    def test_stretch_panels_do_not_follow_steps(self):
+        # the window-1 decoherence integrals take their own panel count,
+        # so the Strang steps of window 2 leave the t1 checkpoint alone
+        params = SemiclassicalParams(hbar=2 * H, D=H ** (4.0 / 3.0))
+        rho0 = coherent_density_matrix(H, n=128)
+        few = lindblad_dm_evolve(rho0, SCH, params, steps=4)[1].diagonals
+        many = lindblad_dm_evolve(rho0, SCH, params, steps=400)[1].diagonals
+        assert np.abs(few - many).max() <= 1e-15 * np.abs(many).max()
+
     @pytest.mark.parametrize("n", [64, 65])
     def test_diagonal_layout_round_trip(self, n):
+        # the test-side reference pair against the layout's definition and
+        # against coherent_density_matrix
         rng = np.random.default_rng(n)
         b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         vals = (b + b.conj().T) / 2.0
@@ -221,6 +319,9 @@ class TestLindbladDensityMatrix:
             assert np.array_equal(_diagonals(full), T)
             assert np.count_nonzero(full - vals) == (1 if self_paired else 2)
             assert (np.abs(full - full.conj().T).max() > 0) == self_paired
+        rho = coherent_density_matrix(H, n=n)
+        psi = np.sqrt(np.diag(_full_matrix(rho.diagonals)).real)
+        assert np.array_equal(rho.diagonals, _diagonals(np.outer(psi, psi)))
 
     def test_closed_run_is_pure_kicked_state(self):
         # at D = 0 the stretch windows only rescale and the kick window is
@@ -231,10 +332,11 @@ class TestLindbladDensityMatrix:
         assert cps[3].scale == pytest.approx(
             math.exp(SCH.tau1 - SCH.tau3), rel=1e-14)
         x = math.exp(SCH.tau1) * rho0.xi
-        psi = rho0.values[:, 128] / math.sqrt(rho0.values[128, 128].real) \
+        vals0 = _full_matrix(rho0.diagonals)
+        psi = vals0[:, 128] / math.sqrt(vals0[128, 128].real) \
             * np.exp(1j * SCH.tau2 * x ** 3 / (3.0 * PARAMS0.hbar))
         want = np.outer(psi, psi.conj())
-        assert np.abs(cps[3].values - want).max() \
+        assert np.abs(_full_matrix(cps[3].diagonals) - want).max() \
             <= 1e-12 * np.abs(want).max()
 
     def test_invalid_arguments(self):
@@ -242,56 +344,78 @@ class TestLindbladDensityMatrix:
         for steps in (0, -3, 2.5, math.nan, True):
             with pytest.raises(InvalidParameterError):
                 lindblad_dm_evolve(rho0, SCH, PARAMS0, steps=steps)
-        for n in (1, 0, -1):
-            with pytest.raises(InvalidParameterError):
-                coherent_density_matrix(H, n=n)
+
+    @pytest.mark.parametrize("make", [coherent_wavefunction,
+                                      coherent_density_matrix])
+    @pytest.mark.parametrize("h, n", [
+        (math.nan, 64), (0.0, 64), (-1.0, 64), (math.inf, 64),
+        (H, True), (H, 64.5), (H, 1), (H, 1.0), (H, 0), (H, -1),
+        (H, math.nan), (H, math.inf)])
+    def test_constructor_rejects_bad_input(self, make, h, n):
+        with pytest.raises(InvalidParameterError):
+            make(h, n)
+
+    @pytest.mark.parametrize("make, layout", [
+        (coherent_wavefunction, "values"),
+        (coherent_density_matrix, "diagonals")])
+    def test_constructor_casts_integer_valued_float(self, make, layout):
+        a, b = make(H, 64.0), make(H, 64)
+        assert np.array_equal(a.xi, b.xi)
+        assert np.array_equal(getattr(a, layout), getattr(b, layout))
 
     def test_single_point_field_rejected(self):
         # dxi needs two points; a one-point field would otherwise end
         # lindblad_dm_evolve in an IndexError
         with pytest.raises(InvalidParameterError, match="two grid points"):
             lindblad_dm_evolve(
-                DensityMatrixField(xi=np.zeros(1), values=np.ones((1, 1))),
+                DensityMatrixField(xi=np.zeros(1), diagonals=np.ones((1, 1))),
                 SCH, PARAMS0)
 
-    def test_hermiticity_defect_leaves_a_real_field_unchanged(self):
+    @pytest.mark.parametrize("shape", [(8, 8), (4, 8), (5, 7), (5, 8, 1),
+                                       (40,)])
+    def test_wrong_diagonals_shape_rejected(self, shape):
+        with pytest.raises(InvalidParameterError, match=r"shape \(5, 8\)"):
+            DensityMatrixField(xi=np.arange(8.0), diagonals=np.ones(shape))
+
+    def test_guard_leaves_a_real_field_unchanged(self):
         rho0 = coherent_density_matrix(H, n=64)
-        vals = rho0.values.real.copy()
-        field = replace(rho0, values=vals)
-        assert field.hermiticity_defect() == 0.0
-        np.testing.assert_array_equal(vals, rho0.values.real)
-        vals[3, 5] += 1e-6
-        assert field.hermiticity_defect() > 0.0
-        assert vals[3, 5] != vals[5, 3]
+        S = rho0.diagonals.real.copy()
+        field = replace(rho0, diagonals=S)
+        assert oracles._dm_check(field, "t0")[1] == 0.0
+        np.testing.assert_array_equal(S, rho0.diagonals.real)
+        S[32, 5] += 1e-10
+        assert oracles._dm_check(field, "t0")[1] > 0.0
+        assert S[32, 5] != S[32, 37]
 
     def test_real_rho0_evolves_like_complex(self):
         rho0 = coherent_density_matrix(H, n=64)
-        real = replace(rho0, values=rho0.values.real.copy())
-        before = real.values.copy()
+        real = replace(rho0, diagonals=rho0.diagonals.real.copy())
+        before = real.diagonals.copy()
         params = SemiclassicalParams(hbar=2 * H, D=H ** (4.0 / 3.0))
         out_real = lindblad_dm_evolve(real, SCH, params, steps=4)
         out = lindblad_dm_evolve(rho0, SCH, params, steps=4)
-        np.testing.assert_array_equal(real.values, before)
+        np.testing.assert_array_equal(real.diagonals, before)
         for a, b in zip(out_real[1:], out[1:]):
-            np.testing.assert_allclose(a.values, b.values, rtol=0,
-                                       atol=1e-14 * np.abs(b.values).max())
+            np.testing.assert_allclose(
+                a.diagonals, b.diagonals, rtol=0,
+                atol=1e-14 * np.abs(b.diagonals).max())
 
     def test_hermiticity_guard_fires(self):
         rho0 = coherent_density_matrix(H, n=64)
-        vals = rho0.values.copy()
-        vals[32, 32] += 1e-6j * np.abs(vals).max()
+        S = rho0.diagonals.copy()
+        S[0, 32] += 1e-6j * np.abs(S).max()
         with pytest.raises(SolverFailureError,
                            match="^Hermiticity lost at t0$"):
-            lindblad_dm_evolve(replace(rho0, values=vals), SCH, PARAMS0)
+            lindblad_dm_evolve(replace(rho0, diagonals=S), SCH, PARAMS0)
 
     @pytest.mark.parametrize("n", [64, 65])
     def test_guard_reads_self_paired_rows(self, n):
-        # at D > 0 the guard reads S's self-paired rows (r = 0, and r = n/2
-        # at even n) for the trace and the Hermiticity defect: its readings
-        # equal the full matrix's, and it fires on an imaginary main
-        # diagonal and on a broken n/2 pair
+        # the guard reads the self-paired rows (r = 0, and r = n/2 at even
+        # n) for the trace and the Hermiticity defect: its readings equal
+        # the full matrix's, and it fires on an imaginary main diagonal and
+        # on a broken n/2 pair
         rho0 = coherent_density_matrix(H, n=n)
-        S = _diagonals(rho0.values)
+        S = rho0.diagonals
         big = np.abs(S).max()
         cases = [(0, 1e-10j), (0, 1e-6j), (1, 1e-6j)]
         if n % 2 == 0:
@@ -299,21 +423,21 @@ class TestLindbladDensityMatrix:
         for r, eps in cases:
             T = S.copy()
             T[r, 3] += eps * big
-            rho = replace(rho0, values=_full_matrix(T))
+            rho = replace(rho0, diagonals=T)
+            trace, defect = _full_readings(rho)
             if r in (0, n // 2) and abs(eps) > 1e-8:
-                for sheared in (T, None):
-                    with pytest.raises(SolverFailureError,
-                                       match="^Hermiticity lost at t1$"):
-                        oracles._dm_check(rho, "t1", sheared)
+                assert defect > 1e-8
+                with pytest.raises(SolverFailureError,
+                                   match="^Hermiticity lost at t1$"):
+                    oracles._dm_check(rho, "t1")
             else:
-                assert oracles._dm_check(rho, "t1", T) \
-                    == oracles._dm_check(rho, "t1")
+                assert oracles._dm_check(rho, "t1") == (trace, defect)
 
     def test_trace_guard_fires(self):
         rho0 = coherent_density_matrix(H, n=64)
         with pytest.raises(SolverFailureError,
                            match=r"^trace drifted to 1\.01\d* at t0$"):
-            lindblad_dm_evolve(replace(rho0, values=rho0.values * 1.01),
+            lindblad_dm_evolve(replace(rho0, diagonals=rho0.diagonals * 1.01),
                                SCH, PARAMS0)
 
     def test_initial_wigner_is_isotropic_gaussian(self):
@@ -326,7 +450,8 @@ class TestLindbladDensityMatrix:
         psi0 = (2 * math.pi * H) ** -0.25 * np.exp(-xi ** 2 / (4 * H))
         assert rho.scale == 1.0
         assert np.array_equal(rho.xi, xi)
-        assert np.abs(rho.values - np.outer(psi0, psi0)).max() \
+        vals = _full_matrix(rho.diagonals)
+        assert np.abs(vals - np.outer(psi0, psi0)).max() \
             <= 1e-14 * psi0.max() ** 2
 
 
