@@ -1,9 +1,9 @@
 """Domain types: semiclassical parameters, the three-bump Hamiltonian
-schedule, symplectic affine frames, phase-space and momentum fields,
+schedule and its stretch integrals, phase-space and momentum fields,
 marginals, metrics, and moment measurement.
 
 Coordinates: fields live on a rectangular grid in frame coordinates (u, v)
-with lab coordinates x = s_x * u, p = s_p * v and s_x * s_p = 1, so the
+at a log-scale a, with lab coordinates x = e^a u and p = e^-a v, so the
 frame map is area preserving and densities carry over without a Jacobian.
 """
 
@@ -23,7 +23,6 @@ __all__ = [
     "BumpProfile",
     "Schedule",
     "standard_schedule",
-    "AffineFrame",
     "GridSpec",
     "PhaseSpaceField",
     "MomentumDistribution",
@@ -42,6 +41,9 @@ FieldKind = Literal["wigner", "classical"]
 # 5-point Gauss-Legendre nodes and weights on [0, 1]
 _GL_X = (np.polynomial.legendre.leggauss(5)[0] + 1.0) / 2.0
 _GL_W = np.polynomial.legendre.leggauss(5)[1] / 2.0
+
+#: Default Gauss-Legendre panels per unit time of the stretch integrals
+STRETCH_PANELS_PER_UNIT = 200
 
 
 @dataclass(frozen=True)
@@ -126,29 +128,14 @@ class Schedule:
             raise InvalidParameterError(
                 "all schedule durations must be positive and finite")
 
-    @property
-    def t0(self) -> float:
-        return 0.0
-
-    @property
-    def t1(self) -> float:
-        return self.tau1
-
-    @property
-    def t2(self) -> float:
-        return self.tau1 + self.tau2
-
-    @property
-    def t3(self) -> float:
-        return self.tau1 + self.tau2 + self.tau3
-
     def taus(self):
         return (self.tau1, self.tau2, self.tau3)
 
     def window(self, i: int):
         """(start, duration) of window i in {1, 2, 3}."""
-        starts = {1: self.t0, 2: self.t1, 3: self.t2}
-        return starts[i], self.taus()[i - 1]
+        if i not in (1, 2, 3):
+            raise InvalidParameterError(f"window {i!r} must be 1, 2 or 3")
+        return sum(self.taus()[:i - 1], 0.0), self.taus()[i - 1]
 
     def chi(self, i: int, t):
         """Bump value chi_i(t) = chi((t - t_{i-1}) / tau_i), whose time
@@ -163,16 +150,23 @@ class Schedule:
         return tau * (_BUMP.cumulative((tb - start) / tau)
                       - _BUMP.cumulative((ta - start) / tau))
 
-    def stretch_integrals(self, i: int, sign: float, a0: float, n: int):
-        """(int e^(-2a) dt, int e^(2a) dt) over window i for the log-scale
-        a(t) = a0 + sign * int_start^t chi_i, by composite 5-point
-        Gauss-Legendre on n equal panels."""
+    def stretch(self, i: int, a0: float,
+                per_unit: int = STRETCH_PANELS_PER_UNIT):
+        """Window 1 (H1 = xp) or 3 (H3 = -xp) from log-scale a0: its end
+        log-scale a0 + tau1 or a0 - tau3 and (int e^(-2a) dt, int e^(2a) dt)
+        over it, by composite 5-point Gauss-Legendre on
+        max(1, ceil(per_unit tau_i)) equal panels."""
+        if i == 2:
+            raise InvalidParameterError("window 2 is the kick, not a stretch")
         start, tau = self.window(i)
+        sign = 1.0 if i == 1 else -1.0
+        n = max(1, math.ceil(per_unit * tau))
         dt = tau / n
         # the nodes of every panel, one row per panel
         t_nodes = (start + tau * np.arange(n) / n)[:, None] + dt * _GL_X
         a_nodes = a0 + sign * self.bump_integral(i, start, t_nodes)
-        return (dt * float((np.exp(-2.0 * a_nodes) @ _GL_W).sum()),
+        return (a0 + sign * tau,
+                dt * float((np.exp(-2.0 * a_nodes) @ _GL_W).sum()),
                 dt * float((np.exp(2.0 * a_nodes) @ _GL_W).sum()))
 
 
@@ -199,25 +193,6 @@ def is_standard_schedule(schedule: Schedule, h: float) -> bool:
 
 
 @dataclass(frozen=True)
-class AffineFrame:
-    """Area-preserving diagonal rescaling x = s_x u, p = s_p v with
-    s_x = exp(a), s_p = exp(-a)."""
-
-    a: float = 0.0
-
-    @property
-    def s_x(self) -> float:
-        return math.exp(self.a)
-
-    @property
-    def s_p(self) -> float:
-        return math.exp(-self.a)
-
-    def shifted(self, da: float) -> "AffineFrame":
-        return AffineFrame(self.a + da)
-
-
-@dataclass(frozen=True)
 class GridSpec:
     """Grid geometry in frame coordinates: n points and half-extents per axis."""
 
@@ -225,6 +200,11 @@ class GridSpec:
     n_v: int = 1024
     half_extent_u: float = 1.0
     half_extent_v: float = 1.0
+
+    def __post_init__(self):
+        if self.n_u < 2 or self.n_v < 2:
+            raise InvalidParameterError(
+                f"grid {self.n_u}x{self.n_v} needs at least 2 points per axis")
 
     @staticmethod
     def for_h(h: float, n_u: int = 512, n_v: int = 1024,
@@ -250,17 +230,30 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class PhaseSpaceField:
-    """A real density on a frame-coordinate grid.
+    """A real density on a frame-coordinate grid at log-scale a.
 
     ``kind`` distinguishes Wigner functions (may be negative) from classical
     densities (nonnegative up to discretization ringing).
     """
 
-    frame: AffineFrame
+    a: float
     u: np.ndarray
     v: np.ndarray
     values: np.ndarray  # shape (n_u, n_v)
     kind: FieldKind
+
+    def __post_init__(self):
+        if self.kind not in ("wigner", "classical"):
+            raise InvalidParameterError(
+                f"kind {self.kind!r} must be 'wigner' or 'classical'")
+
+    @property
+    def s_x(self) -> float:
+        return math.exp(self.a)
+
+    @property
+    def s_p(self) -> float:
+        return math.exp(-self.a)
 
     @property
     def du(self) -> float:
@@ -319,7 +312,7 @@ def initial_coherent_field(params: SemiclassicalParams, grid: GridSpec,
     # separable: one exp row per axis and their outer product
     gx = np.exp(-u * u / (2 * h)) / (2 * math.pi * h)
     gp = np.exp(-v * v / (2 * h))
-    field = PhaseSpaceField(frame=AffineFrame(0.0), u=u, v=v, kind=kind,
+    field = PhaseSpaceField(a=0.0, u=u, v=v, kind=kind,
                             values=np.outer(gx, gp))
     if abs(field.mass() - 1.0) > 1e-8:
         raise InvalidParameterError(
@@ -329,14 +322,14 @@ def initial_coherent_field(params: SemiclassicalParams, grid: GridSpec,
 
 def momentum_marginal(field: PhaseSpaceField) -> MomentumDistribution:
     """Marginal over lab momentum: integrate over u, rescale v to p."""
-    s_p = field.frame.s_p
+    s_p = field.s_p
     density_v = field.values.sum(axis=0) * field.du
     return MomentumDistribution(p=s_p * field.v, q=density_v / s_p)
 
 
 def position_marginal(field: PhaseSpaceField) -> MomentumDistribution:
     """Marginal over lab position (returned in the same 1-D container)."""
-    s_x = field.frame.s_x
+    s_x = field.s_x
     density_u = field.values.sum(axis=1) * field.dv
     return MomentumDistribution(p=s_x * field.u, q=density_u / s_x)
 
@@ -386,8 +379,8 @@ def measure_central_moments(field: PhaseSpaceField) -> MomentRecord:
     quadrature on the grid (robust to Wigner negativity)."""
     w = field.values * (field.du * field.dv)
     total = w.sum()
-    x = field.frame.s_x * field.u
-    p = field.frame.s_p * field.v
+    x = field.s_x * field.u
+    p = field.s_p * field.v
     wx = w.sum(axis=1)
     wp = w.sum(axis=0)
     mean_x = float((wx * x).sum() / total)

@@ -7,10 +7,10 @@ taken in one step. Each window hands the next its output's (u, k_v)
 spectrum, so no spectrum is transformed twice, and every 2-D multiplier is
 built from 1-D factors:
 
-  windows 1 and 3:  frame log-scale update (exact) plus diffusion with
-                    time-integrated lab coefficients (exact per window,
+  windows 1 and 3:  log-scale move and time-integrated lab diffusion
+                    coefficients from Schedule.stretch (exact per window,
                     since all multipliers commute; substeps_per_unit
-                    Gauss-Legendre panels per unit time), its damping
+                    Gauss-Legendre panels per unit time), the damping
                     the outer product of one exp row per axis;
   window 2:         input's momentum tail checked first; cubic kick as
                     a momentum-direction Fourier multiplier exp(-i k x^2
@@ -43,7 +43,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import integrate
 
-from .core import PhaseSpaceField, Schedule, SemiclassicalParams
+from .core import (STRETCH_PANELS_PER_UNIT, PhaseSpaceField, Schedule,
+                   SemiclassicalParams)
 from .errors import InvalidParameterError, ResolutionError, SolverFailureError
 
 __all__ = ["EvolverConfig", "EvolveResult", "evolve"]
@@ -78,7 +79,7 @@ _GROWTH_TOL = 1e-12
 @dataclass(frozen=True)
 class EvolverConfig:
     #: quadrature panels per unit time for the stretch-window integrals
-    substeps_per_unit: int = 200
+    substeps_per_unit: int = STRETCH_PANELS_PER_UNIT
 
     def __post_init__(self):
         if self.substeps_per_unit < 1:
@@ -133,7 +134,7 @@ def _integrated_diffusion(field: PhaseSpaceField, params: SemiclassicalParams,
     one exp row per axis, with I_u and I_v the time integrals of e^(-2a(t))
     and e^(+2a(t)). Returns the field and its (u, k_v) spectrum (None at
     D = 0); spec, the input's if carried, saves the rfft along v."""
-    if params.D == 0.0 or (I_u == 0.0 and I_v == 0.0):
+    if params.D == 0.0:
         return field, None
     c = -params.D / 2.0
     spec = np.fft.fft(np.fft.rfft(field.values, axis=1) if spec is None
@@ -185,16 +186,11 @@ def _check_field(field: PhaseSpaceField, mass0: float, label: str) -> dict:
 
 
 def _stretch_window(field: PhaseSpaceField, schedule: Schedule, i: int,
-                    sign: float, params: SemiclassicalParams,
-                    config: EvolverConfig, spec: np.ndarray = None):
-    """Window 1 or 3: frame transport plus _integrated_diffusion."""
-    tau = schedule.window(i)[1]
-    I_u = I_v = 0.0
-    if params.D > 0.0:
-        panels = max(1, math.ceil(config.substeps_per_unit * tau))
-        I_u, I_v = schedule.stretch_integrals(i, sign, field.frame.a, panels)
-    field = replace(field, frame=field.frame.shifted(sign * tau))
-    return _integrated_diffusion(field, params, I_u, I_v, spec)
+                    params: SemiclassicalParams, config: EvolverConfig,
+                    spec: np.ndarray = None):
+    """Window 1 or 3: the log-scale move plus _integrated_diffusion."""
+    a, I_u, I_v = schedule.stretch(i, field.a, config.substeps_per_unit)
+    return _integrated_diffusion(replace(field, a=a), params, I_u, I_v, spec)
 
 
 def _window_matrices(schedule: Schedule, kx: np.ndarray, d: float,
@@ -251,11 +247,11 @@ def _window_factors(field: PhaseSpaceField, schedule: Schedule,
     the fewest equal pieces (a power of two) for which none does. info
     adds the solves' rhs evaluations and max |det M - 1| (M is unimodular).
     """
-    a = field.frame.a
+    a = field.a
     kv = _rk_axis(len(field.v), field.dv)
     log_damp = (params.D / 2.0) * math.exp(2.0 * a) * schedule.tau2 * kv ** 2
     keep = log_damp < _DAMP_CUT
-    kx = kv[keep] / field.frame.s_p * field.frame.s_x ** 2
+    kx = kv[keep] / field.s_p * field.s_x ** 2
     d = (params.D / 2.0) * math.exp(-2.0 * a)
 
     log_u = float(np.abs(field.u).max()) ** 2 / 2.0
@@ -301,8 +297,8 @@ def _kick_window(field: PhaseSpaceField, schedule: Schedule,
     _check_v_tail(spec)
     if params.D == 0.0:
         n, J = spec.shape[1], math.isqrt(spec.shape[1])
-        t = -1j * (_rk_axis(len(field.v), field.dv)[1] / field.frame.s_p
-                   * (field.frame.s_x * field.u) ** 2
+        t = -1j * (_rk_axis(len(field.v), field.dv)[1] / field.s_p
+                   * (field.s_x * field.u) ** 2
                    * schedule.tau2)[:, None, None]
         table = np.exp(t * (J * np.arange(-(-n // J)))[:, None]) \
             * np.exp(t * np.arange(J))
@@ -355,7 +351,7 @@ def evolve(field: PhaseSpaceField, schedule: Schedule,
         checkpoints.append(field)
 
     checkpoint(field, "t0")
-    field, spec = _stretch_window(field, schedule, 1, +1.0, params, config)
+    field, spec = _stretch_window(field, schedule, 1, params, config)
     checkpoint(field, "t1")
 
     field, spec, window = _kick_window(replace(field, kind="classical"),
@@ -363,21 +359,20 @@ def evolve(field: PhaseSpaceField, schedule: Schedule,
     checkpoint(field, "t2")
     diagnostics["t2"].update(window)
 
-    field, s3 = _stretch_window(field, schedule, 3, -1.0, params, config,
-                                spec)
+    field, s3 = _stretch_window(field, schedule, 3, params, config, spec)
     # The momentum marginal is insensitive to position-direction wraparound,
     # which large-D runs incur late in window 3; only the corners and the
     # momentum edges are enforced (see _check_field).
     checkpoint(field, "t3")
 
-    a2 = checkpoints[2].frame.a
+    a2 = checkpoints[2].a
     wigner = _moyal(checkpoints[2], spec, schedule, params, a2)
     del spec
     found = _check_field(wigner, mass0, "t2")
     if quantum:
         checkpoints[2], diagnostics["t2"] = wigner, {**found, **window}
     if s3 is None:  # window 3 left the values array unchanged
-        wigner = replace(wigner, frame=field.frame)
+        wigner = replace(wigner, a=field.a)
     else:
         wigner = _moyal(field, s3, schedule, params, a2)
         del s3

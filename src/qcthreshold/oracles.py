@@ -193,11 +193,6 @@ def _dm_check(rho: DensityMatrixField, label: str) -> tuple:
     return trace, defect
 
 
-#: Gauss-Legendre panels per unit time of the stretch-window decoherence
-#: integrals, the evolver's default panel density.
-_STRETCH_PANELS_PER_UNIT = 200
-
-
 def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
                        params: SemiclassicalParams, steps: int = 100):
     """Position-basis Lindblad evolution; returns the four checkpoints.
@@ -210,7 +205,7 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
     offsets -r and n - r, whose (x-x')^2 differ, so along the row the two
     multipliers commute only up to that band edge; each stretch window is
     still taken as one step with time-integrated coefficients
-    (_STRETCH_PANELS_PER_UNIT panels per unit time), exact up to that
+    (Schedule.stretch at its default panels), exact up to that
     non-commutation. Window 2 is Strang-split into ``steps`` substeps
     against the cubic phase (x^3 - x'^3) / 3 hbar. At D = 0 every damping
     is exactly 1.
@@ -223,14 +218,7 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
     D = params.D
     xi = rho0.xi
     _dm_check(rho0, "t0")
-    a0 = math.log(rho0.scale)
-    s = math.exp(a0 + schedule.window(1)[1])
-    a1 = math.log(s)
-    s3 = math.exp(a1 - schedule.window(3)[1])
     start, tau = schedule.window(2)
-    # (x^3 - x'^3) / 3 hbar is a difference, so each phase multiplier is
-    # a column times its conjugate row (on S, the row read at x_(i - r))
-    f = (s * xi) ** 3 / (3.0 * hbar)
 
     def checkpoint(S, scale, label):
         rho = DensityMatrixField(xi=xi, diagonals=S.copy(), scale=scale)
@@ -252,16 +240,19 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
         spec *= k_damp
         return sfft.ifft(spec, axis=1, overwrite_x=True)
 
-    def stretch_window(S, i, sign, a):
-        # overwrites S; a is the log-scale at the window's start
-        panels = math.ceil(_STRETCH_PANELS_PER_UNIT * schedule.window(i)[1])
-        I_p, I_x = schedule.stretch_integrals(i, sign, a, panels)
+    def stretch_window(S, i, a):
+        # overwrites S; a is the log-scale at the window's start, and the
+        # one at its end is returned with S
+        a, I_p, I_x = schedule.stretch(i, a)
         x_damp, k_damp = dampings(I_x, I_p)
         S *= x_damp
-        return p_decoherence(S, k_damp)
+        return p_decoherence(S, k_damp), a
 
-    def kick_window(S):
-        # overwrites S
+    def kick_window(S, s):
+        # overwrites S; s is the window's scale. (x^3 - x'^3) / 3 hbar is
+        # a difference, so each phase multiplier is a column times its
+        # conjugate row (on S, the row read at x_(i - r))
+        f = (s * xi) ** 3 / (3.0 * hbar)
         edges = start + tau * np.arange(steps + 1) / steps
         deltas = schedule.bump_integral(2, edges[:-1], edges[1:])
         # neighbouring Strang half-phases fused: d0/2, (d0+d1)/2, ..., d_n-1/2
@@ -277,12 +268,14 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
             S *= _sheared(col.conj())
         return S
 
-    S = stretch_window(rho0.diagonals.astype(complex), 1, 1.0, a0)
+    S, a1 = stretch_window(rho0.diagonals.astype(complex), 1,
+                           math.log(rho0.scale))
+    s = math.exp(a1)
     cp1 = checkpoint(S, s, "t1")
-    S = kick_window(S)
+    S = kick_window(S, s)
     cp2 = checkpoint(S, s, "t2")
-    S = stretch_window(S, 3, -1.0, a1)
-    return (rho0, cp1, cp2, checkpoint(S, s3, "t3"))
+    S, a3 = stretch_window(S, 3, a1)
+    return (rho0, cp1, cp2, checkpoint(S, math.exp(a3), "t3"))
 
 
 def dm_momentum_marginal(rho: DensityMatrixField,
@@ -429,23 +422,22 @@ def langevin_sample(m: int, schedule: Schedule, params: SemiclassicalParams,
     D = params.D
     noise = np.empty((2, m))
     out = [TrajectoryEnsemble(x.copy(), p.copy(), seed)]
-    for i, sign in ((1, 1.0), (2, 0.0), (3, -1.0)):
-        start, tau = schedule.window(i)
-        n = int(math.ceil(tau / dt))
+    for i in (1, 2, 3):
         if i != 2:
-            # x -> e^A x plus variance D int e^{2(A - a)} dt, p -> e^-A p plus
-            # D int e^{2(a - A)} dt; a(t) is the log-stretch reached at t
-            A = sign * tau
-            x *= math.exp(A)
-            p *= math.exp(-A)
+            # in the starting frame (a = 0) x gains variance D int e^(-2a)
+            # dt and p D int e^(2a) dt; then x -> e^A x, p -> e^-A p
+            A, var_x, var_p = schedule.stretch(i, 0.0)
             if D > 0.0:
-                var_x, var_p = schedule.stretch_integrals(i, sign, -A, n)
                 rng.standard_normal(out=noise)
                 x += math.sqrt(D * var_x) * noise[0]
                 p += math.sqrt(D * var_p) * noise[1]
+            x *= math.exp(A)
+            p *= math.exp(-A)
         elif D == 0.0:
-            p += tau * x * x
+            p += schedule.tau2 * x * x
         else:
+            tau = schedule.tau2
+            n = int(math.ceil(tau / dt))
             rd = math.sqrt(D * (tau / n))
             c, lam, G, L, tail_mean = _kick_law(schedule, n)
             # forms[0] = 1^T xi, forms[1] = T^T xi; quad = xi^T M xi,

@@ -28,6 +28,7 @@ from .closedform import (
     quantum_momentum_pdf,
 )
 from .core import (
+    STRETCH_PANELS_PER_UNIT,
     GridSpec,
     MomentumDistribution,
     SemiclassicalParams,
@@ -106,7 +107,7 @@ class RunConfig:
     tau2: float = 1.0
     n_u: int = 512
     n_v: int = 1024
-    substeps: int = 200
+    substeps: int = STRETCH_PANELS_PER_UNIT
     out_dir: str = ""
     seed: int = 0
     oracle: bool = False
@@ -115,9 +116,7 @@ class RunConfig:
     def __post_init__(self):
         if not self.h_list:
             raise InvalidParameterError("h list must be nonempty")
-        if self.n_u < 2 or self.n_v < 2:
-            raise InvalidParameterError(
-                f"grid {self.n_u}x{self.n_v} needs at least 2 points per axis")
+        GridSpec(n_u=self.n_u, n_v=self.n_v)  # at least 2 points per axis
         if not (math.isfinite(self.tau2) and self.tau2 > 0):
             raise InvalidParameterError("tau2 must be positive and finite")
         if self.d_rule[0] not in ("exponent", "absolute"):

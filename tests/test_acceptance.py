@@ -143,7 +143,7 @@ class TestCriterion3SolverVsClosedForm:
                      "var_p", "m3_p", "m4_p"):
             got, want = getattr(m, name), getattr(ref, name)
             scale = max(abs(want), 1e-6)
-            assert abs(got - want) / scale < 1e-3, (name, cp)
+            assert abs(got - want) / scale < 1e-9, (name, cp)
 
     def test_runtime(self):
         start = time.perf_counter()

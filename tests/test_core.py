@@ -1,5 +1,5 @@
-"""Domain-type tests: schedules, bumps, frames, fields, marginals,
-metrics, and moment measurement."""
+"""Domain-type tests: schedules and their stretch integrals, bumps, frames,
+fields, marginals, metrics, and moment measurement."""
 
 import math
 from dataclasses import replace
@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcthreshold.core import (
-    AffineFrame,
     BumpProfile,
     GridSpec,
     MomentumDistribution,
@@ -104,8 +103,20 @@ class TestSchedule:
                              f"tau3={sch.tau3!r})")
 
     def test_checkpoints_increase(self):
+        # each window starts where the one before it ends
         sch = standard_schedule(0.05)
-        assert sch.t0 < sch.t1 < sch.t2 < sch.t3
+        (t0, tau1), (t1, tau2), (t2, tau3) = (sch.window(i) for i in (1, 2, 3))
+        assert (t0, t1, t2) == (0.0, tau1, tau1 + tau2)
+        assert t0 < t1 < t2 < t2 + tau3
+
+    @pytest.mark.parametrize("i", [0, 4, -1])
+    def test_window_index_rejected(self, i):
+        sch = standard_schedule(0.05)
+        for call in (lambda: sch.window(i), lambda: sch.chi(i, 0.5),
+                     lambda: sch.bump_integral(i, 0.0, 1.0),
+                     lambda: sch.stretch(i, 0.0)):
+            with pytest.raises(InvalidParameterError, match="1, 2 or 3"):
+                call()
 
     def test_bump_integral_is_tau(self):
         sch = standard_schedule(0.05)
@@ -138,18 +149,47 @@ class TestSchedule:
         assert got[-1] > 0.0
 
 
+class TestStretch:
+    @pytest.mark.parametrize("a0", [0.0, 0.3, -1.7])
+    def test_end_log_scale_is_exact(self, a0):
+        sch = standard_schedule(0.05)
+        assert sch.stretch(1, a0)[0] == a0 + sch.tau1
+        assert sch.stretch(3, a0)[0] == a0 - sch.tau3
+
+    def test_kick_window_rejected(self):
+        with pytest.raises(InvalidParameterError, match="kick"):
+            standard_schedule(0.05).stretch(2, 0.0)
+
+    @pytest.mark.parametrize("h", [0.2, 1e-3, 1e-10])
+    def test_default_panels_converged(self, h):
+        # each window from the log-scale it starts at in evolve; 200
+        # panels per unit time agree with 800, and a single panel per unit
+        # is far off, so the comparison can fail
+        sch = standard_schedule(h)
+        for i, a0 in ((1, 0.0), (3, sch.tau1)):
+            got = np.array(sch.stretch(i, a0)[1:])
+            fine = np.array(sch.stretch(i, a0, per_unit=800)[1:])
+            coarse = np.array(sch.stretch(i, a0, per_unit=1)[1:])
+            assert np.abs(got / fine - 1.0).max() <= 1e-13
+            assert np.abs(coarse / fine - 1.0).max() > 1e-8
+
+
 class TestFrame:
     def test_symplectic(self):
-        f = AffineFrame(0.7)
+        axis = np.zeros(2)
+        f = PhaseSpaceField(a=0.7, u=axis, v=axis, values=np.zeros((2, 2)),
+                            kind="classical")
+        assert f.s_x == math.exp(0.7)
         assert f.s_x * f.s_p == pytest.approx(1.0, abs=1e-15)
 
-    @given(st.floats(-5, 5), st.floats(-5, 5))
-    @settings(max_examples=50, deadline=None)
-    def test_composition_adds_logs(self, a, b):
-        # shifting a frame by b composes it with AffineFrame(b)
-        shifted = AffineFrame(a).shifted(b)
-        assert shifted.a == a + b
-        assert shifted.s_x * shifted.s_p == pytest.approx(1.0)
+    def test_unknown_kind_rejected(self):
+        params = SemiclassicalParams(hbar=0.1)
+        grid = GridSpec.for_h(0.05)
+        with pytest.raises(InvalidParameterError, match="'quantum'"):
+            initial_coherent_field(params, grid, "quantum")
+        field = initial_coherent_field(params, grid, "classical")
+        with pytest.raises(InvalidParameterError, match="'wigner'"):
+            replace(field, kind="Wigner")
 
 
 def _gaussian_field(grid, var_x, var_p, mean_x=0.0, mean_p=0.0, r=0.0):
@@ -161,8 +201,7 @@ def _gaussian_field(grid, var_x, var_p, mean_x=0.0, mean_p=0.0, r=0.0):
         2 * math.pi * var_x)
     gp = np.exp(-(p - mean_p - r * x * x) ** 2 / (2 * var_p)) / math.sqrt(
         2 * math.pi * var_p)
-    return PhaseSpaceField(frame=AffineFrame(0.0), u=u, v=v, values=gx * gp,
-                           kind="classical")
+    return PhaseSpaceField(a=0.0, u=u, v=v, values=gx * gp, kind="classical")
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +238,14 @@ class TestInitialField:
         with pytest.raises(InvalidParameterError, match="at least 8"):
             initial_coherent_field(params, small)
 
+    @pytest.mark.parametrize("n_u, n_v", [(1, 1024), (512, 1), (0, 0)])
+    def test_grid_below_two_points_per_axis(self, h, n_u, n_v):
+        with pytest.raises(InvalidParameterError,
+                           match=f"grid {n_u}x{n_v} needs at least 2 points"):
+            GridSpec.for_h(h, n_u=n_u, n_v=n_v)
+        with pytest.raises(InvalidParameterError, match="at least 2 points"):
+            GridSpec(n_u=n_u, n_v=n_v)
+
 
 class TestMarginals:
     def test_initial_momentum_marginal_gaussian(self, coherent, h):
@@ -218,7 +265,7 @@ class TestMarginals:
     def test_frame_rescaling(self, h):
         params = SemiclassicalParams(hbar=2 * h)
         base = initial_coherent_field(params, GridSpec.for_h(h), "classical")
-        tilted = replace(base, frame=AffineFrame(0.4))
+        tilted = replace(base, a=0.4)
         md = momentum_marginal(tilted)
         m = measure_central_moments(tilted)
         # frame stretches lab x by e^0.4 and shrinks lab p by e^-0.4

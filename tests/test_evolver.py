@@ -79,9 +79,9 @@ def _composed_kick_window(field, params, n, schedule=SCH):
     edges = [start + tau * j / n for j in range(n + 1)]
     deltas = [schedule.bump_integral(2, edges[j], edges[j + 1])
               for j in range(n)]
-    dt, a = tau / n, field.frame.a
-    x = field.frame.s_x * field.u
-    kick = np.multiply.outer(x * x, _kv(field) / field.frame.s_p)
+    dt, a = tau / n, field.a
+    x = field.s_x * field.u
+    kick = np.multiply.outer(x * x, _kv(field) / field.s_p)
     ku = 2.0 * math.pi * np.fft.fftfreq(len(field.u), d=field.du)
     rate = -(params.D / 2.0) * np.add.outer(
         ku ** 2 * math.exp(-2.0 * a), _kv(field) ** 2 * math.exp(2.0 * a))
@@ -107,7 +107,7 @@ def _exact_kick_window(t1, schedule, params):
     its Moyal phase in one shot."""
     got, spec, info = _kick_window(t1, schedule, params)
     if got.kind == "wigner":
-        got = evolver._moyal(got, spec, schedule, params, t1.frame.a)
+        got = evolver._moyal(got, spec, schedule, params, t1.a)
     return got, info
 
 
@@ -118,7 +118,7 @@ def _strang_errors(h, D, schedule, kind):
     params = SemiclassicalParams(hbar=2 * h, D=D)
     grid = GridSpec.for_h(h, n_u=256, n_v=512)
     field = initial_coherent_field(params, grid, kind)
-    t1 = _stretch_window(field, schedule, 1, +1.0, params, EvolverConfig())[0]
+    t1 = _stretch_window(field, schedule, 1, params, EvolverConfig())[0]
     got, info = _exact_kick_window(t1, schedule, params)
     md = momentum_marginal(got)
     errs = [l1_distance(md, momentum_marginal(_composed_kick_window(
@@ -132,13 +132,12 @@ def _window_inputs(D):
     hands to _window_matrices at t1 on the 256x512 grid."""
     field, params = _initial("classical", D=D,
                              grid=GridSpec.for_h(H, n_u=256, n_v=512))
-    t1 = _stretch_window(field, SCH, 1, +1.0, params, EvolverConfig())[0]
+    t1 = _stretch_window(field, SCH, 1, params, EvolverConfig())[0]
     kv = 2.0 * math.pi * np.fft.rfftfreq(len(t1.v), d=t1.dv)
-    a, frame = t1.frame.a, t1.frame
+    a = t1.a
     keep = (D / 2.0) * math.exp(2.0 * a) * SCH.tau2 * kv ** 2 \
         < evolver._DAMP_CUT
-    return kv[keep] / frame.s_p * frame.s_x ** 2, \
-        (D / 2.0) * math.exp(-2.0 * a)
+    return kv[keep] / t1.s_p * t1.s_x ** 2, (D / 2.0) * math.exp(-2.0 * a)
 
 
 def _tau2_two_window_input():
@@ -149,7 +148,7 @@ def _tau2_two_window_input():
     params = SemiclassicalParams(hbar=2 * h, D=h ** (4.0 / 3.0))
     field = initial_coherent_field(
         params, GridSpec.for_h(h, n_u=256, n_v=512), "classical")
-    return _stretch_window(field, sch, 1, +1.0, params, EvolverConfig())[0], \
+    return _stretch_window(field, sch, 1, params, EvolverConfig())[0], \
         sch, params
 
 
@@ -225,12 +224,12 @@ class TestSubsteps:
         start, tau = SCH.window(2)
         delta = SCH.bump_integral(2, start, start + tau)
         kicked = _kick_window(field, SCH, params)[0]
-        x2 = (field.frame.s_x * field.u) ** 2
+        x2 = (field.s_x * field.u) ** 2
         mass = field.values.sum(axis=1) * field.dv
         keep = mass > 1e-6  # columns with enough mass for a stable mean
         mean0 = (field.values * field.v).sum(axis=1) * field.dv / mass
         mean1 = (kicked.values * field.v).sum(axis=1) * field.dv / mass
-        shift = delta * x2 / field.frame.s_p  # frame momentum units
+        shift = delta * x2 / field.s_p  # frame momentum units
         assert np.abs((mean1 - mean0 - shift)[keep]).max() < 1e-9
 
     def test_kick_linearity(self):
@@ -238,7 +237,7 @@ class TestSubsteps:
 
         def kick(f):
             got, spec, _ = _kick_window(f, SCH, params)
-            return evolver._moyal(got, spec, SCH, params, f.frame.a)
+            return evolver._moyal(got, spec, SCH, params, f.a)
 
         a = kick(field)
         b = kick(replace(field, values=2.0 * field.values))
@@ -270,11 +269,11 @@ class TestSubsteps:
                                 for t in t_nodes])
             I_u += dt * float((_GL_W * np.exp(-2.0 * a_nodes)).sum())
             I_v += dt * float((_GL_W * np.exp(2.0 * a_nodes)).sum())
-        moved = replace(field, frame=field.frame.shifted(
-            SCH.bump_integral(1, start, start + tau)))
+        moved = replace(field, a=field.a + SCH.bump_integral(
+            1, start, start + tau))
         ref = _integrated_diffusion(moved, params, I_u, I_v)[0]
-        got = _stretch_window(field, SCH, 1, +1.0, params, cfg)[0]
-        assert got.frame == ref.frame
+        got = _stretch_window(field, SCH, 1, params, cfg)[0]
+        assert got.a == ref.a
         assert _rel_max_abs(got.values, ref.values) <= 1e-13
 
     def test_x_parity_preserved(self):
@@ -355,11 +354,11 @@ class TestDiffusiveEvolution:
         D = H
         grid = GridSpec.for_h(H, n_u=256, n_v=512)
         field, params = _initial("classical", D=D, grid=grid)
-        t1 = _stretch_window(field, SCH, 1, +1.0, params, EvolverConfig())[0]
+        t1 = _stretch_window(field, SCH, 1, params, EvolverConfig())[0]
         _, _, info = _kick_window(t1, SCH, params)
         spec = np.abs(np.fft.rfft(t1.values, axis=1))
         kv = 2.0 * math.pi * np.fft.rfftfreq(len(t1.v), d=t1.dv)
-        damp = np.exp(-(D / 2.0) * math.exp(2.0 * t1.frame.a) * SCH.tau2
+        damp = np.exp(-(D / 2.0) * math.exp(2.0 * t1.a) * SCH.tau2
                       * kv ** 2)
         kept = info["kept_columns"]
         assert 0 < kept < len(kv)
@@ -418,12 +417,12 @@ class TestFactoredMultipliers:
         params = SemiclassicalParams(hbar=2 * h)
         sch = standard_schedule(h)
         f0 = initial_coherent_field(params, GridSpec.for_h(h), "classical")
-        t1, _ = _stretch_window(f0, sch, 1, +1.0, params, EvolverConfig())
+        t1, _ = _stretch_window(f0, sch, 1, params, EvolverConfig())
         start, tau = sch.window(2)
         delta = sch.bump_integral(2, start, start + tau)
         k = 2.0 * math.pi * np.fft.rfftfreq(len(t1.v), d=t1.dv) \
-            / t1.frame.s_p
-        x = t1.frame.s_x * t1.u
+            / t1.s_p
+        x = t1.s_x * t1.u
         want = np.fft.irfft(
             np.fft.rfft(t1.values, axis=1)
             * np.exp(-1j * np.multiply.outer(x * x * delta, k)),
@@ -442,7 +441,7 @@ class TestFactoredMultipliers:
         params = SemiclassicalParams(hbar=2 * h, D=h ** (4.0 / 3.0))
         f0 = initial_coherent_field(
             params, GridSpec.for_h(h, n_u=n_u, n_v=512), "classical")
-        t1, _ = _stretch_window(f0, sch, 1, +1.0, params, EvolverConfig())
+        t1, _ = _stretch_window(f0, sch, 1, params, EvolverConfig())
         keep, damp, beta, g_in, g_out, info = evolver._window_factors(
             t1, sch, params)
         assert info["kick_substeps"] == 2
@@ -471,14 +470,14 @@ class TestFactoredMultipliers:
         # field
         field, params = _initial("classical", D=D)
         res = evolve(field, SCH, params)
-        final, a2 = res.final, res.checkpoints[2].frame.a
+        final, a2 = res.final, res.checkpoints[2].a
         start, tau = SCH.window(2)
         delta = SCH.bump_integral(2, start, start + tau)
         want = np.fft.irfft(np.fft.rfft(final.values, axis=1)
                             * _moyal_multiplier(final, delta, params.h, a2),
                             n=len(final.v), axis=1)
         assert res.wigner.kind == "wigner"
-        assert res.wigner.frame == final.frame
+        assert res.wigner.a == final.a
         assert _rel_max_abs(res.wigner.values, want) <= 1e-13
 
     @pytest.mark.parametrize("D", [0.0, H ** (4.0 / 3.0), H],
@@ -496,7 +495,7 @@ class TestFactoredMultipliers:
         q, c = run("wigner"), run("classical")
         assert [cp.kind for cp in q.checkpoints] == ["wigner"] * 4
         assert q.final is q.wigner is q.checkpoints[3]
-        assert q.final.frame == c.wigner.frame
+        assert q.final.a == c.wigner.a
         np.testing.assert_array_equal(q.final.values, c.wigner.values)
         for i in (0, 1):
             np.testing.assert_array_equal(q.checkpoints[i].values,
@@ -553,7 +552,7 @@ class TestGuards:
                               widths_v=64.0)
         for D in (0.0, 0.01 * H ** (4.0 / 3.0)):
             field, params = _initial("classical", D=D, grid=grid)
-            t1, spec = _stretch_window(field, SCH, 1, +1.0, params,
+            t1, spec = _stretch_window(field, SCH, 1, params,
                                        EvolverConfig())
             with pytest.raises(ResolutionError, match="momentum spectral tail"):
                 _kick_window(t1, SCH, params, spec)

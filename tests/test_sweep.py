@@ -191,7 +191,7 @@ class TestRunPoint:
         res = evolver.evolve(f0, sch, params, evc)
         derived = momentum_marginal(evolver._moyal(
             res.final, np.fft.rfft(res.final.values, axis=1), sch, params,
-            res.checkpoints[2].frame.a))
+            res.checkpoints[2].a))
         np.testing.assert_array_equal(quantum[0].p, derived.p)
         assert np.abs(quantum[0].q - derived.q).max() \
             <= 1e-13 * np.abs(derived.q).max()
