@@ -298,7 +298,8 @@ def duhamel_bound(side: str, h: float, D: float, schedule: Schedule) -> float:
     density from its closed-system counterpart.
 
     For the standard schedule this is C_side * (1 + log(1/h)) * D / h^(4/3);
-    otherwise the pre-simplification two-term form is used.
+    otherwise the pre-simplification two-term form is used. Both vanish at
+    D = 0, where constants() is not computed.
     """
     if side not in ("quantum", "classical"):
         raise InvalidParameterError(f"side must be quantum or classical, got {side!r}")
@@ -306,6 +307,8 @@ def duhamel_bound(side: str, h: float, D: float, schedule: Schedule) -> float:
         raise InvalidParameterError("need h > 0 and D >= 0, both finite")
     if schedule.tau1 >= 0.25 * math.log(1.0 / h):
         raise InvalidParameterError("bound requires tau1 < (1/4) log(1/h)")
+    if D == 0.0:
+        return 0.0
     k = constants(schedule.tau2)
     if is_standard_schedule(schedule, h):
         C = k.C_qu if side == "quantum" else k.C_cl

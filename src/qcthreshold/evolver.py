@@ -5,7 +5,9 @@ The co-moving frame absorbs the stretch/squeeze transport exactly, so every
 grid operation is a Fourier or diagonal multiplier, and every window is
 taken in one step. Each window hands the next its output's (u, k_v)
 spectrum, so no spectrum is transformed twice, and every 2-D multiplier is
-built from 1-D factors:
+built from 1-D factors. The position-tail guard of each checkpoint reads
+the (k_u, k_v) spectrum that window 1 or 3 forms of its input or output;
+at D = 0 they take that transform along u for the reading alone:
 
   windows 1 and 3:  log-scale move and time-integrated lab diffusion
                     coefficients from Schedule.stretch (exact per window,
@@ -51,12 +53,16 @@ __all__ = ["EvolverConfig", "EvolveResult", "evolve"]
 
 #: Relative spectral mass allowed in the top tenth of the momentum band.
 _TAIL_TOL = 1e-8
-#: Relative spectral mass allowed in the top tenth of the position band,
-#: the axis along which the kick sharpens the state. At D = 0 and tau2 = 1
-#: the tail at t2 is the same for every h (diffusion only lowers it):
-#: 6.2e-6 on 256 u-points, 9.7e-5 on 192 and 1.5e-3 on 128, where the
-#: final marginal is 1.8e-11, 1e-8 and 5.3e-6 off the closed form.
-_U_TAIL_TOL = 1e-4
+#: Relative spectral mass allowed in the top tenth of the |k_u| bins of the
+#: 2-D spectrum (_u_tail): the position axis, along which the kick sharpens
+#: the state. At D = 0 and tau2 = 1 the tail at t2 is the same for every h
+#: (diffusion only lowers it): 4.3e-6 on 256 u-points, 7.0e-5 on 192 and
+#: 1.1e-3 on 128, where the final marginal is 1.8e-11, 1e-8 and 5.3e-6 off
+#: the closed form. Of the grids n_u = 128-256 (n_v = 1024) at h = 0.1,
+#: tau2 = 1 and 2, D = 0 and h^(4/3), it rejects those whose (k_u, v)
+#: spectrum (the rfft of the values along u) has a tail above 1e-4, and no
+#: others; any limit in [6.97e-5, 7.71e-5) would.
+_U_TAIL_TOL = 7.3e-5
 #: Relative mass allowed in the grid corners (wraparound guard). The
 #: position-edge band is only recorded in the diagnostics, since the
 #: momentum marginal is invariant under position-direction wraparound;
@@ -102,15 +108,25 @@ def _rk_axis(n: int, spacing: float) -> np.ndarray:
     return 2.0 * math.pi * np.fft.rfftfreq(n, d=spacing)
 
 
-def _tail_fraction(mags: np.ndarray, axis: int) -> float:
-    """Share of 2-D half-spectrum magnitudes in the top tenth along axis."""
-    mags = mags.sum(axis=1 - axis)
+def _tail_fraction(mags: np.ndarray) -> float:
+    """Share of a 1-D profile of spectral magnitudes in its top tenth."""
     tail = int(math.ceil(0.1 * len(mags)))
     return float(mags[-tail:].sum()) / max(float(mags.sum()), 1e-300)
 
 
+def _u_tail(mags: np.ndarray) -> float:
+    """Position-tail reading of a 2-D (k_u, k_v) half-spectrum from its
+    magnitudes: their share, summed over k_v and folded over +-k_u onto
+    the n_u // 2 + 1 bins of |k_u|, in the top tenth of those bins."""
+    mags = mags.sum(axis=1)
+    n = len(mags)
+    folded = mags[:n // 2 + 1]
+    folded[1:1 + (n - 1) // 2] += mags[:n // 2:-1]
+    return _tail_fraction(folded)
+
+
 def _check_v_tail(spec: np.ndarray) -> None:
-    tail_mass = _tail_fraction(np.abs(spec), axis=1)
+    tail_mass = _tail_fraction(np.abs(spec).sum(axis=0))
     if tail_mass > _TAIL_TOL:
         raise ResolutionError(
             f"momentum spectral tail carries relative mass {tail_mass:.2e}")
@@ -132,18 +148,26 @@ def _integrated_diffusion(field: PhaseSpaceField, params: SemiclassicalParams,
                           I_u: float, I_v: float, spec: np.ndarray = None):
     """Multiply by exp[-(D/2)(k_u^2 I_u + k_v^2 I_v)] in 2-D Fourier space,
     one exp row per axis, with I_u and I_v the time integrals of e^(-2a(t))
-    and e^(+2a(t)). Returns the field and its (u, k_v) spectrum (None at
-    D = 0); spec, the input's if carried, saves the rfft along v."""
+    and e^(+2a(t)). Returns the field, its (u, k_v) spectrum and the
+    position-tail readings (_u_tail) of the input's and the output's
+    (k_u, k_v) spectra; spec, the input's if carried, saves the rfft along
+    v. At D = 0 the field and its (u, k_v) spectrum are returned as they
+    are, and the one reading serves both."""
+    if spec is None:
+        spec = np.fft.rfft(field.values, axis=1)
     if params.D == 0.0:
-        return field, None
+        k = np.fft.fft(spec, axis=0)  # |k| in place: no copy
+        u_tail = _u_tail(np.abs(k, out=k).real)
+        return field, spec, (u_tail, u_tail)
     c = -params.D / 2.0
-    spec = np.fft.fft(np.fft.rfft(field.values, axis=1) if spec is None
-                      else spec, axis=0)
+    spec = np.fft.fft(spec, axis=0)
+    u_in = _u_tail(np.abs(spec))
     spec *= np.exp(c * I_u * _k_axis(len(field.u), field.du) ** 2)[:, None]
     spec *= np.exp(c * I_v * _rk_axis(len(field.v), field.dv) ** 2)
+    u_out = _u_tail(np.abs(spec))
     np.fft.ifft(spec, axis=0, out=spec)
     values = np.fft.irfft(spec, n=len(field.v), axis=1)
-    return replace(field, values=values), spec
+    return replace(field, values=values), spec, (u_in, u_out)
 
 
 def _edge_metrics(field: PhaseSpaceField) -> dict:
@@ -159,15 +183,16 @@ def _edge_metrics(field: PhaseSpaceField) -> dict:
             "corner": float(corner)}
 
 
-def _check_field(field: PhaseSpaceField, mass0: float, label: str) -> dict:
-    """Guard one checkpoint field and return its readings. They read only
-    its values array and grid spacings, so an unchanged array reuses them."""
-    edges = _edge_metrics(field)  # its |values| is freed before spec is made
+def _check_field(field: PhaseSpaceField, mass0: float, label: str,
+                 u_tail: float) -> dict:
+    """Guard one checkpoint field and return its readings. u_tail is the
+    position-tail reading that the window next to the checkpoint took from
+    the field's (k_u, k_v) spectrum; the others read only its values array
+    and grid spacings, so an unchanged array reuses them."""
+    edges = _edge_metrics(field)
     mass = field.mass()
     if abs(mass - mass0) > 1e-4:
         raise SolverFailureError(f"mass drifted to {mass} at {label}")
-    spec = np.fft.rfft(field.values, axis=0)  # |spec| in place: no copy
-    u_tail = _tail_fraction(np.abs(spec, out=spec).real, axis=0)
     if u_tail > _U_TAIL_TOL:
         raise ResolutionError(
             f"position spectral tail carries relative mass {u_tail:.2e} "
@@ -334,50 +359,58 @@ def evolve(field: PhaseSpaceField, schedule: Schedule,
     guard the Wigner field at t2 and t3 (_moyal on each carried spectrum,
     dropped once phased). Returns the final field, the t0-t3 checkpoints,
     their readings and the t3 Wigner field; for a Wigner input the t2, t3
-    and final fields and readings are the Wigner ones. A checkpoint whose
-    values array is the previous one's (windows 1 and 3 at D = 0 only move
-    the frame) copies its readings, and at D = 0 the t3 Wigner field is
-    the t2 one in t3's frame."""
+    and final fields and readings are the Wigner ones.
+
+    Each checkpoint's position-tail reading comes from the (k_u, k_v)
+    spectrum that window 1 or 3 forms of its input and output, so the
+    t0 and t1 guards run after window 1 and the t2 and t3 guards after
+    window 3. A derived Wigner field shares its classical counterpart's
+    reading: its spectrum differs by a unimodular phase in k_v. A
+    checkpoint whose values array is the previous one's (windows 1 and 3
+    at D = 0 only move the frame) copies its readings, and at D = 0 the
+    t3 Wigner field is the t2 one in t3's frame."""
     mass0 = field.mass()
     if abs(mass0 - 1.0) > 1e-6:
         raise InvalidParameterError("input field is not normalized")
     quantum = field.kind == "wigner"
     checkpoints, readings, diagnostics = [], [], {}
 
-    def checkpoint(field: PhaseSpaceField, label: str) -> None:
+    def checkpoint(field: PhaseSpaceField, label: str,
+                   u_tail: float) -> None:
         if not checkpoints or field.values is not checkpoints[-1].values:
-            readings.append(_check_field(field, mass0, label))
+            readings.append(_check_field(field, mass0, label, u_tail))
         diagnostics[label] = dict(readings[-1])
         checkpoints.append(field)
 
-    checkpoint(field, "t0")
-    field, spec = _stretch_window(field, schedule, 1, params, config)
-    checkpoint(field, "t1")
+    t0 = field
+    field, spec, (tail0, tail1) = _stretch_window(field, schedule, 1, params,
+                                                  config)
+    checkpoint(t0, "t0", tail0)
+    checkpoint(field, "t1", tail1)
 
-    field, spec, window = _kick_window(replace(field, kind="classical"),
-                                       schedule, params, spec)
-    checkpoint(field, "t2")
+    t2, spec, window = _kick_window(replace(field, kind="classical"),
+                                    schedule, params, spec)
+    field, s3, (tail2, tail3) = _stretch_window(t2, schedule, 3, params,
+                                                config, spec)
+    checkpoint(t2, "t2", tail2)
     diagnostics["t2"].update(window)
-
-    field, s3 = _stretch_window(field, schedule, 3, params, config, spec)
     # The momentum marginal is insensitive to position-direction wraparound,
     # which large-D runs incur late in window 3; only the corners and the
     # momentum edges are enforced (see _check_field).
-    checkpoint(field, "t3")
+    checkpoint(field, "t3", tail3)
 
-    a2 = checkpoints[2].a
-    wigner = _moyal(checkpoints[2], spec, schedule, params, a2)
+    w2 = _moyal(t2, spec, schedule, params, t2.a)
     del spec
-    found = _check_field(wigner, mass0, "t2")
-    if quantum:
-        checkpoints[2], diagnostics["t2"] = wigner, {**found, **window}
-    if s3 is None:  # window 3 left the values array unchanged
-        wigner = replace(wigner, a=field.a)
+    if field.values is t2.values:  # window 3 only moved the frame
+        w3 = replace(w2, a=field.a)
     else:
-        wigner = _moyal(field, s3, schedule, params, a2)
-        del s3
-        found = _check_field(wigner, mass0, "t3")
+        w3 = _moyal(field, s3, schedule, params, t2.a)
+    del s3
+    found = _check_field(w2, mass0, "t2", tail2)
     if quantum:
-        checkpoints[3], diagnostics["t3"] = wigner, dict(found)
-    return EvolveResult(checkpoints[3], tuple(checkpoints), diagnostics,
-                        wigner)
+        checkpoints[2], diagnostics["t2"] = w2, {**found, **window}
+    if w3.values is not w2.values:
+        found = _check_field(w3, mass0, "t3", tail3)
+    if quantum:
+        checkpoints[3], diagnostics["t3"] = w3, dict(found)
+    return EvolveResult(checkpoints[3], tuple(checkpoints), diagnostics, w3)

@@ -220,7 +220,8 @@ def run_experiment(config: RunConfig, max_workers: int = None):
     if max_workers is None:
         max_workers = min(4, os.cpu_count() or 1, len(points))
     if max_workers > 1 and len(points) > 1:
-        constants(config.tau2)  # cached here, the forked workers inherit it
+        if any(D > 0 for _, D, _, _ in points):
+            constants(config.tau2)  # cached here, forked workers inherit it
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             records = list(pool.map(_run_point_args, points))
     else:
@@ -284,12 +285,15 @@ def crossing_estimates(records, tau2: float) -> dict:
     """Per-h estimate of the D where discrepancy falls through c0(tau2)/2,
     by log-linear interpolation across the first pair of consecutive D > 0
     points that brackets it (the first at or above c0/2, the next below);
-    nan when no pair does."""
-    half = constants(tau2).c0 / 2.0
+    nan when no pair does. Without a D > 0 record it is empty, and c0 is
+    not computed."""
     by_h = {}
     for r in sorted(records, key=lambda r: r.D):
         if r.D > 0:
             by_h.setdefault(r.h, []).append(r)
+    if not by_h:
+        return {}
+    half = constants(tau2).c0 / 2.0
     out = {}
     for h, rows in by_h.items():
         out[h] = math.nan

@@ -42,6 +42,7 @@ from qcthreshold.evolver import (
     _window_matrices,
     evolve,
 )
+from qcthreshold.sweep import RunConfig, point_setup
 
 H = 0.05
 SCH = standard_schedule(H)
@@ -150,6 +151,27 @@ def _tau2_two_window_input():
         params, GridSpec.for_h(h, n_u=256, n_v=512), "classical")
     return _stretch_window(field, sch, 1, params, EvolverConfig())[0], \
         sch, params
+
+
+def _folded_u_tail(values):
+    """The position-tail reading of values from their 2-D (k_u, k_v)
+    half-spectrum: magnitudes summed over k_v and binned at |k_u|, and the
+    share of the top tenth of the n_u // 2 + 1 bins."""
+    n = values.shape[0]
+    mags = np.abs(np.fft.rfft2(values)).sum(axis=1)
+    bins = np.zeros(n // 2 + 1)
+    np.add.at(bins, np.minimum(np.arange(n), n - np.arange(n)), mags)
+    tail = math.ceil(0.1 * len(bins))
+    return float(bins[-tail:].sum() / bins.sum())
+
+
+def _ku_v_u_tail(values):
+    """The position-tail reading from the 1-D rfft of values along u, the
+    (k_u, v) spectrum. _U_TAIL_TOL on the 2-D reading rejects the grids
+    that a limit of 1e-4 on this one rejects."""
+    mags = np.abs(np.fft.rfft(values, axis=0)).sum(axis=1)
+    tail = math.ceil(0.1 * len(mags))
+    return float(mags[-tail:].sum() / mags.sum())
 
 
 def _rel_max_abs(got, want):
@@ -405,6 +427,28 @@ class TestCheckpointReadings:
         assert diag["t1"] == diag["t0"]
         assert diag["t3"] == {k: diag["t2"][k] for k in diag["t0"]}
 
+    @pytest.mark.parametrize("exponent", [None, 4.0 / 3.0, 1.0],
+                             ids=["closed", "diffusive", "wide"])
+    def test_carried_u_tail_is_own_reading(self, exponent):
+        # each checkpoint's reading, taken from a spectrum a window formed,
+        # against the one taken from the checkpoint's own values; a Wigner
+        # input's t2 and t3 readings are the classical ones
+        h = 0.2
+        D = 0.0 if exponent is None else h ** exponent
+        sch, grid, params, evc = point_setup(
+            h, D, RunConfig(h_list=(h,), n_u=256, n_v=512, substeps=60))
+        if exponent == 1.0:
+            assert grid.n_v == 1024  # the widened momentum grid
+        runs = {kind: evolve(initial_coherent_field(params, grid, kind), sch,
+                             params, evc) for kind in ("classical", "wigner")}
+        for res in runs.values():
+            for label, cp in zip(("t0", "t1", "t2", "t3"), res.checkpoints):
+                assert res.diagnostics[label]["u_tail"] == pytest.approx(
+                    _folded_u_tail(cp.values), rel=1e-12, abs=1e-15), label
+        for label in ("t2", "t3"):
+            assert runs["wigner"].diagnostics[label]["u_tail"] \
+                == runs["classical"].diagnostics[label]["u_tail"]
+
 
 class TestFactoredMultipliers:
     # each multiplier built from 1-D factors against the direct 2-D np.exp
@@ -417,7 +461,7 @@ class TestFactoredMultipliers:
         params = SemiclassicalParams(hbar=2 * h)
         sch = standard_schedule(h)
         f0 = initial_coherent_field(params, GridSpec.for_h(h), "classical")
-        t1, _ = _stretch_window(f0, sch, 1, params, EvolverConfig())
+        t1, _, _ = _stretch_window(f0, sch, 1, params, EvolverConfig())
         start, tau = sch.window(2)
         delta = sch.bump_integral(2, start, start + tau)
         k = 2.0 * math.pi * np.fft.rfftfreq(len(t1.v), d=t1.dv) \
@@ -441,7 +485,7 @@ class TestFactoredMultipliers:
         params = SemiclassicalParams(hbar=2 * h, D=h ** (4.0 / 3.0))
         f0 = initial_coherent_field(
             params, GridSpec.for_h(h, n_u=n_u, n_v=512), "classical")
-        t1, _ = _stretch_window(f0, sch, 1, params, EvolverConfig())
+        t1, _, _ = _stretch_window(f0, sch, 1, params, EvolverConfig())
         keep, damp, beta, g_in, g_out, info = evolver._window_factors(
             t1, sch, params)
         assert info["kick_substeps"] == 2
@@ -552,8 +596,8 @@ class TestGuards:
                               widths_v=64.0)
         for D in (0.0, 0.01 * H ** (4.0 / 3.0)):
             field, params = _initial("classical", D=D, grid=grid)
-            t1, spec = _stretch_window(field, SCH, 1, params,
-                                       EvolverConfig())
+            t1, spec, _ = _stretch_window(field, SCH, 1, params,
+                                          EvolverConfig())
             with pytest.raises(ResolutionError, match="momentum spectral tail"):
                 _kick_window(t1, SCH, params, spec)
 
@@ -563,6 +607,43 @@ class TestGuards:
         field, params = _initial("classical", grid=grid)
         with pytest.raises(ResolutionError, match="position spectral tail"):
             evolve(field, SCH, params)
+
+    @staticmethod
+    def _boundary_run(n_u, tau2=1.0):
+        h = 0.1
+        sch = replace(standard_schedule(h), tau2=tau2)
+        params = SemiclassicalParams(hbar=2 * h)
+        field = initial_coherent_field(
+            params, GridSpec.for_h(h, n_u=n_u, n_v=1024), "classical")
+        return evolve(field, sch, params)
+
+    def test_position_guard_boundary(self):
+        # at D = 0 and tau2 = 1 the t2 reading is 1.05e-4 on 184 u-points
+        # and 6.97e-5 on 192
+        with pytest.raises(ResolutionError,
+                           match="position spectral tail .* at t2"):
+            self._boundary_run(184)
+        diag = self._boundary_run(192).diagnostics
+        assert 6e-5 < diag["t2"]["u_tail"] < _U_TAIL_TOL
+
+    @pytest.mark.parametrize("tau2", [1.0, 2.0])
+    def test_position_guard_keeps_ku_v_decisions(self, monkeypatch, tau2):
+        # the guard rejects a grid exactly when the (k_u, v) reading of a
+        # classical or Wigner checkpoint exceeds its limit of 1e-4
+        for n_u in (128, 184, 188, 190, 192, 194, 256):
+            with monkeypatch.context() as m:
+                m.setattr(evolver, "_U_TAIL_TOL", math.inf)
+                res = self._boundary_run(n_u, tau2)
+            # at D = 0 the t2 Wigner field's values are the t3 one's
+            fields = res.checkpoints + (res.wigner,)
+            want = max(_ku_v_u_tail(f.values) for f in fields) > 1e-4
+            try:
+                self._boundary_run(n_u, tau2)
+                fires = False
+            except ResolutionError as err:
+                assert "position spectral tail" in str(err)
+                fires = True
+            assert fires == want, n_u
 
     def test_position_guard_silent_on_fast_grid(self):
         # the 256x512 grid of the fast sweep and CLI tests
@@ -584,10 +665,11 @@ class TestGuards:
                                       "classical")
 
     def test_mass_drift_guard_fires(self, coherent_128):
-        evolver._check_field(coherent_128, 1.0, "t0")
+        u_tail = _folded_u_tail(coherent_128.values)
+        evolver._check_field(coherent_128, 1.0, "t0", u_tail)
         bad = replace(coherent_128, values=1.001 * coherent_128.values)
         with pytest.raises(SolverFailureError, match="mass drifted to 1.001"):
-            evolver._check_field(bad, 1.0, "t1")
+            evolver._check_field(bad, 1.0, "t1", u_tail)
 
     def test_classical_negativity_guard_fires(self, coherent_128):
         # one cell far out in v, where the density is below 1e-200: the
@@ -598,7 +680,7 @@ class TestGuards:
         bad = replace(coherent_128, values=values)
         with pytest.raises(SolverFailureError,
                            match="classical density reached -0.001 at t1"):
-            evolver._check_field(bad, 1.0, "t1")
+            evolver._check_field(bad, 1.0, "t1", _folded_u_tail(values))
 
     def test_undersized_momentum_extent_raises(self):
         # the kicked density needs lab momenta far beyond 16 sqrt(h); a

@@ -135,6 +135,31 @@ class TestRunConfig:
         assert points and str(os.getpid()) not in points
         assert misses == [str(os.getpid())]
 
+    def test_closed_sweep_runs_without_constants(self, monkeypatch,
+                                                 tmp_path):
+        # every D = 0 bound is 0.0 and no crossing can be estimated, so a
+        # D = 0-only sweep writes the same artifacts when constants()
+        # cannot run
+        def artifacts(out):
+            cfg = RunConfig(h_list=(0.2, 0.1), d_rule=("absolute", ()),
+                            out_dir=str(out), **FAST)
+            run_experiment(cfg, max_workers=1)
+            with open(out / "records.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            wall = rows[0].index("wall_time")
+            return ([row[:wall] + row[wall + 1:] for row in rows],
+                    (out / "summary.json").read_bytes(),
+                    (out / "bounds.csv").read_bytes())
+
+        want = artifacts(tmp_path / "plain")
+
+        def refuse(*args):
+            raise AssertionError("constants() ran")
+
+        monkeypatch.setattr(sweep, "constants", refuse)
+        monkeypatch.setattr(closedform, "constants", refuse)
+        assert artifacts(tmp_path / "patched") == want
+
 
 class TestRunPoint:
     def test_closed_point_is_tight(self):
@@ -253,9 +278,9 @@ class TestRunPoint:
         # the derived guards run after every classical one
         seen, check_field = [], evolver._check_field
 
-        def recorded(field, mass0, label):
+        def recorded(field, mass0, label, u_tail):
             seen.append((field.kind, label))
-            return check_field(field, mass0, label)
+            return check_field(field, mass0, label, u_tail)
 
         monkeypatch.setattr(evolver, "_check_field", recorded)
         run_point(0.2, D, math.nan, RunConfig(h_list=(0.2,), **FAST))
@@ -268,21 +293,22 @@ class TestRunPoint:
         # to fail there
         check_field = evolver._check_field
 
-        def failing(field, mass0, label):
+        def failing(field, mass0, label, u_tail):
             if (field.kind, label) == ("wigner", "t3"):
                 raise SolverFailureError(f"derived guard at {label}")
-            return check_field(field, mass0, label)
+            return check_field(field, mass0, label, u_tail)
 
         monkeypatch.setattr(evolver, "_check_field", failing)
         with pytest.raises(SolverFailureError, match="derived guard at t3"):
             run_point(0.2, 0.2 ** (4.0 / 3.0), 4.0 / 3.0,
                       RunConfig(h_list=(0.2,), **FAST))
 
-    @pytest.mark.parametrize("D, want", [(0.0, 6), (0.2 ** (4.0 / 3.0), 18)],
+    @pytest.mark.parametrize("D, want", [(0.0, 5), (0.2 ** (4.0 / 3.0), 12)],
                              ids=["closed", "diffusive"])
     def test_numpy_transforms_per_point(self, monkeypatch, D, want):
-        # each spectrum is transformed once; a 2-D transform counts as two
-        # 1-D ones, and closedform's scipy.fft calls are not counted
+        # each spectrum is transformed once, and the guards read the ones
+        # windows 1 and 3 form; a 2-D transform counts as two 1-D ones, and
+        # closedform's scipy.fft calls are not counted
         calls = []
         for name, size in (("fft", 1), ("ifft", 1), ("rfft", 1), ("irfft", 1),
                            ("fft2", 2), ("ifft2", 2), ("rfft2", 2),
