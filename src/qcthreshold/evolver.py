@@ -22,12 +22,14 @@ at D = 0 they take that transform along u for the reading alone:
                     At D > 0 each k_v column of the (u, k_v) representation
                     evolves under -i c(t) u^2 + d d^2/du^2 plus a scalar:
                     the generator lies in sl(2), so the propagator is a
-                    linear canonical transform. Its 2x2 matrix comes from
-                    an adaptive DOP853 solve, and it factors as chirp, heat
-                    kernel, chirp: two even diagonal multipliers, each
-                    mirrored from half its axis, around one complex FFT
-                    pair along u (Healy, Kutay, Ozaktas & Sheridan, Linear
-                    Canonical Transforms, Springer 2016).
+                    linear canonical transform. Its 2x2 matrix is a power
+                    series in one product of the column's two rates,
+                    whose coefficients are iterated integrals of chi_2
+                    that one table holds for every column, and it factors
+                    as chirp, heat kernel, chirp: two even diagonal
+                    multipliers, each mirrored from half its axis, around
+                    one complex FFT pair along u (Healy, Kutay, Ozaktas &
+                    Sheridan, Linear Canonical Transforms, Springer 2016).
 
 The Wigner-Moyal equation adds one term to the classical Fokker-Planck
 one, (h^2/3) chi_2(t) d^3/dp^3 (the Hamiltonian is cubic, the Lindblad
@@ -43,7 +45,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
+from numpy.polynomial import chebyshev
 
 from .core import (STRETCH_PANELS_PER_UNIT, PhaseSpaceField, Schedule,
                    SemiclassicalParams)
@@ -73,8 +75,17 @@ _V_EDGE_TOL = 1e-6
 #: below e^-46 (about 1e-20) are set to zero: the rest of their propagator
 #: is a contraction, so their true output is below roundoff.
 _DAMP_CUT = 46.0
-#: Relative and absolute tolerance of the window-2 matrix solves.
-_WINDOW_RTOL, _WINDOW_ATOL = 1e-11, 1e-14
+#: Window-2 matrix series: Chebyshev-Lobatto panels per piece, the
+#: cumulative integration matrix on their nodes (from -1 to each node of
+#: [-1, 1]), the relative size at which a term counts as roundoff and the
+#: most terms taken before the series counts as failed.
+_PANELS = 64
+_LOBATTO = -np.cos(np.pi * np.arange(16) / 15)
+_CUMINT = np.linalg.solve(
+    chebyshev.chebvander(_LOBATTO, 15).T,
+    chebyshev.chebval(_LOBATTO, chebyshev.chebint(np.eye(16), lbnd=-1))).T
+_SERIES_TOL = np.finfo(float).eps
+_MAX_TERMS = 200
 #: Largest number of equal pieces the window may be cut into so that no
 #: chirp or heat factor grows, and the largest log-modulus a factor may
 #: reach on the grid before it counts as growing.
@@ -220,40 +231,60 @@ def _stretch_window(field: PhaseSpaceField, schedule: Schedule, i: int,
 
 def _window_matrices(schedule: Schedule, kx: np.ndarray, d: float,
                      m: int) -> tuple[np.ndarray, int]:
-    """M - I for the propagators of M' = [[0, -2i d], [-2 chi_2(t) kx, 0]] M
-    over each of m equal pieces of window 2 and every column kx, shape
-    (m, 4, len(kx)) with the entries (00, 01, 10, 11) along axis 1, and
-    the number of right-hand-side evaluations taken.
+    """M - I for the propagators of M' = [[0, b], [c chi_2(t), 0]] M,
+    b = -2i d and c = -2 kx, over each of m equal pieces of window 2 and
+    every column kx, shape (m, 4, len(kx)) with the entries (00, 01, 10,
+    11) along axis 1, and the number of series terms summed over pieces.
 
-    Each piece is one solve of E' = A(t)(E + I) from E = 0, all columns at
-    once, by scipy's Fortran DOP853 (integrate.ode). solve_ivp's DOP853
-    forms every stage with a BLAS call, which a multithreaded BLAS slows
-    many-fold in the sweep's process pool. Carrying E = M - I keeps
+    A column enters only through mu = b c, so M is entire in mu: its
+    Taylor (Peano-Baker) coefficients are iterated integrals of chi_2
+    alone, each taken from the piece start. With P_0 = U_0 = 1,
+    R_n = int chi_2 P_n, P_(n+1) = int R_n, V_n = int U_n and
+    U_(n+1) = int chi_2 V_n, at the piece end
+    M00 - 1 = sum_(n>=1) mu^n P_n, M01 = b sum mu^n V_n,
+    M10 = c sum mu^n R_n and M11 - 1 = sum_(n>=1) mu^n U_n. The integrals
+    are spectral on _PANELS panels of Chebyshev-Lobatto nodes per piece,
+    one table for all pieces and columns; terms are added until each
+    series' term, relative to its first, is below roundoff at the largest
+    |mu|, and the sums are taken by Horner in mu. Carrying M - I keeps
     M00 - 1 and M11 - 1 exact to roundoff when D is small.
     """
     start, tau = schedule.window(2)
+    width = tau / (m * _PANELS)
+    t = start + width * (np.arange(m * _PANELS).reshape(m, _PANELS, 1)
+                         + (_LOBATTO + 1.0) / 2.0)
+    chi = schedule.chi(2, t)
+    into_r = np.stack([chi, np.ones_like(chi)])  # (P_n, U_n) -> (R_n, V_n)
+    into_p = into_r[::-1]  # (R_n, V_n) -> (P_(n+1), U_(n+1))
+    step = _CUMINT.T * (width / 2.0)
+
+    def cumint(f):  # along each piece from its start
+        f = f @ step
+        ends = f[..., -1]
+        return f + (np.cumsum(ends, axis=-1) - ends)[..., None]
+
     b = -2j * d
-    evals = 0
-
-    def rhs(t, y):
-        nonlocal evals
-        evals += 1
-        e = y.view(complex).reshape(4, -1)
-        c = -2.0 * schedule.chi(2, t) * kx
-        return np.concatenate([b * e[2], b * (e[3] + 1.0),
-                               c * (e[0] + 1.0), c * e[1]]).view(float)
-
-    solver = integrate.ode(rhs).set_integrator(
-        "dop853", rtol=_WINDOW_RTOL, atol=_WINDOW_ATOL)
-    out = np.empty((m, 4, len(kx)), dtype=complex)
-    for j in range(m):
-        solver.set_initial_value(np.zeros(8 * len(kx)), start + tau * j / m)
-        y = solver.integrate(start + tau * (j + 1) / m)
-        if not solver.successful():
-            raise SolverFailureError("window-2 matrix solve failed: DOP853 "
-                                     f"return code {solver.get_return_code()}")
-        out[j] = y.view(complex).reshape(4, -1)
-    return out, evals
+    c = -2.0 * kx
+    mu = b * c
+    mu_max = float(np.abs(mu).max(initial=0.0))
+    pu, rows, power = np.ones_like(into_r), [], 1.0  # power = mu_max^n
+    for _ in range(_MAX_TERMS):
+        rv = cumint(pu * into_r)
+        pu = cumint(rv * into_p)
+        rows.append(np.stack([pu[0], rv[1], rv[0], pu[1]])[..., -1, -1].T)
+        if float((rows[-1] / rows[0]).max()) * power < _SERIES_TOL:
+            break
+        power *= mu_max
+    else:
+        raise SolverFailureError(
+            f"window-2 matrix series did not converge in {_MAX_TERMS} "
+            f"terms at |mu| = {mu_max:.3g}")
+    out = np.zeros((m, 4, len(kx)), dtype=complex)
+    for row in rows[::-1]:
+        out *= mu
+        out += row[:, :, None]
+    out *= np.stack([mu, np.full_like(mu, b), c, mu])
+    return out, m * len(rows)
 
 
 def _window_factors(field: PhaseSpaceField, schedule: Schedule,
@@ -266,11 +297,12 @@ def _window_factors(field: PhaseSpaceField, schedule: Schedule,
     piece maps a column by exp(i g_in u^2/2), then exp(-i beta k_u^2/2) in
     Fourier space, then exp(i g_out u^2/2). With the piece's matrix M
     (M' = [[0, -2i d], [-2 c(t), 0]] M for c(t) = chi_2(t) k s_x^2 and
-    d = (D/2) e^(-2a), integrated adaptively by _window_matrices),
+    d = (D/2) e^(-2a), summed as a series by _window_matrices),
     beta = M01, g_in = (M00 - 1)/beta and g_out = (M11 - 1)/beta. The
     window is one piece unless a factor would grow on the grid; then it is
     the fewest equal pieces (a power of two) for which none does. info
-    adds the solves' rhs evaluations and max |det M - 1| (M is unimodular).
+    adds the series terms summed over the pieces of every try and
+    max |det M - 1| (M is unimodular).
     """
     a = field.a
     kv = _rk_axis(len(field.v), field.dv)
@@ -281,10 +313,10 @@ def _window_factors(field: PhaseSpaceField, schedule: Schedule,
 
     log_u = float(np.abs(field.u).max()) ** 2 / 2.0
     log_k = float(np.abs(_k_axis(len(field.u), field.du)).max()) ** 2 / 2.0
-    m, evals = 1, 0
+    m, terms = 1, 0
     while True:
         M, more = _window_matrices(schedule, kx, d, m)  # M - I per piece
-        evals += more
+        terms += more
         beta = M[:, 1]
         g_in, g_out = M[:, 0] / beta, M[:, 3] / beta
         growth = max(log_k * float(beta.imag.max()),
@@ -296,7 +328,7 @@ def _window_factors(field: PhaseSpaceField, schedule: Schedule,
             raise SolverFailureError(
                 f"window-2 propagator still grows in {_MAX_PIECES} pieces")
     det_defect = M[:, 0] + M[:, 3] + M[:, 0] * M[:, 3] - M[:, 1] * M[:, 2]
-    info = {"kick_substeps": m, "window_rhs_evals": evals,
+    info = {"kick_substeps": m, "window_terms": terms,
             "window_det_defect": float(np.abs(det_defect).max()),
             "kept_columns": int(keep.sum())}
     return keep, np.exp(-log_damp[keep]), beta, g_in, g_out, info
@@ -328,7 +360,7 @@ def _kick_window(field: PhaseSpaceField, schedule: Schedule,
         table = np.exp(t * (J * np.arange(-(-n // J)))[:, None]) \
             * np.exp(t * np.arange(J))
         spec *= table.reshape(len(field.u), -1)[:, :n]
-        info = {"kick_substeps": 1, "window_rhs_evals": 0,
+        info = {"kick_substeps": 1, "window_terms": 0,
                 "window_det_defect": 0.0, "kept_columns": n}
     else:
         keep, damp, beta, g_in, g_out, info = _window_factors(

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from qcthreshold.closedform import (
     classical_momentum_pdf,
@@ -128,17 +129,55 @@ def _strang_errors(h, D, schedule, kind):
     return errs, info
 
 
-def _window_inputs(D):
+def _window_inputs(D, schedule=SCH):
     """The kept columns kx and the diffusion rate d that _window_factors
     hands to _window_matrices at t1 on the 256x512 grid."""
     field, params = _initial("classical", D=D,
                              grid=GridSpec.for_h(H, n_u=256, n_v=512))
-    t1 = _stretch_window(field, SCH, 1, params, EvolverConfig())[0]
+    t1 = _stretch_window(field, schedule, 1, params, EvolverConfig())[0]
     kv = 2.0 * math.pi * np.fft.rfftfreq(len(t1.v), d=t1.dv)
     a = t1.a
-    keep = (D / 2.0) * math.exp(2.0 * a) * SCH.tau2 * kv ** 2 \
+    keep = (D / 2.0) * math.exp(2.0 * a) * schedule.tau2 * kv ** 2 \
         < evolver._DAMP_CUT
     return kv[keep] / t1.s_p * t1.s_x ** 2, (D / 2.0) * math.exp(-2.0 * a)
+
+
+def _dop853_window_matrices(schedule, kx, d, m):
+    """Reference for _window_matrices: M - I per piece and column from an
+    adaptive solve of E' = A(t)(E + I) from E = 0, all columns at once,
+    by scipy's Fortran DOP853 (integrate.ode) at relative tolerance 1e-13,
+    with
+    A = [[0, -2i d], [-2 chi_2(t) kx, 0]]."""
+    start, tau = schedule.window(2)
+    b = -2j * d
+
+    def rhs(t, y):
+        e = y.view(complex).reshape(4, -1)
+        c = -2.0 * schedule.chi(2, t) * kx
+        return np.concatenate([b * e[2], b * (e[3] + 1.0),
+                               c * (e[0] + 1.0), c * e[1]]).view(float)
+
+    solver = integrate.ode(rhs).set_integrator(
+        "dop853", rtol=1e-13, atol=1e-16, nsteps=100_000)
+    out = np.empty((m, 4, len(kx)), dtype=complex)
+    for j in range(m):
+        solver.set_initial_value(np.zeros(8 * len(kx)), start + tau * j / m)
+        y = solver.integrate(start + tau * (j + 1) / m)
+        assert solver.successful(), solver.get_return_code()
+        out[j] = y.view(complex).reshape(4, -1)
+    return out
+
+
+def _window_error(got, ref):
+    """Largest entry error of got against ref, per column relative to the
+    largest entry of ref's M = ref + I, over all pieces and columns."""
+    scale = np.abs(ref + np.array([1.0, 0.0, 0.0, 1.0])[:, None])
+    return float((np.abs(got - ref).max(axis=1) / scale.max(axis=1)).max())
+
+
+# the diffusion rates of the window-2 matrix tests, from far below the
+# threshold h^(4/3) to far above it
+_WINDOW_DS = [1e-8, H ** (4.0 / 3.0), H, 1.0, 100.0]
 
 
 def _tau2_two_window_input():
@@ -330,7 +369,7 @@ class TestDiffusiveEvolution:
             (e200, e400), info = _strang_errors(H, H ** (4.0 / 3.0), SCH,
                                                 "wigner")
             assert info["window_det_defect"] <= 1e-10
-            assert info["window_rhs_evals"] > 0
+            assert info["window_terms"] > 0
         else:
             h = 0.1
             sch = replace(standard_schedule(h), tau2=2.0)
@@ -346,19 +385,35 @@ class TestDiffusiveEvolution:
         kx, d = _window_inputs(D)
         E, _ = _window_matrices(SCH, kx, d, 1)
         det = (1.0 + E[:, 0]) * (1.0 + E[:, 3]) - E[:, 1] * E[:, 2]
-        assert np.abs(det - 1.0).max() <= 1e-10
+        assert np.abs(det - 1.0).max() <= 1e-13
 
-    @pytest.mark.parametrize("D", [1e-8, H ** (4.0 / 3.0), H])
-    def test_window_matrices_converged(self, monkeypatch, D):
-        # against a solve with a 100x tighter relative tolerance
-        kx, d = _window_inputs(D)
-        got, _ = _window_matrices(SCH, kx, d, 1)
-        monkeypatch.setattr(evolver, "_WINDOW_RTOL",
-                            evolver._WINDOW_RTOL / 100.0)
-        ref, _ = _window_matrices(SCH, kx, d, 1)
-        scale = np.abs(ref + np.array([1.0, 0.0, 0.0, 1.0])[:, None])
-        err = np.abs(got - ref).max(axis=1) / scale.max(axis=1)
-        assert err.max() <= 1e-10
+    @pytest.mark.parametrize("D", _WINDOW_DS)
+    def test_window_matrices_converged(self, D):
+        # the series against an independent adaptive solve at relative
+        # tolerance 1e-13, at tau2 = 1 and 2, for the window cut into 1, 2
+        # and 4 pieces
+        for tau2 in (1.0, 2.0):
+            sch = replace(SCH, tau2=tau2)
+            kx, d = _window_inputs(D, sch)
+            for m in (1, 2, 4):
+                got, terms = _window_matrices(sch, kx, d, m)
+                assert terms > 0
+                ref = _dop853_window_matrices(sch, kx, d, m)
+                assert _window_error(got, ref) <= 1e-12
+
+    @pytest.mark.parametrize("D", _WINDOW_DS)
+    def test_window_matrices_panel_converged(self, monkeypatch, D):
+        # twice the quadrature panels per piece move no matrix entry
+        cases = []
+        for tau2 in (1.0, 2.0):
+            sch = replace(SCH, tau2=tau2)
+            kx, d = _window_inputs(D, sch)
+            cases += [(sch, kx, d, m, _window_matrices(sch, kx, d, m)[0])
+                      for m in (1, 2, 4)]
+        monkeypatch.setattr(evolver, "_PANELS", 2 * evolver._PANELS)
+        for sch, kx, d, m, got in cases:
+            assert _window_error(got, _window_matrices(sch, kx, d, m)[0]) \
+                <= 1e-13
 
     def test_window_matrices_without_diffusion_are_the_kick(self):
         # at d = 0 the window is the exact kick p -> p + delta x^2, whose
@@ -561,12 +616,11 @@ class TestGuards:
         with pytest.raises(SolverFailureError, match=match):
             _kick_window(t1, sch, params)
 
-    @pytest.mark.filterwarnings("ignore:dop853")
     def test_failed_integration_raises(self):
-        # a NaN rate makes every error estimate NaN, so DOP853 rejects
-        # every step and stops with a negative return code
+        # a NaN rate makes every tail estimate NaN, so no term ever counts
+        # as roundoff and the series stops at its term limit
         kx, _ = _window_inputs(H ** (4.0 / 3.0))
-        with pytest.raises(SolverFailureError, match=r"return code -\d"):
+        with pytest.raises(SolverFailureError, match="did not converge"):
             _window_matrices(SCH, kx, math.nan, 1)
 
     def test_unnormalized_input_rejected(self):
