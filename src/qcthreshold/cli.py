@@ -62,8 +62,9 @@ _OPTIONS = {
     "d_rule": (parse_d_rule, "exp:p1,p2,... for D = h^p or abs:D1,D2,..."),
     "tau2": (float, "kick window duration"),
     "grid": (_grid, "grid as N_UxN_V, e.g. 512x1024"),
-    "substeps": (int, "quadrature panels per unit time for the stretch-"
-                      "window diffusion integrals (the kick window is exact)"),
+    "substeps": (int, "Chebyshev-Lobatto panels per unit time for the "
+                      "stretch-window diffusion integrals (the kick window "
+                      "is exact)"),
     "out": (str, "output directory for artifacts"),
     "seed": (int, "seed recorded in outputs"),
     "oracle": (_switch, "also run the oracle cross-checks"),

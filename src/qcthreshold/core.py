@@ -2,6 +2,12 @@
 schedule and its stretch integrals, phase-space and momentum fields,
 marginals, metrics, and moment measurement.
 
+The package integrates the bump by one rule: equal panels of 16
+Chebyshev-Lobatto nodes (lobatto_nodes) and their cumulative integration
+matrix (cumulative_integral). It fixes the bump's normalization and gives
+the stretch integrals, the evolver's kick-window table and the Lindblad
+oracle's kick steps.
+
 Coordinates: fields live on a rectangular grid in frame coordinates (u, v)
 at a log-scale a, with lab coordinates x = e^a u and p = e^-a v, so the
 frame map is area preserving and densities carry over without a Jacobian.
@@ -14,14 +20,15 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from numpy.polynomial import chebyshev
 
 from .errors import InvalidParameterError
 
 __all__ = [
     "SemiclassicalParams",
-    "BumpProfile",
     "Schedule",
+    "lobatto_nodes",
+    "cumulative_integral",
     "standard_schedule",
     "GridSpec",
     "PhaseSpaceField",
@@ -38,11 +45,17 @@ __all__ = [
 
 FieldKind = Literal["wigner", "classical"]
 
-# 5-point Gauss-Legendre nodes and weights on [0, 1]
-_GL_X = (np.polynomial.legendre.leggauss(5)[0] + 1.0) / 2.0
-_GL_W = np.polynomial.legendre.leggauss(5)[1] / 2.0
+#: The one quadrature rule for the bump: panels of 16 Chebyshev-Lobatto
+#: nodes on [-1, 1] and the cumulative integration matrix on them (row k
+#: integrates from -1 to node k, so the last row holds the panel weights),
+#: with _PANELS panels per piece of a bump integral.
+_LOBATTO = -np.cos(np.pi * np.arange(16) / 15)
+_CUMINT = np.linalg.solve(
+    chebyshev.chebvander(_LOBATTO, 15).T,
+    chebyshev.chebval(_LOBATTO, chebyshev.chebint(np.eye(16), lbnd=-1))).T
+_PANELS = 64
 
-#: Default Gauss-Legendre panels per unit time of the stretch integrals
+#: Default Lobatto panels per unit time of the stretch integrals
 STRETCH_PANELS_PER_UNIT = 200
 
 
@@ -74,41 +87,27 @@ def _bump_raw(s):
     return out
 
 
-class BumpProfile:
-    """The smooth bump exp(1/(4s(s-1))) on (0, 1), normalized to unit
-    integral; it and all its one-sided derivatives vanish at the endpoints.
-    """
-
-    _TABLE_N = 1 << 14
-
-    def __init__(self):
-        s = np.linspace(0.0, 1.0, self._TABLE_N + 1)
-        vals = _bump_raw(s)
-        # Trapezoid on the closed interval; since all endpoint derivatives
-        # vanish this converges faster than any power of N.
-        ds = 1.0 / self._TABLE_N
-        cum = np.concatenate([[0.0], np.cumsum((vals[1:] + vals[:-1]) * (ds / 2.0))])
-        total = cum[-1]
-        self.normalization = 1.0 / total
-        self._cum_spline = CubicSpline(s, cum / total)
-
-    def value(self, s):
-        """Normalized bump chi(s); zero outside (0, 1). A scalar s skips
-        the array machinery and gives the same float bit for bit."""
-        if not np.isscalar(s):
-            return _bump_raw(s) * self.normalization
-        if not 0.0 < s < 1.0:
-            return 0.0
-        return self.normalization * float(np.exp(1.0 / (4.0 * s * (s - 1.0))))
-
-    def cumulative(self, s):
-        """X(s) = integral of chi from 0 to s, clipped to [0, 1]."""
-        arr = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
-        out = np.clip(self._cum_spline(arr), 0.0, 1.0)
-        return float(out) if np.isscalar(s) else out
+def lobatto_nodes(start: float, tau: float, pieces: int, panels: int = None):
+    """The Chebyshev-Lobatto nodes of ``panels`` (default _PANELS) equal
+    panels in each of ``pieces`` equal pieces of [start, start + tau],
+    shape (pieces, panels, 16), and the panel width."""
+    panels = _PANELS if panels is None else panels
+    width = tau / (pieces * panels)
+    return start + width * (np.arange(pieces * panels).reshape(
+        pieces, panels, 1) + (_LOBATTO + 1.0) / 2.0), width
 
 
-_BUMP = BumpProfile()
+def cumulative_integral(f: np.ndarray, width: float) -> np.ndarray:
+    """The integral of node values f, laid out (..., pieces, panels, 16) as
+    lobatto_nodes gives them, from each piece's start to each node."""
+    f = f @ (_CUMINT.T * (width / 2.0))
+    ends = f[..., -1]
+    return f + (np.cumsum(ends, axis=-1) - ends)[..., None]
+
+
+# the bump's unit-integral scale, by the same rule
+_CHI_SCALE = 1.0 / cumulative_integral(
+    _bump_raw(lobatto_nodes(0.0, 1.0, 1)[0]), 1.0 / _PANELS)[0, -1, -1]
 
 
 @dataclass(frozen=True)
@@ -141,33 +140,25 @@ class Schedule:
         """Bump value chi_i(t) = chi((t - t_{i-1}) / tau_i), whose time
         integral over the window is tau_i."""
         start, tau = self.window(i)
-        return _BUMP.value((t - start) / tau)
-
-    def bump_integral(self, i: int, ta, tb):
-        """int_ta^tb chi_i(t) dt, exact at window boundaries; elementwise
-        (one spline evaluation per array) when ta or tb is an array."""
-        start, tau = self.window(i)
-        return tau * (_BUMP.cumulative((tb - start) / tau)
-                      - _BUMP.cumulative((ta - start) / tau))
+        return _bump_raw((t - start) / tau) * _CHI_SCALE
 
     def stretch(self, i: int, a0: float,
                 per_unit: int = STRETCH_PANELS_PER_UNIT):
         """Window 1 (H1 = xp) or 3 (H3 = -xp) from log-scale a0: its end
         log-scale a0 + tau1 or a0 - tau3 and (int e^(-2a) dt, int e^(2a) dt)
-        over it, by composite 5-point Gauss-Legendre on
-        max(1, ceil(per_unit tau_i)) equal panels."""
+        over it, with a(t) = a0 +- int chi_i and both integrals taken on
+        max(1, ceil(per_unit tau_i)) equal Lobatto panels."""
         if i == 2:
             raise InvalidParameterError("window 2 is the kick, not a stretch")
         start, tau = self.window(i)
         sign = 1.0 if i == 1 else -1.0
-        n = max(1, math.ceil(per_unit * tau))
-        dt = tau / n
-        # the nodes of every panel, one row per panel
-        t_nodes = (start + tau * np.arange(n) / n)[:, None] + dt * _GL_X
-        a_nodes = a0 + sign * self.bump_integral(i, start, t_nodes)
+        t, width = lobatto_nodes(start, tau, 1,
+                                 max(1, math.ceil(per_unit * tau)))
+        a = a0 + sign * cumulative_integral(self.chi(i, t), width)
+        weights = _CUMINT[-1] * (width / 2.0)
         return (a0 + sign * tau,
-                dt * float((np.exp(-2.0 * a_nodes) @ _GL_W).sum()),
-                dt * float((np.exp(2.0 * a_nodes) @ _GL_W).sum()))
+                float((np.exp(-2.0 * a) @ weights).sum()),
+                float((np.exp(2.0 * a) @ weights).sum()))
 
 
 def standard_schedule(h: float) -> Schedule:

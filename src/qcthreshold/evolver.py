@@ -12,7 +12,7 @@ at D = 0 they take that transform along u for the reading alone:
   windows 1 and 3:  log-scale move and time-integrated lab diffusion
                     coefficients from Schedule.stretch (exact per window,
                     since all multipliers commute; substeps_per_unit
-                    Gauss-Legendre panels per unit time), the damping
+                    Lobatto panels per unit time), the damping
                     the outer product of one exp row per axis;
   window 2:         input's momentum tail checked first; cubic kick as
                     a momentum-direction Fourier multiplier exp(-i k x^2
@@ -45,10 +45,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from .core import (STRETCH_PANELS_PER_UNIT, PhaseSpaceField, Schedule,
-                   SemiclassicalParams)
+                   SemiclassicalParams, cumulative_integral, lobatto_nodes)
 from .errors import InvalidParameterError, ResolutionError, SolverFailureError
 
 __all__ = ["EvolverConfig", "EvolveResult", "evolve"]
@@ -75,15 +74,8 @@ _V_EDGE_TOL = 1e-6
 #: below e^-46 (about 1e-20) are set to zero: the rest of their propagator
 #: is a contraction, so their true output is below roundoff.
 _DAMP_CUT = 46.0
-#: Window-2 matrix series: Chebyshev-Lobatto panels per piece, the
-#: cumulative integration matrix on their nodes (from -1 to each node of
-#: [-1, 1]), the relative size at which a term counts as roundoff and the
-#: most terms taken before the series counts as failed.
-_PANELS = 64
-_LOBATTO = -np.cos(np.pi * np.arange(16) / 15)
-_CUMINT = np.linalg.solve(
-    chebyshev.chebvander(_LOBATTO, 15).T,
-    chebyshev.chebval(_LOBATTO, chebyshev.chebint(np.eye(16), lbnd=-1))).T
+#: Window-2 matrix series: the relative size at which a term counts as
+#: roundoff and the most terms taken before the series counts as failed.
 _SERIES_TOL = np.finfo(float).eps
 _MAX_TERMS = 200
 #: Largest number of equal pieces the window may be cut into so that no
@@ -95,7 +87,7 @@ _GROWTH_TOL = 1e-12
 
 @dataclass(frozen=True)
 class EvolverConfig:
-    #: quadrature panels per unit time for the stretch-window integrals
+    #: Lobatto panels per unit time for the stretch-window integrals
     substeps_per_unit: int = STRETCH_PANELS_PER_UNIT
 
     def __post_init__(self):
@@ -243,34 +235,24 @@ def _window_matrices(schedule: Schedule, kx: np.ndarray, d: float,
     U_(n+1) = int chi_2 V_n, at the piece end
     M00 - 1 = sum_(n>=1) mu^n P_n, M01 = b sum mu^n V_n,
     M10 = c sum mu^n R_n and M11 - 1 = sum_(n>=1) mu^n U_n. The integrals
-    are spectral on _PANELS panels of Chebyshev-Lobatto nodes per piece,
-    one table for all pieces and columns; terms are added until each
+    are core.cumulative_integral on the Lobatto nodes of each piece, one
+    table for all pieces and columns; terms are added until each
     series' term, relative to its first, is below roundoff at the largest
     |mu|, and the sums are taken by Horner in mu. Carrying M - I keeps
     M00 - 1 and M11 - 1 exact to roundoff when D is small.
     """
-    start, tau = schedule.window(2)
-    width = tau / (m * _PANELS)
-    t = start + width * (np.arange(m * _PANELS).reshape(m, _PANELS, 1)
-                         + (_LOBATTO + 1.0) / 2.0)
+    t, width = lobatto_nodes(*schedule.window(2), m)
     chi = schedule.chi(2, t)
     into_r = np.stack([chi, np.ones_like(chi)])  # (P_n, U_n) -> (R_n, V_n)
     into_p = into_r[::-1]  # (R_n, V_n) -> (P_(n+1), U_(n+1))
-    step = _CUMINT.T * (width / 2.0)
-
-    def cumint(f):  # along each piece from its start
-        f = f @ step
-        ends = f[..., -1]
-        return f + (np.cumsum(ends, axis=-1) - ends)[..., None]
-
     b = -2j * d
     c = -2.0 * kx
     mu = b * c
     mu_max = float(np.abs(mu).max(initial=0.0))
     pu, rows, power = np.ones_like(into_r), [], 1.0  # power = mu_max^n
     for _ in range(_MAX_TERMS):
-        rv = cumint(pu * into_r)
-        pu = cumint(rv * into_p)
+        rv = cumulative_integral(pu * into_r, width)
+        pu = cumulative_integral(rv * into_p, width)
         rows.append(np.stack([pu[0], rv[1], rv[0], pu[1]])[..., -1, -1].T)
         if float((rows[-1] / rows[0]).max()) * power < _SERIES_TOL:
             break

@@ -3,20 +3,22 @@ evolver: a closed-system Schrodinger solver, a position-basis Lindblad
 density-matrix solver, and a Langevin Monte-Carlo sampler.
 
 These are deliberately different discretizations of the same dynamics; they
-trade speed for independence and run at modest scales only. Windows 1 and 3
-are linear, so both open-system oracles take them exactly. A density matrix
-rho(x, x') is held, from input to momentum marginal, as its n//2 + 1
-periodic diagonals x - x' = r dxi (mod n dxi), r = 0 .. n//2; Hermiticity
-gives the rest. Both decoherence terms act along them: (x - x')^2 is
-constant on each diagonal and (d/dx + d/dx')^2 differentiates along it. A
-periodic diagonal joins the diagonals at offsets -r and n - r, so the two
-multipliers commute only up to that band edge. In window 2 the Lindblad
-solver is Strang-split against the cubic phase; at D > 0 the sampler
-keeps the Euler-Maruyama scheme in n steps of at most dt but draws its
-outcome whole, as a linear and a quadratic form of the n step normals:
-the top K eigenpairs of the quadratic form exactly, the linear forms'
-remainder as one exact 2-D Gaussian, and the quadratic form's remainder
-as its exact mean. K doubles from 32, up to n - 1, until the modes left
+trade speed for independence and run at modest scales only. From the
+package they share only core's schedule: its stretch integrals and its
+bump quadrature. Windows 1 and 3 are linear, so both open-system oracles
+take them exactly. A density matrix rho(x, x') is held, from input to
+momentum marginal, as its n//2 + 1 periodic diagonals x - x' = r dxi
+(mod n dxi), r = 0 .. n//2; Hermiticity gives the rest. Both decoherence
+terms act along them: (x - x')^2 is constant on each diagonal and
+(d/dx + d/dx')^2 differentiates along it. A periodic diagonal joins the
+diagonals at offsets -r and n - r, so the two multipliers commute only up
+to that band edge. In window 2 the Lindblad solver is Strang-split
+against the cubic phase, each substep kicked by its bump integral on the
+Lobatto panels; at D > 0 the sampler keeps the Euler-Maruyama scheme in
+n steps of at most dt but draws its outcome whole, as a linear and a
+quadratic form of the n step normals: the top K eigenpairs of the
+quadratic form exactly, the linear forms' remainder as one exact 2-D
+Gaussian, and the quadratic form's remainder as its exact mean. K doubles from 32, up to n - 1, until the modes left
 to that mean hold at most 1e-6 of the quadratic form's variance. The
 solvers never call the evolver.
 """
@@ -32,7 +34,8 @@ import scipy.fft as sfft
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .core import MomentumDistribution, Schedule, SemiclassicalParams
+from .core import (MomentumDistribution, Schedule, SemiclassicalParams,
+                   cumulative_integral, lobatto_nodes)
 from .errors import InvalidParameterError, ResolutionError, SolverFailureError
 
 __all__ = [
@@ -207,8 +210,9 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
     still taken as one step with time-integrated coefficients
     (Schedule.stretch at its default panels), exact up to that
     non-commutation. Window 2 is Strang-split into ``steps`` substeps
-    against the cubic phase (x^3 - x'^3) / 3 hbar. At D = 0 every damping
-    is exactly 1.
+    against the cubic phase (x^3 - x'^3) / 3 hbar, each kicked by its
+    bump integral on the Lobatto panels of core.lobatto_nodes. At D = 0
+    every damping is exactly 1.
     """
     if isinstance(steps, bool) or not (
             steps >= 1 and float(steps).is_integer()):
@@ -253,8 +257,8 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
         # a difference, so each phase multiplier is a column times its
         # conjugate row (on S, the row read at x_(i - r))
         f = (s * xi) ** 3 / (3.0 * hbar)
-        edges = start + tau * np.arange(steps + 1) / steps
-        deltas = schedule.bump_integral(2, edges[:-1], edges[1:])
+        t, width = lobatto_nodes(start, tau, steps)
+        deltas = cumulative_integral(schedule.chi(2, t), width)[:, -1, -1]
         # neighbouring Strang half-phases fused: d0/2, (d0+d1)/2, ..., d_n-1/2
         cols = np.exp(1j * np.convolve(deltas, [0.5, 0.5])[:, None] * f)
         x_full, k_full = dampings(s ** 2 * tau / steps, tau / (steps * s ** 2))

@@ -195,8 +195,8 @@ def run_point(h: float, D: float, exponent: float,
     cb = duhamel_bound("classical", h, D, sch)
     # one p grid (the final frame's); past the edge guards it holds the mass
     q, c = _grid_pdfs(mc.p, sch.tau1, sch.tau2, sch.tau3, h)
-    meas_q = float(np.abs(mq.q - q).sum() * mq.dp)
-    meas_c = float(np.abs(mc.q - c).sum() * mc.dp)
+    meas_q = l1_distance(mq, MomentumDistribution(mc.p, q))
+    meas_c = l1_distance(mc, MomentumDistribution(mc.p, c))
     return SweepRecord(
         h=h, D=D, exponent=exponent, discrepancy_g0=disc, l1=l1,
         quantum_bound=qb, classical_bound=cb,
@@ -392,8 +392,9 @@ def cross_validate(h: float, config: RunConfig) -> list:
                                      h)[3]
     md = oracles.momentum_distribution(psi, h)
     mask = (md.p > -14.0) & (md.p < 46.0)
-    ref = quantum_momentum_pdf(md.p[mask], sch.tau1, sch.tau2, sch.tau3, h)
-    l1 = float(np.abs(md.q[mask] - ref).sum() * md.dp)
+    md = MomentumDistribution(md.p[mask], md.q[mask])
+    l1 = l1_distance(md, MomentumDistribution(md.p, quantum_momentum_pdf(
+        md.p, sch.tau1, sch.tau2, sch.tau3, h)))
     if not l1 < 1e-3:
         fails.append(f"Schrodinger vs closed form: L1 {l1:.4g} >= 1e-3")
 
@@ -401,8 +402,7 @@ def cross_validate(h: float, config: RunConfig) -> list:
     sp = momentum_marginal(evolve(f0, sch, params, evc).final)
     ens = oracles.langevin_sample(200_000, sch, params, seed=config.seed)
     hist = oracles.histogram_distribution(ens[3].p, *_histogram_window(sp))
-    refc = resample_distribution(sp, hist.p)
-    l1 = float(np.abs(hist.q - refc.q).sum() * hist.dp)
+    l1 = l1_distance(hist, resample_distribution(sp, hist.p))
     if not l1 < 3e-2:
         fails.append(f"Langevin vs spectral evolver: L1 {l1:.4g} >= 3e-2")
     return fails

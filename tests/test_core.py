@@ -3,21 +3,24 @@ fields, marginals, metrics, and moment measurement."""
 
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from qcthreshold.core import (
-    BumpProfile,
     GridSpec,
     MomentumDistribution,
     PhaseSpaceField,
     Schedule,
     SemiclassicalParams,
+    cumulative_integral,
     expect_observable,
     initial_coherent_field,
     l1_distance,
+    lobatto_nodes,
     measure_central_moments,
     momentum_marginal,
     position_marginal,
@@ -25,6 +28,39 @@ from qcthreshold.core import (
     standard_schedule,
 )
 from qcthreshold.errors import InvalidParameterError
+
+
+def _quad(f, a, b):
+    return quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+# the raw bump's integral Z over (0, 1)
+_Z = _quad(lambda s: math.exp(1.0 / (4.0 * s * (s - 1.0))), 0.0, 1.0)
+
+
+def _bump_integral(sch, i, ta, tb):
+    """int_ta^tb chi_i dt by quad, with chi_i built from math.exp and Z
+    alone, none of the package's quadrature."""
+    start, tau = sch.window(i)
+
+    def chi(t):
+        s = (t - start) / tau
+        return math.exp(1.0 / (4.0 * s * (s - 1.0))) / _Z \
+            if 0.0 < s < 1.0 else 0.0
+
+    return _quad(chi, ta, tb)
+
+
+@lru_cache(maxsize=None)
+def _stretch_by_quad(h, i):
+    """(int e^(-2a) dt, int e^(2a) dt) over window i of the standard
+    schedule at h from the log-scale evolve starts it at, by nested quad."""
+    sch = standard_schedule(h)
+    start, tau = sch.window(i)
+    a0, sign = (0.0, 1.0) if i == 1 else (sch.tau1, -1.0)
+    return np.array([_quad(lambda t: math.exp(
+        e * (a0 + sign * _bump_integral(sch, i, start, t))),
+        start, start + tau) for e in (-2.0, 2.0)])
 
 
 class TestParams:
@@ -40,32 +76,30 @@ class TestParams:
 
 
 class TestBump:
+    # the bump of a unit window, chi_1 of Schedule(1, 1, 1)
+    UNIT = Schedule(1.0, 1.0, 1.0)
+
     def test_endpoints(self):
-        bump = BumpProfile()
-        assert bump.value(0.0) == 0.0
-        assert bump.value(1.0) == 0.0
-        assert bump.value(-0.5) == 0.0
-        assert bump.value(1.5) == 0.0
+        for s in (0.0, 1.0, -0.5, 1.5):
+            assert self.UNIT.chi(1, s) == 0.0
 
     def test_unit_integral(self):
-        bump = BumpProfile()
         s = np.linspace(0.0, 1.0, 200_001)
-        integral = np.trapezoid(bump.value(s), s)
+        integral = np.trapezoid(self.UNIT.chi(1, s), s)
         assert integral == pytest.approx(1.0, abs=1e-10)
 
     def test_midpoint_value(self):
         # chi(1/2) = Z^-1 e^-1 with Z the raw-shape integral
-        from scipy.integrate import quad
-        z = quad(lambda s: math.exp(1.0 / (4.0 * s * (s - 1.0))),
-                 0.0, 1.0, epsabs=1e-13)[0]
-        bump = BumpProfile()
-        assert bump.value(0.5) == pytest.approx(math.exp(-1.0) / z, rel=1e-9)
+        assert self.UNIT.chi(1, 0.5) == pytest.approx(math.exp(-1.0) / _Z,
+                                                      rel=1e-14)
 
     def test_cumulative_endpoints(self):
-        bump = BumpProfile()
-        assert bump.cumulative(0.0) == 0.0
-        assert bump.cumulative(1.0) == pytest.approx(1.0, abs=1e-12)
-        assert bump.cumulative(2.0) == pytest.approx(1.0, abs=1e-12)
+        # from 0 at each piece's start to the whole window at the end
+        for pieces in (1, 3):
+            t, width = lobatto_nodes(0.0, 1.0, pieces)
+            cum = cumulative_integral(self.UNIT.chi(1, t), width)
+            assert not cum[:, 0, 0].any()
+            assert cum[:, -1, -1].sum() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestSchedule:
@@ -113,40 +147,36 @@ class TestSchedule:
     def test_window_index_rejected(self, i):
         sch = standard_schedule(0.05)
         for call in (lambda: sch.window(i), lambda: sch.chi(i, 0.5),
-                     lambda: sch.bump_integral(i, 0.0, 1.0),
                      lambda: sch.stretch(i, 0.0)):
             with pytest.raises(InvalidParameterError, match="1, 2 or 3"):
                 call()
 
     def test_bump_integral_is_tau(self):
+        # the piece integrals of each window sum to its duration
         sch = standard_schedule(0.05)
         for i in (1, 2, 3):
             start, tau = sch.window(i)
-            assert sch.bump_integral(i, start, start + tau) == \
-                pytest.approx(tau, abs=1e-10)
+            t, width = lobatto_nodes(start, tau, 4)
+            pieces = cumulative_integral(sch.chi(i, t), width)[:, -1, -1]
+            assert pieces.sum() == pytest.approx(tau, abs=1e-14)
+
+    @pytest.mark.parametrize("pieces", [4, 60, 100])
+    def test_piece_integrals_match_quad(self, pieces):
+        # the Lindblad oracle's kick deltas: window 2 in equal pieces
+        sch = standard_schedule(0.05)
+        start, tau = sch.window(2)
+        t, width = lobatto_nodes(start, tau, pieces)
+        got = cumulative_integral(sch.chi(2, t), width)[:, -1, -1]
+        edges = start + tau * np.arange(pieces + 1) / pieces
+        want = [_bump_integral(sch, 2, ta, tb)
+                for ta, tb in zip(edges[:-1], edges[1:])]
+        assert np.abs(got - want).max() <= 1e-15
 
     def test_chi_integrates_to_tau(self):
         sch = standard_schedule(0.05)
         start, tau = sch.window(2)
         t = np.linspace(start, start + tau, 100_001)
         assert np.trapezoid(sch.chi(2, t), t) == pytest.approx(tau, abs=1e-8)
-
-    @pytest.mark.parametrize("scalar", [float, np.float64])
-    def test_chi_scalar_matches_array_path(self, scalar):
-        # window 2's matrix solve calls chi with one float t at a time
-        sch = standard_schedule(0.05)
-        start, tau = sch.window(2)
-        rng = np.random.default_rng(7)
-        edges = [start, start + tau, start - tau, start + 2.0 * tau,
-                 np.nextafter(start, math.inf), np.nextafter(start, -math.inf),
-                 np.nextafter(start + tau, -math.inf),
-                 np.nextafter(start + tau, math.inf), start + 1e-3 * tau]
-        t = np.concatenate([start + tau * rng.uniform(-0.1, 1.1, 2000), edges])
-        got = [sch.chi(2, scalar(x)) for x in t]
-        assert all(isinstance(c, float) for c in got)
-        want = [sch.chi(2, np.array([x]))[0] for x in t]
-        np.testing.assert_array_equal(got, want)
-        assert got[-1] > 0.0
 
 
 class TestStretch:
@@ -163,15 +193,24 @@ class TestStretch:
     @pytest.mark.parametrize("h", [0.2, 1e-3, 1e-10])
     def test_default_panels_converged(self, h):
         # each window from the log-scale it starts at in evolve; 200
-        # panels per unit time agree with 800, and a single panel per unit
-        # is far off, so the comparison can fail
+        # panels per unit time agree with 800. At h = 0.2 a single panel
+        # per unit is far off the nested quad, so the comparison can fail
         sch = standard_schedule(h)
         for i, a0 in ((1, 0.0), (3, sch.tau1)):
             got = np.array(sch.stretch(i, a0)[1:])
             fine = np.array(sch.stretch(i, a0, per_unit=800)[1:])
-            coarse = np.array(sch.stretch(i, a0, per_unit=1)[1:])
             assert np.abs(got / fine - 1.0).max() <= 1e-13
-            assert np.abs(coarse / fine - 1.0).max() > 1e-8
+            if h == 0.2:
+                coarse = np.array(sch.stretch(i, a0, per_unit=1)[1:])
+                assert np.abs(coarse / _stretch_by_quad(h, i) - 1.0).max() \
+                    > 1e-8
+
+    @pytest.mark.parametrize("h", [0.2, 1e-3, 1e-10])
+    def test_integrals_match_quad(self, h):
+        sch = standard_schedule(h)
+        for i, a0 in ((1, 0.0), (3, sch.tau1)):
+            got = np.array(sch.stretch(i, a0)[1:])
+            assert np.abs(got / _stretch_by_quad(h, i) - 1.0).max() <= 1e-13
 
 
 class TestFrame:

@@ -33,7 +33,7 @@ from qcthreshold.errors import (
     ResolutionError,
     SolverFailureError,
 )
-from qcthreshold import evolver
+from qcthreshold import core, evolver
 from qcthreshold.evolver import (
     _U_TAIL_TOL,
     EvolverConfig,
@@ -50,6 +50,27 @@ SCH = standard_schedule(H)
 # 5-point Gauss-Legendre nodes and weights on [0, 1]
 _GL_X = (np.polynomial.legendre.leggauss(5)[0] + 1.0) / 2.0
 _GL_W = np.polynomial.legendre.leggauss(5)[1] / 2.0
+
+
+def _quad(f, a, b):
+    return integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+# the raw bump's integral Z over (0, 1)
+_Z = _quad(lambda s: math.exp(1.0 / (4.0 * s * (s - 1.0))), 0.0, 1.0)
+
+
+def _bump_integral(schedule, i, ta, tb):
+    """int_ta^tb chi_i dt by quad, with chi_i built from math.exp and Z
+    alone, none of the package's quadrature."""
+    start, tau = schedule.window(i)
+
+    def chi(t):
+        s = (t - start) / tau
+        return math.exp(1.0 / (4.0 * s * (s - 1.0))) / _Z \
+            if 0.0 < s < 1.0 else 0.0
+
+    return _quad(chi, ta, tb)
 
 
 def _initial(kind, D=0.0, grid=None):
@@ -79,7 +100,7 @@ def _composed_kick_window(field, params, n, schedule=SCH):
     stays in k_v throughout."""
     start, tau = schedule.window(2)
     edges = [start + tau * j / n for j in range(n + 1)]
-    deltas = [schedule.bump_integral(2, edges[j], edges[j + 1])
+    deltas = [_bump_integral(schedule, 2, edges[j], edges[j + 1])
               for j in range(n)]
     dt, a = tau / n, field.a
     x = field.s_x * field.u
@@ -283,7 +304,7 @@ class TestSubsteps:
         # integral
         field, params = _initial("classical")
         start, tau = SCH.window(2)
-        delta = SCH.bump_integral(2, start, start + tau)
+        delta = _bump_integral(SCH, 2, start, start + tau)
         kicked = _kick_window(field, SCH, params)[0]
         x2 = (field.s_x * field.u) ** 2
         mass = field.values.sum(axis=1) * field.dv
@@ -316,7 +337,7 @@ class TestSubsteps:
         assert out.mass() == pytest.approx(1.0, abs=1e-10)
 
     def test_stretch_window_matches_node_loop(self):
-        # the Gauss-Legendre frame integrals, one bump_integral per node
+        # Gauss-Legendre frame integrals, one quad bump integral per node
         D = 0.1 * H ** (4.0 / 3.0)
         field, params = _initial("classical", D=D)
         cfg = EvolverConfig(substeps_per_unit=200)
@@ -326,12 +347,12 @@ class TestSubsteps:
         I_u = I_v = 0.0
         for j in range(n):
             t_nodes = start + tau * j / n + dt * _GL_X
-            a_nodes = np.array([SCH.bump_integral(1, start, t)
+            a_nodes = np.array([_bump_integral(SCH, 1, start, t)
                                 for t in t_nodes])
             I_u += dt * float((_GL_W * np.exp(-2.0 * a_nodes)).sum())
             I_v += dt * float((_GL_W * np.exp(2.0 * a_nodes)).sum())
-        moved = replace(field, a=field.a + SCH.bump_integral(
-            1, start, start + tau))
+        # the end log-scale is exact: chi_1 integrates to tau1
+        moved = replace(field, a=field.a + tau)
         ref = _integrated_diffusion(moved, params, I_u, I_v)[0]
         got = _stretch_window(field, SCH, 1, params, cfg)[0]
         assert got.a == ref.a
@@ -410,7 +431,7 @@ class TestDiffusiveEvolution:
             kx, d = _window_inputs(D, sch)
             cases += [(sch, kx, d, m, _window_matrices(sch, kx, d, m)[0])
                       for m in (1, 2, 4)]
-        monkeypatch.setattr(evolver, "_PANELS", 2 * evolver._PANELS)
+        monkeypatch.setattr(core, "_PANELS", 2 * core._PANELS)
         for sch, kx, d, m, got in cases:
             assert _window_error(got, _window_matrices(sch, kx, d, m)[0]) \
                 <= 1e-13
@@ -421,7 +442,7 @@ class TestDiffusiveEvolution:
         kx, _ = _window_inputs(H ** (4.0 / 3.0))
         E, _ = _window_matrices(SCH, kx, 0.0, 1)
         start, tau = SCH.window(2)
-        kick = -2.0 * kx * SCH.bump_integral(2, start, start + tau)
+        kick = -2.0 * kx * _bump_integral(SCH, 2, start, start + tau)
         assert np.abs(E[0, 2] - kick).max() <= 1e-10 * np.abs(kick).max()
         assert not E[0, [0, 1, 3]].any()
 
@@ -518,7 +539,7 @@ class TestFactoredMultipliers:
         f0 = initial_coherent_field(params, GridSpec.for_h(h), "classical")
         t1, _, _ = _stretch_window(f0, sch, 1, params, EvolverConfig())
         start, tau = sch.window(2)
-        delta = sch.bump_integral(2, start, start + tau)
+        delta = _bump_integral(sch, 2, start, start + tau)
         k = 2.0 * math.pi * np.fft.rfftfreq(len(t1.v), d=t1.dv) \
             / t1.s_p
         x = t1.s_x * t1.u
@@ -571,7 +592,7 @@ class TestFactoredMultipliers:
         res = evolve(field, SCH, params)
         final, a2 = res.final, res.checkpoints[2].a
         start, tau = SCH.window(2)
-        delta = SCH.bump_integral(2, start, start + tau)
+        delta = _bump_integral(SCH, 2, start, start + tau)
         want = np.fft.irfft(np.fft.rfft(final.values, axis=1)
                             * _moyal_multiplier(final, delta, params.h, a2),
                             n=len(final.v), axis=1)

@@ -24,11 +24,13 @@ def test_all_names_resolve(module):
     assert not missing, f"qcthreshold.{module}.__all__ names {missing}"
 
 
-def test_import_skips_scipy_signal():
-    # scipy.signal is about 0.5 s of import time, and no module uses it
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.interpolate"])
+def test_import_skips_scipy_signal(module):
+    # scipy.signal is about 0.5 s of import time and scipy.interpolate
+    # 35 ms, and no module uses either
     src = str(Path(qcthreshold.__file__).resolve().parents[1])
     code = ("import sys, qcthreshold.cli, qcthreshold.oracles; "
-            "print('scipy.signal' in sys.modules)")
+            f"print({module!r} in sys.modules)")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
