@@ -47,12 +47,15 @@ FieldKind = Literal["wigner", "classical"]
 
 #: The one quadrature rule for the bump: panels of 16 Chebyshev-Lobatto
 #: nodes on [-1, 1] and the cumulative integration matrix on them (row k
-#: integrates from -1 to node k, so the last row holds the panel weights),
-#: with _PANELS panels per piece of a bump integral.
+#: integrates from -1 to node k, so the last row holds the panel weights;
+#: both read-only, as concurrent sweep points share them), with _PANELS
+#: panels per piece of a bump integral.
 _LOBATTO = -np.cos(np.pi * np.arange(16) / 15)
 _CUMINT = np.linalg.solve(
     chebyshev.chebvander(_LOBATTO, 15).T,
     chebyshev.chebval(_LOBATTO, chebyshev.chebint(np.eye(16), lbnd=-1))).T
+_LOBATTO.flags.writeable = False
+_CUMINT.flags.writeable = False
 _PANELS = 64
 
 #: Default Lobatto panels per unit time of the stretch integrals

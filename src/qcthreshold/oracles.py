@@ -34,8 +34,8 @@ import scipy.fft as sfft
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .core import (MomentumDistribution, Schedule, SemiclassicalParams,
-                   cumulative_integral, lobatto_nodes)
+from .core import (_PANELS, MomentumDistribution, Schedule,
+                   SemiclassicalParams, cumulative_integral, lobatto_nodes)
 from .errors import InvalidParameterError, ResolutionError, SolverFailureError
 
 __all__ = [
@@ -211,7 +211,7 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
     (Schedule.stretch at its default panels), exact up to that
     non-commutation. Window 2 is Strang-split into ``steps`` substeps
     against the cubic phase (x^3 - x'^3) / 3 hbar, each kicked by its
-    bump integral on the Lobatto panels of core.lobatto_nodes. At D = 0
+    bump integral on ceil(_PANELS / steps) Lobatto panels. At D = 0
     every damping is exactly 1.
     """
     if isinstance(steps, bool) or not (
@@ -257,7 +257,7 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
         # a difference, so each phase multiplier is a column times its
         # conjugate row (on S, the row read at x_(i - r))
         f = (s * xi) ** 3 / (3.0 * hbar)
-        t, width = lobatto_nodes(start, tau, steps)
+        t, width = lobatto_nodes(start, tau, steps, -(-_PANELS // steps))
         deltas = cumulative_integral(schedule.chi(2, t), width)[:, -1, -1]
         # neighbouring Strang half-phases fused: d0/2, (d0+d1)/2, ..., d_n-1/2
         cols = np.exp(1j * np.convolve(deltas, [0.5, 0.5])[:, None] * f)

@@ -3,7 +3,8 @@ reports, figure emission, and the --oracle cross-checks.
 
 Each sweep point evolves the classical state, derives the quantum one from
 it, measures the final momentum distributions, and records the observable
-discrepancy, the L1 distance, and the analytic error bounds.
+discrepancy, the L1 distance, and the analytic error bounds. The points
+run on threads of one process; their FFTs and loops release the GIL.
 cross_validate checks the independent solvers in oracles against the
 closed form and the spectral evolver on the sweep's own setup.
 """
@@ -14,7 +15,7 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -205,12 +206,9 @@ def run_point(h: float, D: float, exponent: float,
         measured_quantum_l1=meas_q, measured_classical_l1=meas_c)
 
 
-def _run_point_args(args):
-    return run_point(*args)
-
-
 def run_experiment(config: RunConfig, max_workers: int = None):
-    """Run every sweep point, write artifacts if an output directory is set,
+    """Run every sweep point, on up to ``max_workers`` threads (default
+    min(4, CPUs, points)), write artifacts if an output directory is set,
     and return the records sorted by (h, D)."""
     # a handful of complex working copies of the largest grid
     if 16 * config.n_u * (2 * config.n_v) * 8 > 4 << 30:
@@ -221,9 +219,10 @@ def run_experiment(config: RunConfig, max_workers: int = None):
         max_workers = min(4, os.cpu_count() or 1, len(points))
     if max_workers > 1 and len(points) > 1:
         if any(D > 0 for _, D, _, _ in points):
-            constants(config.tau2)  # cached here, forked workers inherit it
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            records = list(pool.map(_run_point_args, points))
+            # computed once here, so no two threads take the same cache miss
+            constants(config.tau2)
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            records = list(pool.map(lambda p: run_point(*p), points))
     else:
         records = [run_point(*p) for p in points]
     records = sorted(records, key=lambda r: (r.h, r.D))

@@ -11,6 +11,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from qcthreshold.core import (
+    _CUMINT,
+    _LOBATTO,
+    _PANELS,
     GridSpec,
     MomentumDistribution,
     PhaseSpaceField,
@@ -93,6 +96,14 @@ class TestBump:
         assert self.UNIT.chi(1, 0.5) == pytest.approx(math.exp(-1.0) / _Z,
                                                       rel=1e-14)
 
+    @pytest.mark.parametrize("table", [_LOBATTO, _CUMINT])
+    def test_shared_tables_read_only(self, table):
+        # concurrent sweep points read them; a stray write must raise
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            table *= 2.0
+
     def test_cumulative_endpoints(self):
         # from 0 at each piece's start to the whole window at the end
         for pieces in (1, 3):
@@ -160,12 +171,13 @@ class TestSchedule:
             pieces = cumulative_integral(sch.chi(i, t), width)[:, -1, -1]
             assert pieces.sum() == pytest.approx(tau, abs=1e-14)
 
-    @pytest.mark.parametrize("pieces", [4, 60, 100])
+    @pytest.mark.parametrize("pieces", [4, 60, 100, 200])
     def test_piece_integrals_match_quad(self, pieces):
-        # the Lindblad oracle's kick deltas: window 2 in equal pieces
+        # the Lindblad oracle's kick deltas: window 2 in equal pieces, with
+        # at least _PANELS panels across the window
         sch = standard_schedule(0.05)
         start, tau = sch.window(2)
-        t, width = lobatto_nodes(start, tau, pieces)
+        t, width = lobatto_nodes(start, tau, pieces, -(-_PANELS // pieces))
         got = cumulative_integral(sch.chi(2, t), width)[:, -1, -1]
         edges = start + tau * np.arange(pieces + 1) / pieces
         want = [_bump_integral(sch, 2, ta, tb)

@@ -3,7 +3,8 @@
 import csv
 import json
 import math
-import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -109,16 +110,15 @@ class TestRunConfig:
         with pytest.raises(InvalidParameterError):
             run_experiment(cfg)
 
-    def test_constants_computed_once_before_the_workers_fork(
-            self, monkeypatch, tmp_path):
-        # each line of the log is one sweep point or one constants() cache
-        # miss, with the process that ran it
-        log = tmp_path / "log"
+    def test_constants_computed_once_before_the_threads_start(
+            self, monkeypatch):
+        # each entry of the log is one sweep point or one constants() cache
+        # miss, with the thread that ran it
+        log = []
 
         def spy(kind, fn):
             def wrapped(*args, **kwargs):
-                with open(log, "a") as fh:
-                    fh.write(f"{kind} {os.getpid()}\n")
+                log.append((kind, threading.get_ident()))
                 return fn(*args, **kwargs)
             return wrapped
 
@@ -129,11 +129,28 @@ class TestRunConfig:
         cfg = RunConfig(h_list=(0.2,), d_rule=("absolute", (0.01, 0.02)),
                         **FAST)
         run_experiment(cfg, max_workers=2)
-        lines = [line.split() for line in log.read_text().splitlines()]
-        points = {pid for kind, pid in lines if kind == "point"}
-        misses = [pid for kind, pid in lines if kind == "miss"]
-        assert points and str(os.getpid()) not in points
-        assert misses == [str(os.getpid())]
+        me = threading.get_ident()
+        points = {tid for kind, tid in log if kind == "point"}
+        misses = [tid for kind, tid in log if kind == "miss"]
+        assert points and me not in points
+        assert misses == [me]
+
+    def test_threads_match_serial_run(self, small_records):
+        # concurrent points share no mutable state: four threads, switched
+        # often, give the serial records bit for bit, the wide-grid D = h
+        # point included
+        cfg, serial = small_records
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = run_experiment(cfg, max_workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+
+        def fields(r):
+            return [np.float64(v).tobytes() if isinstance(v, float) else v
+                    for k, v in vars(r).items() if k != "wall_time"]
+        assert [fields(r) for r in threaded] == [fields(r) for r in serial]
 
     def test_closed_sweep_runs_without_constants(self, monkeypatch,
                                                  tmp_path):
