@@ -260,9 +260,6 @@ class PhaseSpaceField:
     def mass(self) -> float:
         return float(self.values.sum() * self.du * self.dv)
 
-    def min_value(self) -> float:
-        return float(self.values.min())
-
 
 @dataclass(frozen=True)
 class MomentumDistribution:

@@ -5,9 +5,11 @@ The co-moving frame absorbs the stretch/squeeze transport exactly, so every
 grid operation is a Fourier or diagonal multiplier, and every window is
 taken in one step. Each window hands the next its output's (u, k_v)
 spectrum, so no spectrum is transformed twice, and every 2-D multiplier is
-built from 1-D factors. The position-tail guard of each checkpoint reads
-the (k_u, k_v) spectrum that window 1 or 3 forms of its input or output;
-at D = 0 they take that transform along u for the reading alone:
+built from 1-D factors. Each checkpoint's guard (_check_field) runs once
+per distinct values array: a checkpoint whose array the window left
+unchanged keeps the previous readings. Its position-tail reading comes
+from the (k_u, k_v) spectrum that window 1 or 3 forms of its input or
+output; at D = 0 they take that transform along u for the reading alone:
 
   windows 1 and 3:  log-scale move and time-integrated lab diffusion
                     coefficients from Schedule.stretch (exact per window,
@@ -173,44 +175,48 @@ def _integrated_diffusion(field: PhaseSpaceField, params: SemiclassicalParams,
     return replace(field, values=values), spec, (u_in, u_out)
 
 
-def _edge_metrics(field: PhaseSpaceField) -> dict:
-    cell = field.du * field.dv
-    a = np.abs(field.values)
-    total = max(a.sum() * cell, 1e-300)
-    v_edge = (a[:, 0].sum() + a[:, -1].sum()) * cell / total
-    u_edge = (a[0, :].sum() + a[-1, :].sum()) * cell / total
-    b = 4
-    corner = (a[:b, :b].sum() + a[:b, -b:].sum()
-              + a[-b:, :b].sum() + a[-b:, -b:].sum()) * cell / total
-    return {"v_edge": float(v_edge), "u_edge": float(u_edge),
-            "corner": float(corner)}
-
-
 def _check_field(field: PhaseSpaceField, mass0: float, label: str,
                  u_tail: float) -> dict:
-    """Guard one checkpoint field and return its readings. u_tail is the
-    position-tail reading that the window next to the checkpoint took from
-    the field's (k_u, k_v) spectrum; the others read only its values array
-    and grid spacings, so an unchanged array reuses them."""
-    edges = _edge_metrics(field)
-    mass = field.mass()
+    """Guard one checkpoint field and return its six readings. u_tail is
+    the position-tail reading that the window next to the checkpoint took
+    from the field's (k_u, k_v) spectrum; mass, min and the edge and corner
+    shares read only the values array and the grid spacings, so a field
+    whose array a window left unchanged keeps its readings (_guard)."""
+    mass, low = field.mass(), float(field.values.min())
+    a, cell = np.abs(field.values), field.du * field.dv
+    total = max(a.sum() * cell, 1e-300)
+    corner = float((a[:4, :4].sum() + a[:4, -4:].sum() + a[-4:, :4].sum()
+                    + a[-4:, -4:].sum()) * cell / total)
+    v_edge = float((a[:, 0].sum() + a[:, -1].sum()) * cell / total)
     if abs(mass - mass0) > 1e-4:
         raise SolverFailureError(f"mass drifted to {mass} at {label}")
     if u_tail > _U_TAIL_TOL:
         raise ResolutionError(
             f"position spectral tail carries relative mass {u_tail:.2e} "
             f"at {label}: the grid has too few u-points for this run")
-    low = field.min_value()
     if field.kind == "classical" and low < -1e-6:
         raise SolverFailureError(f"classical density reached {low} at {label}")
-    if edges["corner"] > _EDGE_TOL:
+    if corner > _EDGE_TOL:
         raise SolverFailureError(
-            f"corner mass {edges['corner']:.2e} at {label} indicates wraparound")
-    if edges["v_edge"] > _V_EDGE_TOL:
+            f"corner mass {corner:.2e} at {label} indicates wraparound")
+    if v_edge > _V_EDGE_TOL:
         raise SolverFailureError(
-            f"momentum-edge mass {edges['v_edge']:.2e} at {label}: "
+            f"momentum-edge mass {v_edge:.2e} at {label}: "
             "the momentum extent is too small for this run")
-    return {"mass": mass, "min": low, "u_tail": u_tail, **edges}
+    return {"mass": mass, "min": low, "u_tail": u_tail, "v_edge": v_edge,
+            "u_edge": float((a[0, :].sum() + a[-1, :].sum()) * cell / total),
+            "corner": corner}
+
+
+def _guard(fields: tuple, labels: tuple, tails: tuple, mass0: float) -> dict:
+    """_check_field readings by label of two consecutive checkpoints, with
+    the position-tail readings of the window between them. The one guard
+    rule: a field whose values array that window left unchanged (windows
+    1 and 3 at D = 0 only move the frame) keeps the previous readings."""
+    first = _check_field(fields[0], mass0, labels[0], tails[0])
+    second = dict(first) if fields[1].values is fields[0].values else \
+        _check_field(fields[1], mass0, labels[1], tails[1])
+    return dict(zip(labels, (first, second)))
 
 
 def _stretch_window(field: PhaseSpaceField, schedule: Schedule, i: int,
@@ -376,55 +382,35 @@ def evolve(field: PhaseSpaceField, schedule: Schedule,
     and final fields and readings are the Wigner ones.
 
     Each checkpoint's position-tail reading comes from the (k_u, k_v)
-    spectrum that window 1 or 3 forms of its input and output, so the
-    t0 and t1 guards run after window 1 and the t2 and t3 guards after
-    window 3. A derived Wigner field shares its classical counterpart's
-    reading: its spectrum differs by a unimodular phase in k_v. A
-    checkpoint whose values array is the previous one's (windows 1 and 3
-    at D = 0 only move the frame) copies its readings, and at D = 0 the
-    t3 Wigner field is the t2 one in t3's frame."""
+    spectrum that window 1 or 3 forms of its input and output, so t0 and
+    t1 are guarded after window 1, t2 and t3 after window 3, and the
+    derived Wigner t2 and t3 last, into a table of their own; each shares
+    its classical counterpart's reading, as their spectra differ by a
+    unimodular phase in k_v. All three pairs follow _guard's one rule, and
+    at D = 0 the t3 Wigner field is the t2 one in t3's frame."""
     mass0 = field.mass()
     if abs(mass0 - 1.0) > 1e-6:
         raise InvalidParameterError("input field is not normalized")
-    quantum = field.kind == "wigner"
-    checkpoints, readings, diagnostics = [], [], {}
+    t1, spec, tails = _stretch_window(field, schedule, 1, params, config)
+    diagnostics = _guard((field, t1), ("t0", "t1"), tails, mass0)
 
-    def checkpoint(field: PhaseSpaceField, label: str,
-                   u_tail: float) -> None:
-        if not checkpoints or field.values is not checkpoints[-1].values:
-            readings.append(_check_field(field, mass0, label, u_tail))
-        diagnostics[label] = dict(readings[-1])
-        checkpoints.append(field)
-
-    t0 = field
-    field, spec, (tail0, tail1) = _stretch_window(field, schedule, 1, params,
-                                                  config)
-    checkpoint(t0, "t0", tail0)
-    checkpoint(field, "t1", tail1)
-
-    t2, spec, window = _kick_window(replace(field, kind="classical"),
+    t2, spec, window = _kick_window(replace(t1, kind="classical"),
                                     schedule, params, spec)
-    field, s3, (tail2, tail3) = _stretch_window(t2, schedule, 3, params,
-                                                config, spec)
-    checkpoint(t2, "t2", tail2)
-    diagnostics["t2"].update(window)
+    t3, s3, tails = _stretch_window(t2, schedule, 3, params, config, spec)
     # The momentum marginal is insensitive to position-direction wraparound,
     # which large-D runs incur late in window 3; only the corners and the
     # momentum edges are enforced (see _check_field).
-    checkpoint(field, "t3", tail3)
+    diagnostics.update(_guard((t2, t3), ("t2", "t3"), tails, mass0))
 
     w2 = _moyal(t2, spec, schedule, params, t2.a)
     del spec
-    if field.values is t2.values:  # window 3 only moved the frame
-        w3 = replace(w2, a=field.a)
+    if t3.values is t2.values:  # window 3 only moved the frame
+        w3 = replace(w2, a=t3.a)
     else:
-        w3 = _moyal(field, s3, schedule, params, t2.a)
+        w3 = _moyal(t3, s3, schedule, params, t2.a)
     del s3
-    found = _check_field(w2, mass0, "t2", tail2)
-    if quantum:
-        checkpoints[2], diagnostics["t2"] = w2, {**found, **window}
-    if w3.values is not w2.values:
-        found = _check_field(w3, mass0, "t3", tail3)
-    if quantum:
-        checkpoints[3], diagnostics["t3"] = w3, dict(found)
-    return EvolveResult(checkpoints[3], tuple(checkpoints), diagnostics, w3)
+    derived = _guard((w2, w3), ("t2", "t3"), tails, mass0)
+    if field.kind == "wigner":
+        diagnostics, t2, t3 = {**diagnostics, **derived}, w2, w3
+    diagnostics["t2"].update(window)
+    return EvolveResult(t3, (field, t1, t2, t3), diagnostics, w3)

@@ -214,6 +214,8 @@ def run_experiment(config: RunConfig, max_workers: int = None):
     if 16 * config.n_u * (2 * config.n_v) * 8 > 4 << 30:
         raise InvalidParameterError("grid too large; per-run memory estimate "
                                     "exceeds 4 GiB")
+    if config.out_dir:  # an unusable output path fails before any point
+        os.makedirs(config.out_dir, exist_ok=True)
     points = [(h, D, e, config) for h, D, e in config.points()]
     if max_workers is None:
         max_workers = min(4, os.cpu_count() or 1, len(points))

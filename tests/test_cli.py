@@ -204,6 +204,22 @@ class TestMain:
         assert captured.err.startswith(f"error: {message}")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"],
+                             ids=["existing-file", "under-a-file"])
+    def test_unusable_out_before_any_point(self, monkeypatch, tmp_path,
+                                           capsys, out):
+        # --out naming a file, or a path that cannot be created, exits 2
+        # before the first sweep point runs
+        (tmp_path / "taken").write_text("")
+        calls = []
+        monkeypatch.setattr(sweep, "run_point",
+                            lambda *args: calls.append(args))
+        assert main(["--h-list", "0.2", "--out", str(tmp_path / out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert calls == []
+
     @pytest.mark.parametrize("tau2", ["nan", "inf"])
     def test_non_finite_tau2_exit_code(self, tau2, capsys):
         argv = ["--h-list", "0.2", "--d-rule", "abs:", "--tau2", tau2,

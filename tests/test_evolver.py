@@ -35,7 +35,9 @@ from qcthreshold.errors import (
 )
 from qcthreshold import core, evolver
 from qcthreshold.evolver import (
+    _EDGE_TOL,
     _U_TAIL_TOL,
+    _V_EDGE_TOL,
     EvolverConfig,
     _integrated_diffusion,
     _kick_window,
@@ -483,13 +485,13 @@ class TestCheckpointReadings:
                              ids=["closed", "diffusive"])
     def test_guard_passes(self, monkeypatch, D, passes):
         seen = []
-        edge_metrics = evolver._edge_metrics
+        check_field = evolver._check_field
 
-        def counted(field):
+        def counted(field, *args):
             seen.append(field)
-            return edge_metrics(field)
+            return check_field(field, *args)
 
-        monkeypatch.setattr(evolver, "_edge_metrics", counted)
+        monkeypatch.setattr(evolver, "_check_field", counted)
         field, params = _initial("classical", D=D)
         evolve(field, SCH, params)
         assert len(seen) == passes
@@ -756,6 +758,49 @@ class TestGuards:
         with pytest.raises(SolverFailureError,
                            match="classical density reached -0.001 at t1"):
             evolver._check_field(bad, 1.0, "t1", _folded_u_tail(values))
+
+    def test_readings_match_their_formulas(self, coherent_128):
+        # mass planted in one corner block, on both v edges (clear of the
+        # corner blocks) and on one u edge, each share below its limit; the
+        # six readings are the formulas below, bit for bit
+        values = coherent_128.values.copy()
+        values[:4, -4:] += 1e-10
+        values[4:-4, 0] += 1e-7
+        values[4:-4, -1] += 2e-7
+        values[-1, 4:-4] += 1e-5
+        field = replace(coherent_128, values=values)
+        u_tail = _folded_u_tail(values)
+        got = evolver._check_field(field, 1.0, "t1", u_tail)
+        du, dv = field.du, field.dv
+        cell = du * dv
+        a = np.abs(values)
+        total = a.sum() * cell
+        assert got == {
+            "mass": float(values.sum() * du * dv),
+            "min": float(values.min()),
+            "u_tail": u_tail,
+            "v_edge": float((a[:, 0].sum() + a[:, -1].sum()) * cell / total),
+            "u_edge": float((a[0, :].sum() + a[-1, :].sum()) * cell / total),
+            "corner": float((a[:4, :4].sum() + a[:4, -4:].sum()
+                             + a[-4:, :4].sum() + a[-4:, -4:].sum())
+                            * cell / total),
+        }
+        assert 1e-11 < got["corner"] < _EDGE_TOL
+        assert 1e-7 < got["v_edge"] < _V_EDGE_TOL
+        assert got["u_edge"] > 1e-5
+
+    def test_negativity_guard_spares_wigner(self, coherent_128):
+        # a cell just below -1e-6 is a fault in a classical density and a
+        # reading of a Wigner one
+        values = coherent_128.values.copy()
+        values[64, 32] = -2e-6
+        u_tail = _folded_u_tail(values)
+        with pytest.raises(SolverFailureError,
+                           match="classical density reached -2e-06 at t2"):
+            evolver._check_field(replace(coherent_128, values=values), 1.0,
+                                 "t2", u_tail)
+        wigner = replace(coherent_128, values=values, kind="wigner")
+        assert evolver._check_field(wigner, 1.0, "t2", u_tail)["min"] == -2e-6
 
     def test_undersized_momentum_extent_raises(self):
         # the kicked density needs lab momenta far beyond 16 sqrt(h); a

@@ -272,17 +272,17 @@ class TestRunPoint:
         # at D = 0 windows 1 and 3 keep the values array: t1 and t3 reuse
         # the readings, and the t3 Wigner field is the t2 one
         counts = {"guards": 0, "phases": 0}
-        edge_metrics, moyal = evolver._edge_metrics, evolver._moyal
+        check_field, moyal = evolver._check_field, evolver._moyal
 
-        def counted_guard(field):
+        def counted_guard(*args):
             counts["guards"] += 1
-            return edge_metrics(field)
+            return check_field(*args)
 
         def counted_phase(*args):
             counts["phases"] += 1
             return moyal(*args)
 
-        monkeypatch.setattr(evolver, "_edge_metrics", counted_guard)
+        monkeypatch.setattr(evolver, "_check_field", counted_guard)
         monkeypatch.setattr(evolver, "_moyal", counted_phase)
         run_point(0.2, D, math.nan, RunConfig(h_list=(0.2,), **FAST))
         assert counts == {"guards": guards, "phases": phases}
