@@ -305,7 +305,7 @@ def initial_coherent_field(params: SemiclassicalParams, grid: GridSpec,
     gp = np.exp(-v * v / (2 * h))
     field = PhaseSpaceField(a=0.0, u=u, v=v, kind=kind,
                             values=np.outer(gx, gp))
-    if abs(field.mass() - 1.0) > 1e-8:
+    if not abs(field.mass() - 1.0) <= 1e-8:
         raise InvalidParameterError(
             "more than 1e-8 of the state's mass lies off-grid")
     return field

@@ -31,7 +31,9 @@ output; at D = 0 they take that transform along u for the reading alone:
                     as chirp, heat kernel, chirp: two even diagonal
                     multipliers, each mirrored from half its axis, around
                     one complex FFT pair along u (Healy, Kutay, Ozaktas &
-                    Sheridan, Linear Canonical Transforms, Springer 2016).
+                    Sheridan, Linear Canonical Transforms, Springer 2016),
+                    per piece of the window, which is cut into the fewest
+                    equal pieces in which no factor grows on those axes.
 
 The Wigner-Moyal equation adds one term to the classical Fokker-Planck
 one, (h^2/3) chi_2(t) d^3/dp^3 (the Hamiltonian is cubic, the Lindblad
@@ -132,7 +134,7 @@ def _u_tail(mags: np.ndarray) -> float:
 
 def _check_v_tail(spec: np.ndarray) -> None:
     tail_mass = _tail_fraction(np.abs(spec).sum(axis=0))
-    if tail_mass > _TAIL_TOL:
+    if not tail_mass <= _TAIL_TOL:
         raise ResolutionError(
             f"momentum spectral tail carries relative mass {tail_mass:.2e}")
 
@@ -188,18 +190,18 @@ def _check_field(field: PhaseSpaceField, mass0: float, label: str,
     corner = float((a[:4, :4].sum() + a[:4, -4:].sum() + a[-4:, :4].sum()
                     + a[-4:, -4:].sum()) * cell / total)
     v_edge = float((a[:, 0].sum() + a[:, -1].sum()) * cell / total)
-    if abs(mass - mass0) > 1e-4:
+    if not abs(mass - mass0) <= 1e-4:
         raise SolverFailureError(f"mass drifted to {mass} at {label}")
-    if u_tail > _U_TAIL_TOL:
+    if not u_tail <= _U_TAIL_TOL:
         raise ResolutionError(
             f"position spectral tail carries relative mass {u_tail:.2e} "
             f"at {label}: the grid has too few u-points for this run")
-    if field.kind == "classical" and low < -1e-6:
+    if field.kind == "classical" and not low >= -1e-6:
         raise SolverFailureError(f"classical density reached {low} at {label}")
-    if corner > _EDGE_TOL:
+    if not corner <= _EDGE_TOL:
         raise SolverFailureError(
             f"corner mass {corner:.2e} at {label} indicates wraparound")
-    if v_edge > _V_EDGE_TOL:
+    if not v_edge <= _V_EDGE_TOL:
         raise SolverFailureError(
             f"momentum-edge mass {v_edge:.2e} at {label}: "
             "the momentum extent is too small for this run")
@@ -275,53 +277,6 @@ def _window_matrices(schedule: Schedule, kx: np.ndarray, d: float,
     return out, m * len(rows)
 
 
-def _window_factors(field: PhaseSpaceField, schedule: Schedule,
-                    params: SemiclassicalParams):
-    """The D > 0 window-2 propagator in factored form.
-
-    Returns (keep, damp, beta, g_in, g_out, info): the kept k_v columns,
-    their damping exp(-(D/2) e^(2a) tau2 k_v^2), and per piece (rows) and
-    kept column the heat parameter beta and the chirps g_in, g_out. Each
-    piece maps a column by exp(i g_in u^2/2), then exp(-i beta k_u^2/2) in
-    Fourier space, then exp(i g_out u^2/2). With the piece's matrix M
-    (M' = [[0, -2i d], [-2 c(t), 0]] M for c(t) = chi_2(t) k s_x^2 and
-    d = (D/2) e^(-2a), summed as a series by _window_matrices),
-    beta = M01, g_in = (M00 - 1)/beta and g_out = (M11 - 1)/beta. The
-    window is one piece unless a factor would grow on the grid; then it is
-    the fewest equal pieces (a power of two) for which none does. info
-    adds the series terms summed over the pieces of every try and
-    max |det M - 1| (M is unimodular).
-    """
-    a = field.a
-    kv = _rk_axis(len(field.v), field.dv)
-    log_damp = (params.D / 2.0) * math.exp(2.0 * a) * schedule.tau2 * kv ** 2
-    keep = log_damp < _DAMP_CUT
-    kx = kv[keep] / field.s_p * field.s_x ** 2
-    d = (params.D / 2.0) * math.exp(-2.0 * a)
-
-    log_u = float(np.abs(field.u).max()) ** 2 / 2.0
-    log_k = float(np.abs(_k_axis(len(field.u), field.du)).max()) ** 2 / 2.0
-    m, terms = 1, 0
-    while True:
-        M, more = _window_matrices(schedule, kx, d, m)  # M - I per piece
-        terms += more
-        beta = M[:, 1]
-        g_in, g_out = M[:, 0] / beta, M[:, 3] / beta
-        growth = max(log_k * float(beta.imag.max()),
-                     -log_u * float(min(g_in.imag.min(), g_out.imag.min())))
-        if growth <= _GROWTH_TOL:
-            break
-        m *= 2
-        if m > _MAX_PIECES:
-            raise SolverFailureError(
-                f"window-2 propagator still grows in {_MAX_PIECES} pieces")
-    det_defect = M[:, 0] + M[:, 3] + M[:, 0] * M[:, 3] - M[:, 1] * M[:, 2]
-    info = {"kick_substeps": m, "window_terms": terms,
-            "window_det_defect": float(np.abs(det_defect).max()),
-            "kept_columns": int(keep.sum())}
-    return keep, np.exp(-log_damp[keep]), beta, g_in, g_out, info
-
-
 def _kick_window(field: PhaseSpaceField, schedule: Schedule,
                  params: SemiclassicalParams, spec: np.ndarray = None):
     """Window 2: the classical cubic kick, exact at every D.
@@ -332,18 +287,29 @@ def _kick_window(field: PhaseSpaceField, schedule: Schedule,
     static here. At D = 0 the kick multipliers commute, so one kick by the
     window's bump integral tau2 is exact; its phase k_j x_i^2 tau2 =
     theta_i j is linear in j = J a + b (J = isqrt n): the product of the
-    small tables exp(-i theta_i J a) and exp(-i theta_i b). At D > 0 each
-    k_v column takes its propagator from _window_factors: two chirps
-    around one complex FFT pair along u per piece, then its damping;
-    columns damped below e^-46 are set to zero, and the output's momentum
-    tail is checked too.
+    small tables exp(-i theta_i J a) and exp(-i theta_i b).
+
+    At D > 0 the k_v columns whose damping exp(-(D/2) e^(2a) tau2 k_v^2)
+    lies below e^-46 are set to zero. Each piece of the window maps every
+    kept column by exp(i g_in u^2/2), then exp(-i beta k_u^2/2) in Fourier
+    space, then exp(i g_out u^2/2), and the last piece ends with the
+    damping. With the piece's matrix M (M' = [[0, -2i d], [-2 c(t), 0]] M
+    for c(t) = chi_2(t) k s_x^2 and d = (D/2) e^(-2a), summed as a series
+    by _window_matrices), beta = M01, g_in = (M00 - 1)/beta and
+    g_out = (M11 - 1)/beta. Each factor is even, so it is exponentiated on
+    half its axis (the tables u2 and ku2) and mirrored. The window is one
+    piece unless a factor would grow on those tables; then it is the
+    fewest equal pieces (a power of two) for which none does. The output's
+    momentum tail is checked too. The diagnostics hold the piece count, the
+    series terms summed over the pieces of every try, max |det M - 1| (M is
+    unimodular) and the number of kept columns.
     """
     spec = np.fft.rfft(field.values, axis=1) if spec is None else spec
     _check_v_tail(spec)
+    kv = _rk_axis(len(field.v), field.dv)
     if params.D == 0.0:
         n, J = spec.shape[1], math.isqrt(spec.shape[1])
-        t = -1j * (_rk_axis(len(field.v), field.dv)[1] / field.s_p
-                   * (field.s_x * field.u) ** 2
+        t = -1j * (kv[1] / field.s_p * (field.s_x * field.u) ** 2
                    * schedule.tau2)[:, None, None]
         table = np.exp(t * (J * np.arange(-(-n // J)))[:, None]) \
             * np.exp(t * np.arange(J))
@@ -351,13 +317,34 @@ def _kick_window(field: PhaseSpaceField, schedule: Schedule,
         info = {"kick_substeps": 1, "window_terms": 0,
                 "window_det_defect": 0.0, "kept_columns": n}
     else:
-        keep, damp, beta, g_in, g_out, info = _window_factors(
-            field, schedule, params)
+        log_damp = (params.D / 2.0) * math.exp(2.0 * field.a) \
+            * schedule.tau2 * kv ** 2
+        keep = log_damp < _DAMP_CUT
+        kx = kv[keep] / field.s_p * field.s_x ** 2
+        d = (params.D / 2.0) * math.exp(-2.0 * field.a)
         # even factors: exp at |u| on (i - n/2) du and at |k_u|, mirrored
         n, i = len(field.u), np.arange(len(field.u))
         u2 = ((np.arange(n // 2 + 1) + n % 2 / 2.0) * field.du) ** 2 / 2.0
         ku2 = _k_axis(n, field.du)[:n // 2 + 1] ** 2 / 2.0
         iu, ik = np.abs(2 * i - n) // 2, np.minimum(i, n - i)
+        m, terms = 1, 0
+        while True:
+            M, more = _window_matrices(schedule, kx, d, m)  # M - I per piece
+            terms += more
+            beta = M[:, 1]
+            g_in, g_out = M[:, 0] / beta, M[:, 3] / beta
+            growth = max(ku2.max() * beta.imag.max(), -u2.max()
+                         * min(g_in.imag.min(), g_out.imag.min()))
+            if growth <= _GROWTH_TOL:
+                break
+            m *= 2
+            if m > _MAX_PIECES:
+                raise SolverFailureError(
+                    f"window-2 propagator still grows in {_MAX_PIECES} pieces")
+        det_defect = M[:, 0] + M[:, 3] + M[:, 0] * M[:, 3] - M[:, 1] * M[:, 2]
+        info = {"kick_substeps": m, "window_terms": terms,
+                "window_det_defect": float(np.abs(det_defect).max()),
+                "kept_columns": int(keep.sum())}
         cols = spec[:, keep]
         for b, gi, go in zip(beta, g_in, g_out):
             cols *= np.exp(1j * np.multiply.outer(u2, gi))[iu]
@@ -366,7 +353,7 @@ def _kick_window(field: PhaseSpaceField, schedule: Schedule,
             np.fft.ifft(cols, axis=0, out=cols)
             cols *= np.exp(1j * np.multiply.outer(u2, go))[iu]
         spec[:] = 0.0
-        spec[:, keep] = cols * damp
+        spec[:, keep] = cols * np.exp(-log_damp[keep])
         _check_v_tail(spec)
     values = np.fft.irfft(spec, n=len(field.v), axis=1)
     return replace(field, values=values), spec, info
@@ -389,7 +376,7 @@ def evolve(field: PhaseSpaceField, schedule: Schedule,
     unimodular phase in k_v. All three pairs follow _guard's one rule, and
     at D = 0 the t3 Wigner field is the t2 one in t3's frame."""
     mass0 = field.mass()
-    if abs(mass0 - 1.0) > 1e-6:
+    if not abs(mass0 - 1.0) <= 1e-6:
         raise InvalidParameterError("input field is not normalized")
     t1, spec, tails = _stretch_window(field, schedule, 1, params, config)
     diagnostics = _guard((field, t1), ("t0", "t1"), tails, mass0)

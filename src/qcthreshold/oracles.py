@@ -107,7 +107,7 @@ def schrodinger_closed(psi0: WavefunctionField, schedule: Schedule, h: float):
     bad = grad * dx > math.pi / 4.0
     if np.any(bad):
         stray = float((np.abs(cp1.values[bad]) ** 2).sum() * cp1.dxi)
-        if stray > 1e-8:
+        if not stray <= 1e-8:
             raise ResolutionError(
                 f"cubic phase undersampled over probability {stray:.2e}")
     phase = schedule.tau2 * x ** 3 / (6.0 * h)
@@ -189,9 +189,9 @@ def _dm_check(rho: DensityMatrixField, label: str) -> tuple:
     defect = max(float(np.abs(np.conj(np.roll(S[r], r)) - S[r]).max())
                  for r in ((0,) if n % 2 else (0, n // 2))) \
         / max(float(np.abs(S).max()), 1e-300)
-    if abs(trace - 1.0) > 1e-4:
+    if not abs(trace - 1.0) <= 1e-4:
         raise SolverFailureError(f"trace drifted to {trace} at {label}")
-    if defect > 1e-8:
+    if not defect <= 1e-8:
         raise SolverFailureError(f"Hermiticity lost at {label}")
     return trace, defect
 
@@ -460,7 +460,7 @@ def langevin_sample(m: int, schedule: Schedule, params: SemiclassicalParams,
             x += rd * forms[0]
             rng.standard_normal(out=noise[0])
             p += math.sqrt(D * tau) * noise[0]
-        if np.abs(x).max() > 50.0:
+        if not np.abs(x).max() <= 50.0:
             raise SolverFailureError("trajectory ran away past |x| = 50")
         out.append(TrajectoryEnsemble(x.copy(), p.copy(), seed))
     return tuple(out)

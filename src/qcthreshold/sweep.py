@@ -219,15 +219,12 @@ def run_experiment(config: RunConfig, max_workers: int = None):
     points = [(h, D, e, config) for h, D, e in config.points()]
     if max_workers is None:
         max_workers = min(4, os.cpu_count() or 1, len(points))
-    if max_workers > 1 and len(points) > 1:
-        if any(D > 0 for _, D, _, _ in points):
-            # computed once here, so no two threads take the same cache miss
-            constants(config.tau2)
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            records = list(pool.map(lambda p: run_point(*p), points))
-    else:
-        records = [run_point(*p) for p in points]
-    records = sorted(records, key=lambda r: (r.h, r.D))
+    if any(D > 0 for _, D, _, _ in points):
+        # computed once here, so no two threads take the same cache miss
+        constants(config.tau2)
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        records = sorted(pool.map(lambda p: run_point(*p), points),
+                         key=lambda r: (r.h, r.D))
     if config.out_dir:
         write_artifacts(config, records)
     return records

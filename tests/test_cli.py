@@ -4,12 +4,16 @@ small end-to-end run with artifact and determinism checks."""
 import csv
 import importlib.metadata
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import qcthreshold
 from qcthreshold import cli, oracles, sweep
 from qcthreshold.cli import (_OPTIONS, _switch, build_config, load_config_file,
                              main, parse_d_rule)
@@ -232,6 +236,20 @@ class TestMain:
         argv = ["--h-list", "0.2", "--d-rule", "abs:1.0", "--grid", "64x128"]
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("error: ResolutionError: ")
+
+    def test_nan_field_exit_code(self):
+        # c I_v overflows at D = 1e307, so window 1 leaves a NaN field: its
+        # mass guard fires and the CLI exits 3, with no traceback
+        argv = ["--h-list", "1e-10", "--d-rule", "abs:1e307",
+                "--grid", "256x512"]
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(qcthreshold.__file__).resolve().parents[1]))
+        run = subprocess.run([sys.executable, "-m", "qcthreshold.cli", *argv],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 3
+        assert run.stderr.splitlines()[-1] \
+            == "error: SolverFailureError: mass drifted to nan at t1"
+        assert "Traceback" not in run.stderr
 
     def test_bound_failure_exit_code(self, monkeypatch, tmp_path, capsys):
         # a negative slack fails even the D = 0 point's zero bounds

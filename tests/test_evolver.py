@@ -35,7 +35,9 @@ from qcthreshold.errors import (
 )
 from qcthreshold import core, evolver
 from qcthreshold.evolver import (
+    _DAMP_CUT,
     _EDGE_TOL,
+    _GROWTH_TOL,
     _U_TAIL_TOL,
     _V_EDGE_TOL,
     EvolverConfig,
@@ -153,7 +155,7 @@ def _strang_errors(h, D, schedule, kind):
 
 
 def _window_inputs(D, schedule=SCH):
-    """The kept columns kx and the diffusion rate d that _window_factors
+    """The kept columns kx and the diffusion rate d that _kick_window
     hands to _window_matrices at t1 on the 256x512 grid."""
     field, params = _initial("classical", D=D,
                              grid=GridSpec.for_h(H, n_u=256, n_v=512))
@@ -161,7 +163,7 @@ def _window_inputs(D, schedule=SCH):
     kv = 2.0 * math.pi * np.fft.rfftfreq(len(t1.v), d=t1.dv)
     a = t1.a
     keep = (D / 2.0) * math.exp(2.0 * a) * schedule.tau2 * kv ** 2 \
-        < evolver._DAMP_CUT
+        < _DAMP_CUT
     return kv[keep] / t1.s_p * t1.s_x ** 2, (D / 2.0) * math.exp(-2.0 * a)
 
 
@@ -556,21 +558,42 @@ class TestFactoredMultipliers:
     def test_mirrored_chirp_and_heat_factors(self, n_u):
         # the window's output spectrum against the same two pieces with
         # each chirp and heat factor taken by np.exp on the whole symmetric
-        # u axis ((i - n_u/2) du, the field's u to roundoff) and k_u axis;
-        # an odd n_u has no u = 0 point
+        # u axis ((i - n_u/2) du, the field's u to roundoff) and k_u axis,
+        # from the matrices of _window_matrices; an odd n_u has no u = 0
+        # point. At tau2 = 2 one piece's heat factor grows on the k_u axis
+        # (log-modulus +65.3 at its largest |k_u| on 256 u-points) and two
+        # pieces' factors do not (-63.1 for the heat factors, 0 for the
+        # chirps), so the window takes two pieces
         h = 0.1
         sch = replace(standard_schedule(h), tau2=2.0)
-        params = SemiclassicalParams(hbar=2 * h, D=h ** (4.0 / 3.0))
+        D = h ** (4.0 / 3.0)
+        params = SemiclassicalParams(hbar=2 * h, D=D)
         f0 = initial_coherent_field(
             params, GridSpec.for_h(h, n_u=n_u, n_v=512), "classical")
         t1, _, _ = _stretch_window(f0, sch, 1, params, EvolverConfig())
-        keep, damp, beta, g_in, g_out, info = evolver._window_factors(
-            t1, sch, params)
-        assert info["kick_substeps"] == 2
+        kv = _kv(t1)
+        log_damp = (D / 2.0) * math.exp(2.0 * t1.a) * sch.tau2 * kv ** 2
+        keep = log_damp < _DAMP_CUT
+        kx = kv[keep] / t1.s_p * t1.s_x ** 2
+        d = (D / 2.0) * math.exp(-2.0 * t1.a)
         u = (np.arange(n_u) - n_u / 2.0) * t1.du
         assert np.abs(u - t1.u).max() <= 1e-14 * np.abs(t1.u).max()
         u2 = u ** 2 / 2.0
         ku2 = (2.0 * math.pi * np.fft.fftfreq(n_u, d=t1.du)) ** 2 / 2.0
+
+        def factors(m):
+            # per piece: beta, g_in, g_out and the largest log-moduli of
+            # the heat factor and of the chirps on the grid
+            M = _window_matrices(sch, kx, d, m)[0]
+            beta = M[:, 1]
+            g_in, g_out = M[:, 0] / beta, M[:, 3] / beta
+            chirp = -u2.max() * min(g_in.imag.min(), g_out.imag.min())
+            return beta, g_in, g_out, ku2.max() * beta.imag.max(), chirp
+
+        heat = factors(1)[3]
+        beta, g_in, g_out, heat2, chirp2 = factors(2)
+        assert heat > 60.0
+        assert heat2 < -60.0 and chirp2 <= _GROWTH_TOL
         want = np.fft.rfft(t1.values, axis=1)
         cols = want[:, keep]
         for b, gi, go in zip(beta, g_in, g_out):
@@ -580,8 +603,9 @@ class TestFactoredMultipliers:
                                axis=0)
             cols = cols * np.exp(1j * np.multiply.outer(u2, go))
         want[:] = 0.0
-        want[:, keep] = cols * damp
-        _, got, _ = _kick_window(t1, sch, params)
+        want[:, keep] = cols * np.exp(-log_damp[keep])
+        _, got, info = _kick_window(t1, sch, params)
+        assert info["kick_substeps"] == 2
         assert _rel_max_abs(got, want) <= 1e-15
 
     @pytest.mark.parametrize("D", [0.0, H ** (4.0 / 3.0)],
@@ -747,6 +771,16 @@ class TestGuards:
         bad = replace(coherent_128, values=1.001 * coherent_128.values)
         with pytest.raises(SolverFailureError, match="mass drifted to 1.001"):
             evolver._check_field(bad, 1.0, "t1", u_tail)
+
+    def test_nan_readings_fire_guards(self, coherent_128):
+        # a NaN reading passes no "reading > limit" test, so each guard
+        # fires unless its reading is within its limit
+        nan = replace(coherent_128,
+                      values=np.full_like(coherent_128.values, np.nan))
+        with pytest.raises(SolverFailureError, match="mass drifted to nan"):
+            evolver._check_field(nan, 1.0, "t1", math.nan)
+        with pytest.raises(ResolutionError, match="tail carries .* nan"):
+            evolver._check_field(coherent_128, 1.0, "t1", math.nan)
 
     def test_classical_negativity_guard_fires(self, coherent_128):
         # one cell far out in v, where the density is below 1e-200: the
