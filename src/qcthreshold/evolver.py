@@ -29,11 +29,19 @@ output; at D = 0 they take that transform along u for the reading alone:
                     whose coefficients are iterated integrals of chi_2
                     that one table holds for every column, and it factors
                     as chirp, heat kernel, chirp: two even diagonal
-                    multipliers, each mirrored from half its axis, around
+                    multipliers, each exponentiated on half its axis and
+                    applied as two strided slices, one reversed, around
                     one complex FFT pair along u (Healy, Kutay, Ozaktas &
                     Sheridan, Linear Canonical Transforms, Springer 2016),
                     per piece of the window, which is cut into the fewest
                     equal pieces in which no factor grows on those axes.
+
+Every transform along u runs in place, on an array its window owns: in
+window 1 at D > 0 its fresh rfft, and otherwise a copy of the (u, k_v)
+spectrum, since at D = 0 that spectrum is passed on unchanged and
+window 3's input is the kicked spectrum from which the t2 Wigner field
+is phased next. Window 2 at D > 0 runs every step in place on a view of
+its kept columns, which are a prefix of the k_v axis.
 
 The Wigner-Moyal equation adds one term to the classical Fokker-Planck
 one, (h^2/3) chi_2(t) d^3/dp^3 (the Hamiltonian is cubic, the Lindblad
@@ -158,23 +166,31 @@ def _integrated_diffusion(field: PhaseSpaceField, params: SemiclassicalParams,
     and e^(+2a(t)). Returns the field, its (u, k_v) spectrum and the
     position-tail readings (_u_tail) of the input's and the output's
     (k_u, k_v) spectra; spec, the input's if carried, saves the rfft along
-    v. At D = 0 the field and its (u, k_v) spectrum are returned as they
-    are, and the one reading serves both."""
-    if spec is None:
+    v and is left unchanged. At D = 0 the field and its (u, k_v) spectrum
+    are returned as they are, and the one reading serves both.
+
+    Every transform along u runs in place: on the fresh rfft at D > 0,
+    and otherwise on a copy, since the caller still reads a carried spec
+    (window 3's input is the kicked spectrum that _moyal phases next) and
+    at D = 0 the spectrum is passed on. The output's reading reuses the
+    input's magnitude buffer."""
+    fresh = spec is None
+    if fresh:
         spec = np.fft.rfft(field.values, axis=1)
+    k = spec if fresh and params.D > 0.0 else spec.copy()  # (k_u, k_v)
+    np.fft.fft(k, axis=0, out=k)
     if params.D == 0.0:
-        k = np.fft.fft(spec, axis=0)  # |k| in place: no copy
-        u_tail = _u_tail(np.abs(k, out=k).real)
+        u_tail = _u_tail(np.abs(k, out=k).real)  # |k| into the copy
         return field, spec, (u_tail, u_tail)
     c = -params.D / 2.0
-    spec = np.fft.fft(spec, axis=0)
-    u_in = _u_tail(np.abs(spec))
-    spec *= np.exp(c * I_u * _k_axis(len(field.u), field.du) ** 2)[:, None]
-    spec *= np.exp(c * I_v * _rk_axis(len(field.v), field.dv) ** 2)
-    u_out = _u_tail(np.abs(spec))
-    np.fft.ifft(spec, axis=0, out=spec)
-    values = np.fft.irfft(spec, n=len(field.v), axis=1)
-    return replace(field, values=values), spec, (u_in, u_out)
+    mags = np.abs(k)
+    u_in = _u_tail(mags)
+    k *= np.exp(c * I_u * _k_axis(len(field.u), field.du) ** 2)[:, None]
+    k *= np.exp(c * I_v * _rk_axis(len(field.v), field.dv) ** 2)
+    u_out = _u_tail(np.abs(k, out=mags))
+    np.fft.ifft(k, axis=0, out=k)
+    values = np.fft.irfft(k, n=len(field.v), axis=1)
+    return replace(field, values=values), k, (u_in, u_out)
 
 
 def _check_field(field: PhaseSpaceField, mass0: float, label: str,
@@ -277,6 +293,26 @@ def _window_matrices(schedule: Schedule, kx: np.ndarray, d: float,
     return out, m * len(rows)
 
 
+def _mirror_u(cols: np.ndarray, e: np.ndarray) -> None:
+    """cols *= an even factor of u, given by its values e at
+    |u| = (j + n % 2 / 2) du, on the rows u = (i - n/2) du: the first
+    len(e) rows take e reversed and the rest take e forward, from e[1]
+    where an even n has its u = 0 row and from e[0] otherwise."""
+    h = len(e)
+    cols[:h] *= e[::-1]
+    cols[h:] *= e[1 - len(cols) % 2:-1]
+
+
+def _mirror_k(cols: np.ndarray, e: np.ndarray) -> None:
+    """cols *= an even factor of k_u, given by its values e at the fft bins
+    0..n//2: those bins take e and the negative ones e reversed down to
+    e[1], from e[-2] where an even n has its Nyquist bin and from e[-1]
+    otherwise."""
+    h = len(e)
+    cols[:h] *= e
+    cols[h:] *= e[len(cols) % 2 - 2:0:-1]
+
+
 def _kick_window(field: PhaseSpaceField, schedule: Schedule,
                  params: SemiclassicalParams, spec: np.ndarray = None):
     """Window 2: the classical cubic kick, exact at every D.
@@ -297,7 +333,11 @@ def _kick_window(field: PhaseSpaceField, schedule: Schedule,
     for c(t) = chi_2(t) k s_x^2 and d = (D/2) e^(-2a), summed as a series
     by _window_matrices), beta = M01, g_in = (M00 - 1)/beta and
     g_out = (M11 - 1)/beta. Each factor is even, so it is exponentiated on
-    half its axis (the tables u2 and ku2) and mirrored. The window is one
+    half its axis (the tables u2 and ku2) and applied as two strided slices
+    of that table (_mirror_u, _mirror_k). Since the damping rises with
+    k_v^2, the kept columns are the first K of the rfft axis: every step
+    runs in place on the view spec[:, :K], and only spec[:, K:] is
+    zeroed, so no column is gathered or copied. The window is one
     piece unless a factor would grow on those tables; then it is the
     fewest equal pieces (a power of two) for which none does. The output's
     momentum tail is checked too. The diagnostics hold the piece count, the
@@ -319,14 +359,14 @@ def _kick_window(field: PhaseSpaceField, schedule: Schedule,
     else:
         log_damp = (params.D / 2.0) * math.exp(2.0 * field.a) \
             * schedule.tau2 * kv ** 2
-        keep = log_damp < _DAMP_CUT
-        kx = kv[keep] / field.s_p * field.s_x ** 2
+        # log_damp rises with k_v^2, so the kept columns are a prefix
+        K = int(np.count_nonzero(log_damp < _DAMP_CUT))
+        kx = kv[:K] / field.s_p * field.s_x ** 2
         d = (params.D / 2.0) * math.exp(-2.0 * field.a)
-        # even factors: exp at |u| on (i - n/2) du and at |k_u|, mirrored
-        n, i = len(field.u), np.arange(len(field.u))
-        u2 = ((np.arange(n // 2 + 1) + n % 2 / 2.0) * field.du) ** 2 / 2.0
-        ku2 = _k_axis(n, field.du)[:n // 2 + 1] ** 2 / 2.0
-        iu, ik = np.abs(2 * i - n) // 2, np.minimum(i, n - i)
+        # even factors on half their axis: at |u| on (i - n/2) du and at |k_u|
+        n, h = len(field.u), len(field.u) // 2 + 1
+        u2 = ((np.arange(h) + n % 2 / 2.0) * field.du) ** 2 / 2.0
+        ku2 = _k_axis(n, field.du)[:h] ** 2 / 2.0
         m, terms = 1, 0
         while True:
             M, more = _window_matrices(schedule, kx, d, m)  # M - I per piece
@@ -344,16 +384,16 @@ def _kick_window(field: PhaseSpaceField, schedule: Schedule,
         det_defect = M[:, 0] + M[:, 3] + M[:, 0] * M[:, 3] - M[:, 1] * M[:, 2]
         info = {"kick_substeps": m, "window_terms": terms,
                 "window_det_defect": float(np.abs(det_defect).max()),
-                "kept_columns": int(keep.sum())}
-        cols = spec[:, keep]
+                "kept_columns": K}
+        cols = spec[:, :K]  # a view: every step below runs in place
         for b, gi, go in zip(beta, g_in, g_out):
-            cols *= np.exp(1j * np.multiply.outer(u2, gi))[iu]
+            _mirror_u(cols, np.exp(1j * np.multiply.outer(u2, gi)))
             np.fft.fft(cols, axis=0, out=cols)
-            cols *= np.exp(-1j * np.multiply.outer(ku2, b))[ik]
+            _mirror_k(cols, np.exp(-1j * np.multiply.outer(ku2, b)))
             np.fft.ifft(cols, axis=0, out=cols)
-            cols *= np.exp(1j * np.multiply.outer(u2, go))[iu]
-        spec[:] = 0.0
-        spec[:, keep] = cols * np.exp(-log_damp[keep])
+            _mirror_u(cols, np.exp(1j * np.multiply.outer(u2, go)))
+        cols *= np.exp(-log_damp[:K])
+        spec[:, K:] = 0.0
         _check_v_tail(spec)
     values = np.fft.irfft(spec, n=len(field.v), axis=1)
     return replace(field, values=values), spec, info

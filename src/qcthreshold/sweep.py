@@ -210,10 +210,17 @@ def run_experiment(config: RunConfig, max_workers: int = None):
     """Run every sweep point, on up to ``max_workers`` threads (default
     min(4, CPUs, points)), write artifacts if an output directory is set,
     and return the records sorted by (h, D)."""
-    # a handful of complex working copies of the largest grid
-    if 16 * config.n_u * (2 * config.n_v) * 8 > 4 << 30:
-        raise InvalidParameterError("grid too large; per-run memory estimate "
-                                    "exceeds 4 GiB")
+    # the per-run memory estimate against 4 GiB, in float64 entries: 16 per
+    # cell of the largest grid (a handful of complex working copies) and 16
+    # node tables of the longest stretch window (Schedule.stretch: 16 nodes
+    # in each of ceil(substeps tau3) panels, tau3 longest at the least h).
+    # substeps is compared by division, so no value of it overflows a float
+    room = (4 << 30) // (16 * 8) - config.n_u * (2 * config.n_v)
+    tau3 = _schedule_for(min(config.h_list), config.tau2).tau3
+    if room < 0 or config.substeps > room // 16 / tau3:
+        raise InvalidParameterError(
+            f"grid {config.n_u}x{config.n_v} with {config.substeps} substeps "
+            "per unit: per-run memory estimate exceeds 4 GiB")
     if config.out_dir:  # an unusable output path fails before any point
         os.makedirs(config.out_dir, exist_ok=True)
     points = [(h, D, e, config) for h, D, e in config.points()]

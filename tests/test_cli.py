@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import qcthreshold
-from qcthreshold import cli, oracles, sweep
+from qcthreshold import cli, core, oracles, sweep
 from qcthreshold.cli import (_OPTIONS, _switch, build_config, load_config_file,
                              main, parse_d_rule)
 from qcthreshold.core import momentum_marginal
@@ -223,6 +223,22 @@ class TestMain:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
         assert calls == []
+
+    def test_substeps_beyond_memory_estimate_exit_code(self, monkeypatch,
+                                                       capsys):
+        # a --substeps whose stretch-window tables alone pass 4 GiB exits 2
+        # before any sweep point runs or any table is built
+        def no_work(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(core.Schedule, "stretch", no_work)
+        monkeypatch.setattr(sweep, "run_point", no_work)
+        assert main(["--h-list", "0.05", "--substeps", "100000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: grid 512x1024 with 100000000 substeps per unit: "
+            "per-run memory estimate exceeds 4 GiB")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("tau2", ["nan", "inf"])
     def test_non_finite_tau2_exit_code(self, tau2, capsys):

@@ -43,6 +43,7 @@ from qcthreshold.evolver import (
     EvolverConfig,
     _integrated_diffusion,
     _kick_window,
+    _moyal,
     _stretch_window,
     _window_matrices,
     evolve,
@@ -554,19 +555,28 @@ class TestFactoredMultipliers:
         got = _kick_window(t1, sch, params)[0].values
         assert _rel_max_abs(got, want) <= 1e-15
 
-    @pytest.mark.parametrize("n_u", [256, 255])
-    def test_mirrored_chirp_and_heat_factors(self, n_u):
-        # the window's output spectrum against the same two pieces with
-        # each chirp and heat factor taken by np.exp on the whole symmetric
-        # u axis ((i - n_u/2) du, the field's u to roundoff) and k_u axis,
-        # from the matrices of _window_matrices; an odd n_u has no u = 0
-        # point. At tau2 = 2 one piece's heat factor grows on the k_u axis
+    @pytest.mark.parametrize("n_u, D, kept, pieces", [
+        pytest.param(256, 0.1 ** (4.0 / 3.0), 139, 2, id="256"),
+        pytest.param(255, 0.1 ** (4.0 / 3.0), 139, 2, id="255"),
+        pytest.param(256, 0.1 ** 2, 257, 1, id="256-all-kept"),
+        pytest.param(255, 0.1 ** 2, 257, 1, id="255-all-kept"),
+        pytest.param(256, 10.0, 10, 8, id="256-few-kept"),
+        pytest.param(255, 10.0, 10, 8, id="255-few-kept"),
+    ])
+    def test_mirrored_chirp_and_heat_factors(self, n_u, D, kept, pieces):
+        # the window's output spectrum against the same pieces with each
+        # chirp and heat factor taken by np.exp on the whole symmetric u
+        # axis ((i - n_u/2) du, the field's u to roundoff) and k_u axis,
+        # from the matrices of _window_matrices, on the kept columns
+        # gathered by a boolean mask; an odd n_u has no u = 0 point and no
+        # Nyquist bin. h = 0.1, tau2 = 2 on 512 v-points: at D = h^2 every
+        # one of the 257 k_v columns is kept, at D = 10 only 10 are. At
+        # D = h^(4/3) one piece's heat factor grows on the k_u axis
         # (log-modulus +65.3 at its largest |k_u| on 256 u-points) and two
         # pieces' factors do not (-63.1 for the heat factors, 0 for the
         # chirps), so the window takes two pieces
         h = 0.1
         sch = replace(standard_schedule(h), tau2=2.0)
-        D = h ** (4.0 / 3.0)
         params = SemiclassicalParams(hbar=2 * h, D=D)
         f0 = initial_coherent_field(
             params, GridSpec.for_h(h, n_u=n_u, n_v=512), "classical")
@@ -574,6 +584,8 @@ class TestFactoredMultipliers:
         kv = _kv(t1)
         log_damp = (D / 2.0) * math.exp(2.0 * t1.a) * sch.tau2 * kv ** 2
         keep = log_damp < _DAMP_CUT
+        # the kept columns are a prefix of the k_v axis
+        assert keep.sum() == kept and keep[:kept].all()
         kx = kv[keep] / t1.s_p * t1.s_x ** 2
         d = (D / 2.0) * math.exp(-2.0 * t1.a)
         u = (np.arange(n_u) - n_u / 2.0) * t1.du
@@ -590,10 +602,12 @@ class TestFactoredMultipliers:
             chirp = -u2.max() * min(g_in.imag.min(), g_out.imag.min())
             return beta, g_in, g_out, ku2.max() * beta.imag.max(), chirp
 
-        heat = factors(1)[3]
-        beta, g_in, g_out, heat2, chirp2 = factors(2)
-        assert heat > 60.0
-        assert heat2 < -60.0 and chirp2 <= _GROWTH_TOL
+        beta, g_in, g_out, heat, chirp = factors(pieces)
+        assert heat <= _GROWTH_TOL and chirp <= _GROWTH_TOL
+        if pieces > 1:  # the fewest pieces: half as many grow
+            assert max(factors(pieces // 2)[3:]) > _GROWTH_TOL
+        if pieces == 2:  # the figures quoted above
+            assert factors(1)[3] > 60.0 and heat < -60.0
         want = np.fft.rfft(t1.values, axis=1)
         cols = want[:, keep]
         for b, gi, go in zip(beta, g_in, g_out):
@@ -605,7 +619,7 @@ class TestFactoredMultipliers:
         want[:] = 0.0
         want[:, keep] = cols * np.exp(-log_damp[keep])
         _, got, info = _kick_window(t1, sch, params)
-        assert info["kick_substeps"] == 2
+        assert (info["kept_columns"], info["kick_substeps"]) == (kept, pieces)
         assert _rel_max_abs(got, want) <= 1e-15
 
     @pytest.mark.parametrize("D", [0.0, H ** (4.0 / 3.0)],
@@ -648,6 +662,47 @@ class TestFactoredMultipliers:
                                           c.checkpoints[i].values)
         assert q.diagnostics["t2"]["kick_substeps"] \
             == c.diagnostics["t2"]["kick_substeps"]
+
+
+class TestSpectrumOwnership:
+    # the transforms along u run in place, so a spectrum that is still
+    # read after a window must come through it unchanged
+
+    @pytest.mark.parametrize("D", [0.0, H ** (4.0 / 3.0)],
+                             ids=["closed", "diffusive"])
+    def test_integrated_diffusion_leaves_spectra_unchanged(self, D):
+        # a carried spectrum is left as it was, and at D = 0 the spectrum
+        # passed on, carried or fresh, is the input's
+        field, params = _initial("classical", D=D,
+                                 grid=GridSpec.for_h(H, n_u=256, n_v=512))
+        spec = np.fft.rfft(field.values, axis=1)
+        before = spec.copy()
+        _, carried, _ = _integrated_diffusion(field, params, 0.3, 0.2, spec)
+        np.testing.assert_array_equal(spec, before)
+        _, fresh, _ = _integrated_diffusion(field, params, 0.3, 0.2)
+        if D == 0.0:
+            assert carried is spec
+            np.testing.assert_array_equal(fresh, before)
+        else:
+            assert not np.shares_memory(carried, spec)
+            np.testing.assert_array_equal(fresh, carried)
+
+    @pytest.mark.parametrize("D", [0.0, H ** (4.0 / 3.0), H],
+                             ids=["closed", "diffusive", "wide"])
+    def test_t2_wigner_from_untouched_kicked_spectrum(self, D):
+        # window 3 reads the kicked spectrum before _moyal phases it into
+        # the t2 Wigner field: evolve's t2 Wigner field is _moyal of a copy
+        # of that spectrum taken before window 3 ran, bit for bit
+        grid = GridSpec.for_h(H, n_u=256, n_v=1024, widths_v=128.0) \
+            if D == H else GridSpec.for_h(H, n_u=256, n_v=512)
+        field, params = _initial("wigner", D=D, grid=grid)
+        t1, spec, _ = _stretch_window(field, SCH, 1, params, EvolverConfig())
+        t2, spec, _ = _kick_window(replace(t1, kind="classical"), SCH,
+                                   params, spec)
+        want = _moyal(t2, spec.copy(), SCH, params, t2.a)
+        got = evolve(field, SCH, params).checkpoints[2]
+        assert got.kind == "wigner" and got.a == want.a
+        np.testing.assert_array_equal(got.values, want.values)
 
 
 class TestGuards:

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from qcthreshold import closedform, evolver, sweep
+from qcthreshold import closedform, core, evolver, sweep
 from qcthreshold.closedform import (
     classical_momentum_pdf,
     constants,
@@ -109,6 +109,37 @@ class TestRunConfig:
         cfg = RunConfig(n_u=1 << 14, n_v=1 << 15)
         with pytest.raises(InvalidParameterError):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("substeps, runs", [
+        (10 ** 6, True), (2 * 10 ** 6, False), (10 ** 8, False),
+        (10 ** 400, False)], ids=["1e6", "2e6", "1e8", "1e400"])
+    def test_memory_gate_counts_stretch_tables(self, monkeypatch, substeps,
+                                               runs):
+        # Schedule.stretch builds float64 tables of ceil(substeps tau3) x 16
+        # entries, tau3 = 2.0 at h = 0.05: 25.6 GB each at 10^8. Past the
+        # 4 GiB estimate (about 1.02e6 here, beside the 512x1024 grid) the
+        # run stops before any point or table, and a value beyond the
+        # float range is rejected the same way
+        class Ran(Exception):
+            pass
+
+        def no_table(*args):
+            raise AssertionError("a stretch table was built")
+
+        def ran(*args):
+            raise Ran
+
+        monkeypatch.setattr(core.Schedule, "stretch", no_table)
+        monkeypatch.setattr(sweep, "run_point", ran)
+        cfg = RunConfig(h_list=(0.05,), d_rule=("absolute", ()),
+                        substeps=substeps)
+        if runs:
+            with pytest.raises(Ran):
+                run_experiment(cfg)
+        else:
+            with pytest.raises(InvalidParameterError,
+                               match="memory estimate exceeds 4 GiB"):
+                run_experiment(cfg)
 
     def test_constants_computed_once_before_the_threads_start(
             self, monkeypatch):
