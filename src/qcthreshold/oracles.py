@@ -12,13 +12,15 @@ momentum marginal, as its n//2 + 1 periodic diagonals x - x' = r dxi
 terms act along them: (x - x')^2 is constant on each diagonal and
 (d/dx + d/dx')^2 differentiates along it. A periodic diagonal joins the
 diagonals at offsets -r and n - r, so the two multipliers commute only up
-to that band edge. In window 2 the Lindblad solver is Strang-split
-against the cubic phase, each substep kicked by its bump integral on the
-Lobatto panels; at D > 0 the sampler keeps the Euler-Maruyama scheme in
-n steps of at most dt but draws its outcome whole, as a linear and a
-quadratic form of the n step normals: the top K eigenpairs of the
-quadratic form exactly, the linear forms' remainder as one exact 2-D
-Gaussian, and the quadratic form's remainder as its exact mean. K doubles from 32, up to n - 1, until the modes left
+to that band edge. In window 2 the Lindblad solver takes the momentum
+diffusion in one step, as it commutes with the cubic phase, and
+Strang-splits the position diffusion against the phase, each substep
+kicked by its bump integral on the Lobatto panels; at D > 0 the sampler
+keeps the Euler-Maruyama scheme in n steps of at most dt but draws its
+outcome whole, as a linear and a quadratic form of the n step normals:
+the top K eigenpairs of the quadratic form exactly, the linear forms'
+remainder as one exact 2-D Gaussian, and the quadratic form's remainder
+as its exact mean. K doubles from 32, up to n - 1, until the modes left
 to that mean hold at most 1e-6 of the quadratic form's variance. The
 solvers never call the evolver.
 """
@@ -30,7 +32,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as sfft
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse.linalg import LinearOperator, eigsh
 
@@ -129,8 +130,7 @@ def momentum_distribution(psi: WavefunctionField,
     # |psi_hat|^2 with psi_hat = (2 pi hbar)^(-1/2) integral of the lab
     # wavefunction; the grid-origin phase drops out of the modulus
     q = (psi.dxi ** 2 * psi.scale / (2.0 * math.pi * hbar)) * np.abs(spec) ** 2
-    order = np.argsort(p)
-    return MomentumDistribution(p=p[order], q=q[order])
+    return MomentumDistribution(p=np.fft.fftshift(p), q=np.fft.fftshift(q))
 
 
 @dataclass(frozen=True)
@@ -200,19 +200,21 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
                        params: SemiclassicalParams, steps: int = 100):
     """Position-basis Lindblad evolution; returns the four checkpoints.
 
-    Dilations are carried by the scale. The evolved S starts as a complex
-    copy of rho0's diagonals, and each checkpoint holds a copy of S.
-    Decoherence is exp[-(D/2 hbar^2)(x-x')^2 dt], one value on each
-    diagonal, times exp[-(D/2) kappa^2 dt] on the 1-D spectrum along each
-    row of S, kappa = 2 pi fftfreq(n, dxi). A row holds two diagonals,
-    offsets -r and n - r, whose (x-x')^2 differ, so along the row the two
-    multipliers commute only up to that band edge; each stretch window is
-    still taken as one step with time-integrated coefficients
-    (Schedule.stretch at its default panels), exact up to that
-    non-commutation. Window 2 is Strang-split into ``steps`` substeps
-    against the cubic phase (x^3 - x'^3) / 3 hbar, each kicked by its
-    bump integral on ceil(_PANELS / steps) Lobatto panels. At D = 0
-    every damping is exactly 1.
+    Dilations are carried by the scale. S, a complex copy of rho0's
+    diagonals, is updated in place; each checkpoint holds a copy of it.
+    Momentum diffusion (jump operator x) is the x-decoherence
+    exp[-(D/2 hbar^2)(x-x')^2 dt], one value on each diagonal; position
+    diffusion (jump operator p) is the p-decoherence exp[-(D/2) kappa^2
+    dt] on the 1-D spectrum along each row of S, kappa = 2 pi fftfreq(n,
+    dxi). A row holds two diagonals, offsets -r and n - r, whose
+    (x-x')^2 differ, so along the row the two multipliers commute only
+    up to that band edge; each stretch window is still one step with
+    time-integrated coefficients (Schedule.stretch at its default
+    panels), exact up to that non-commutation. Window 2 takes its
+    x-decoherence once, as it commutes with the cubic phase
+    (x^3 - x'^3) / 3 hbar, and Strang-splits the p-decoherence against
+    the phase in ``steps`` substeps, each kicked by its bump integral on
+    ceil(_PANELS / steps) Lobatto panels. At D = 0 every damping is exactly 1.
     """
     if isinstance(steps, bool) or not (
             steps >= 1 and float(steps).is_integer()):
@@ -232,53 +234,51 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
     kappa2 = (2.0 * math.pi * np.fft.fftfreq(len(xi), d=rho0.dxi)) ** 2
 
     def dampings(I_x, I_p):
-        # the x- and k-decoherence multipliers in frame coordinates, the
+        # the x- and p-decoherence multipliers in frame coordinates, the
         # first on S
         return (np.exp(-(D / (2.0 * hbar ** 2)) * I_x
                        * (xi - _sheared(xi)) ** 2),
                 np.exp(-(D / 2.0) * I_p * kappa2))
 
     def p_decoherence(S, k_damp):
-        # overwrites S
-        spec = sfft.fft(S, axis=1, overwrite_x=True)
-        spec *= k_damp
-        return sfft.ifft(spec, axis=1, overwrite_x=True)
+        # transforms S in place, along each row
+        np.fft.fft(S, axis=1, out=S)
+        S *= k_damp
+        np.fft.ifft(S, axis=1, out=S)
 
     def stretch_window(S, i, a):
-        # overwrites S; a is the log-scale at the window's start, and the
-        # one at its end is returned with S
+        # updates S in place; a is the log-scale at the window's start,
+        # and the one at its end is returned
         a, I_p, I_x = schedule.stretch(i, a)
         x_damp, k_damp = dampings(I_x, I_p)
         S *= x_damp
-        return p_decoherence(S, k_damp), a
+        p_decoherence(S, k_damp)
+        return a
 
     def kick_window(S, s):
-        # overwrites S; s is the window's scale. (x^3 - x'^3) / 3 hbar is
-        # a difference, so each phase multiplier is a column times its
-        # conjugate row (on S, the row read at x_(i - r))
+        # updates S in place; s is the window's scale. (x^3 - x'^3) / 3
+        # hbar is a difference, so each phase multiplier is a column times
+        # its conjugate row (on S, the row read at x_(i - r))
         f = (s * xi) ** 3 / (3.0 * hbar)
         t, width = lobatto_nodes(start, tau, steps, -(-_PANELS // steps))
         deltas = cumulative_integral(schedule.chi(2, t), width)[:, -1, -1]
         # neighbouring Strang half-phases fused: d0/2, (d0+d1)/2, ..., d_n-1/2
         cols = np.exp(1j * np.convolve(deltas, [0.5, 0.5])[:, None] * f)
-        x_full, k_full = dampings(s ** 2 * tau / steps, tau / (steps * s ** 2))
-        x_half = np.sqrt(x_full)
-        S *= x_half
+        x_damp, k_damp = dampings(s ** 2 * tau, tau / (steps * s ** 2))
+        S *= x_damp
         for j, col in enumerate(cols):
             if j:
-                S = p_decoherence(S, k_full)
-                S *= x_full if j < steps else x_half
+                p_decoherence(S, k_damp)
             S *= col
             S *= _sheared(col.conj())
-        return S
 
-    S, a1 = stretch_window(rho0.diagonals.astype(complex), 1,
-                           math.log(rho0.scale))
+    S = rho0.diagonals.astype(complex)
+    a1 = stretch_window(S, 1, math.log(rho0.scale))
     s = math.exp(a1)
     cp1 = checkpoint(S, s, "t1")
-    S = kick_window(S, s)
+    kick_window(S, s)
     cp2 = checkpoint(S, s, "t2")
-    S, a3 = stretch_window(S, 3, a1)
+    a3 = stretch_window(S, 3, a1)
     return (rho0, cp1, cp2, checkpoint(S, math.exp(a3), "t3"))
 
 
@@ -310,8 +310,7 @@ def dm_momentum_marginal(rho: DensityMatrixField,
     spec = np.fft.fft(C, n=m)
     p = 2.0 * math.pi * hbar * np.fft.fftfreq(m, d=dx)
     q = np.real(np.exp(-1j * p * y0 / hbar) * spec) * dx / (2.0 * math.pi * hbar)
-    order = np.argsort(p)
-    return MomentumDistribution(p=p[order], q=q[order])
+    return MomentumDistribution(p=np.fft.fftshift(p), q=np.fft.fftshift(q))
 
 
 @dataclass(frozen=True)
