@@ -6,10 +6,13 @@ Usage:
 
 Options may also come from a flat key = value config file (--config);
 command-line flags override file entries; _OPTIONS lists them all. An
-unknown config key, a value that cannot be read, a repeated sweep point,
---substeps below 1, --figures without --out, an --out that cannot be a
-directory, or a grid too coarse to hold the initial state ends the run
-with "error: ..." and exit code 2; a sweep point or oracle run that the
+unknown config key, a value that cannot be read, an h outside (0, 1), a
+D that is negative, infinite or NaN (or overflows h^p), a --tau2 that is
+not positive and finite, a repeated sweep point, --substeps below 1, a
+negative --seed, a --grid or --substeps past the 4 GiB per-run memory
+estimate, --figures without --out, an --out that cannot be a directory,
+or a grid too coarse to hold the initial state ends the run with
+"error: ..." and exit code 2; a sweep point or oracle run that the
 solver cannot resolve, or that fails a solver diagnostic, ends it with
 "error: <class>: ..." and exit code 3. Exit code 1 means a bound or
 oracle check failed; each failure is printed as a BOUND FAIL or ORACLE

@@ -52,6 +52,11 @@ __all__ = [
 _AIRY_CUT = 50.0
 #: D_{-1/2}(0) = sqrt(pi) / (2^(1/4) Gamma(3/4)).
 _PCF_HALF_AT_ZERO = math.sqrt(math.pi) / (2.0 ** 0.25 * math.gamma(0.75))
+#: exp() of an exponent below this is 0.0 in double precision (the last
+#: nonzero value is at -745.13); the densities are 0.0 there, and their
+#: special functions, which scipy returns as NaN at large arguments, are
+#: not evaluated.
+_UNDERFLOW_CUT = -746.0
 
 
 def _scales(tau1: float, tau2: float, tau3: float, h: float):
@@ -89,12 +94,20 @@ def classical_momentum_pdf(p, tau1: float, tau2: float, tau3: float, h: float):
     with w = -z; in the second case the leftover exponent
     -P^2/2 + w^2/2 = 1/(8g^2) - P/(2g) is formed without cancellation.
     Where z^2/4 vanishes the limit D_{-1/2}(0) is used. Accepts scalar or
-    array p.
+    array p; finite at every finite p, and 0.0 where the density
+    underflows.
     """
     S, g = _scales(tau1, tau2, tau3, h)
     arr = np.asarray(p, dtype=float)
     P = np.atleast_1d(arr) / S
     z = 1.0 / (2.0 * g) - P
+    lead = 1.0 / (8.0 * g * g) - P / (2.0 * g)
+    # the exponent is lead where z < 0, else -P^2/2, which is tested
+    # through |P| so that it cannot overflow; NaN is evaluated
+    live = ~np.where(z < 0, lead <= _UNDERFLOW_CUT,
+                     np.abs(P) >= math.sqrt(-2.0 * _UNDERFLOW_CUT))
+    out = np.zeros_like(P)
+    P, z, lead = P[live], z[live], lead[live]
     x = 0.25 * z * z
     right = (z > 0) & (x > 0)
     left = (z < 0) & (x > 0)
@@ -103,8 +116,8 @@ def classical_momentum_pdf(p, tau1: float, tau2: float, tau3: float, h: float):
                      * _kve(0.25, x[right]))
     scaled[left] = (0.5 * np.sqrt(-math.pi * z[left])
                     * (_ive(-0.25, x[left]) + _ive(0.25, x[left])))
-    expo = np.where(z < 0, 1.0 / (8.0 * g * g) - P / (2.0 * g), -0.5 * P * P)
-    out = np.exp(expo) * scaled / (2.0 * math.sqrt(math.pi * g) * S)
+    expo = np.where(z < 0, lead, -0.5 * P * P)
+    out[live] = np.exp(expo) * scaled / (2.0 * math.sqrt(math.pi * g) * S)
     if arr.ndim == 0:
         return float(out[0])
     return out
@@ -146,14 +159,23 @@ def _quantum_unit_curve(P: np.ndarray, g: float) -> np.ndarray:
     scaled momentum P, at arbitrary points. Past zeta = 50, where Ai^2
     underflows while exp(expo) overflows, Ai is airye's scaled value and its
     scale exp(-(4/3) zeta^(3/2)) joins the exponent. airye is NaN for
-    zeta < 0, and plain airy is faster, so it serves every other point."""
+    zeta < 0, and plain airy is faster, so it serves every other point.
+    Where the exponent is below _UNDERFLOW_CUT the density is 0.0."""
     amp = 2.0 ** (1.0 / 6.0) * math.sqrt(math.pi) / g ** (2.0 / 3.0)
     expo, zeta = _quantum_args(P, g)
     far = zeta > _AIRY_CUT
+    # past the Airy cut the exponent is tested divided by zeta, so that
+    # zeta^(3/2) cannot overflow; NaN is evaluated
+    live = ~(expo <= _UNDERFLOW_CUT)
+    live[far] = ~(expo[far] / zeta[far] - (4.0 / 3.0) * np.sqrt(zeta[far])
+                  <= _UNDERFLOW_CUT / zeta[far])
+    out = np.zeros_like(P)
+    expo, zeta, far = expo[live], zeta[live], far[live]
     ai = _airy(np.where(far, 0.0, zeta))[0]
     ai[far] = _airye(zeta[far])[0]
     expo[far] -= (4.0 / 3.0) * zeta[far] ** 1.5
-    return amp * np.exp(expo) * ai * ai
+    out[live] = amp * np.exp(expo) * ai * ai
+    return out
 
 
 def _unit_pair(P: np.ndarray, g: float, quantum: bool = True):

@@ -25,6 +25,7 @@ from numpy.polynomial import chebyshev
 from .errors import InvalidParameterError
 
 __all__ = [
+    "whole_number",
     "SemiclassicalParams",
     "Schedule",
     "lobatto_nodes",
@@ -60,6 +61,14 @@ _PANELS = 64
 
 #: Default Lobatto panels per unit time of the stretch integrals
 STRETCH_PANELS_PER_UNIT = 200
+
+
+def whole_number(value, least: int, message: str) -> int:
+    """value as an int, if it is a whole number >= least (a bool is not);
+    else raises InvalidParameterError(message)."""
+    if isinstance(value, bool) or not least <= value < math.inf or value % 1:
+        raise InvalidParameterError(message)
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -196,9 +205,11 @@ class GridSpec:
     half_extent_v: float = 1.0
 
     def __post_init__(self):
-        if self.n_u < 2 or self.n_v < 2:
-            raise InvalidParameterError(
-                f"grid {self.n_u}x{self.n_v} needs at least 2 points per axis")
+        message = (f"grid {self.n_u}x{self.n_v} needs at least 2 points per "
+                   "axis, a whole number of them")
+        for axis in ("n_u", "n_v"):
+            object.__setattr__(self, axis,
+                               whole_number(getattr(self, axis), 2, message))
 
     @staticmethod
     def for_h(h: float, n_u: int = 512, n_v: int = 1024,

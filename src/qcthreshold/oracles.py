@@ -36,7 +36,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .core import (_PANELS, MomentumDistribution, Schedule,
-                   SemiclassicalParams, cumulative_integral, lobatto_nodes)
+                   SemiclassicalParams, cumulative_integral, lobatto_nodes,
+                   whole_number)
 from .errors import InvalidParameterError, ResolutionError, SolverFailureError
 
 __all__ = [
@@ -76,10 +77,9 @@ def _coherent_state(h: float, n: int, half_width: float):
     ground-state Gaussian psi0(x) = (2 pi h)^(-1/4) exp(-x^2 / 4h)."""
     if not 0.0 < h < math.inf:
         raise InvalidParameterError("h must be positive and finite")
-    if isinstance(n, bool) or not (n >= 2 and float(n).is_integer()):
-        raise InvalidParameterError("need a whole number of grid points >= 2")
+    n = whole_number(n, 2, "need a whole number of grid points >= 2")
     edge = half_width * math.sqrt(h)
-    xi = np.linspace(-edge, edge, int(n), endpoint=False)
+    xi = np.linspace(-edge, edge, n, endpoint=False)
     return xi, (2.0 * math.pi * h) ** (-0.25) * np.exp(-xi * xi / (4.0 * h))
 
 
@@ -216,10 +216,7 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
     the phase in ``steps`` substeps, each kicked by its bump integral on
     ceil(_PANELS / steps) Lobatto panels. At D = 0 every damping is exactly 1.
     """
-    if isinstance(steps, bool) or not (
-            steps >= 1 and float(steps).is_integer()):
-        raise InvalidParameterError("steps must be an integer >= 1")
-    steps = int(steps)
+    steps = whole_number(steps, 1, "steps must be an integer >= 1")
     hbar = params.hbar
     D = params.D
     xi = rho0.xi
@@ -284,32 +281,31 @@ def lindblad_dm_evolve(rho0: DensityMatrixField, schedule: Schedule,
 
 def dm_momentum_marginal(rho: DensityMatrixField,
                          params: SemiclassicalParams) -> MomentumDistribution:
-    """q(p) = <p|rho|p> via the autocorrelation C(y) = int rho(x, x - y) dx
-    followed by an hbar-scaled Fourier transform, zero-padded to 4 times
-    the length. Row r of the diagonals, summed over i >= r, gives C at
-    y = r dx and, summed over i < r, at y = (r - n) dx; the other offsets
-    follow from C(-y) = conj C(y)."""
+    """q(p) = <p|rho|p> = (1/pi hbar) Re int_0^inf C(y) e^{-i p y / hbar} dy
+    for the autocorrelation C(y) = int rho(x, x - y) dx, which relies on
+    rho being Hermitian (C(-y) = conj C(y); the solver's guard holds it
+    so): one FFT of C at y = k dx, k = 0 .. n-1, half weight at k = 0,
+    zero-padded to 4(2n - 1) points. Row r of the diagonals, summed over
+    i >= r, gives C at k = r; summed over i < r it gives C at k = r - n,
+    whose conjugate is C at n - r."""
     hbar = params.hbar
-    S = rho.diagonals
-    n = S.shape[1]
-    half = n // 2
+    n = len(rho.xi)
     dx = rho.scale * rho.dxi
-    ahead = np.arange(n) >= np.arange(half + 1)[:, None]
-    # C at lab offsets y = k * dx, k = -(n-1) .. n-1, held at k + n - 1
-    C = np.empty(2 * n - 1, dtype=complex)
-    C[n - 1:n + half] = np.where(ahead, S, 0.0).sum(axis=1)  # k = 0 .. half
-    C[:half] = np.where(ahead, 0.0, S)[1:].sum(axis=1)  # k = 1-n .. half-n
-    # k = half+1 .. n-1 and half+1-n .. -1
-    C[n + half:] = C[:n - 1 - half][::-1].conj()
-    C[half:n - 1] = C[n:2 * n - 1 - half][::-1].conj()
+    sums = np.cumsum(rho.diagonals, axis=1)  # row r summed over i' <= i
+    r = np.arange(1, n // 2 + 1)
+    behind = sums[r, r - 1]  # row r summed over i < r: C at k = r - n
+    C = np.empty(n, dtype=complex)  # C at y = k dx, k = 0 .. n-1
+    C[n - r] = behind.conj()
+    # the rows summed over i >= r; at even n this overwrites k = n/2, for
+    # which row n/2's i >= r part stands on both sides
+    C[:n // 2 + 1] = sums[:, -1]
+    C[r] -= behind
+    C[0] *= 0.5
     C *= rho.dxi  # sum over the diagonal becomes an integral (lab measure
     # s * dxi against lab density s^-1 * rho)
     m = (2 * n - 1) * 4
-    # q(p) = (1/2 pi hbar) int C(y) e^{-i p y / hbar} dy
-    y0 = -(n - 1) * dx
-    spec = np.fft.fft(C, n=m)
     p = 2.0 * math.pi * hbar * np.fft.fftfreq(m, d=dx)
-    q = np.real(np.exp(-1j * p * y0 / hbar) * spec) * dx / (2.0 * math.pi * hbar)
+    q = np.real(np.fft.fft(C, n=m)) * dx / (math.pi * hbar)
     return MomentumDistribution(p=np.fft.fftshift(p), q=np.fft.fftshift(q))
 
 
@@ -413,9 +409,8 @@ def langevin_sample(m: int, schedule: Schedule, params: SemiclassicalParams,
     at most 1e-6 of the quadratic form's variance to its tail, which is
     replaced by its exact mean; at the default dt and tau2 = 1, K = 32 of
     n = 1000."""
-    if isinstance(m, bool) or not (m >= 1 and float(m).is_integer()):
-        raise InvalidParameterError("need a whole number of samples >= 1")
-    m = int(m)
+    m = whole_number(m, 1, "need a whole number of samples >= 1")
+    seed = whole_number(seed, 0, f"seed {seed} must be a whole number >= 0")
     if not 0.0 < dt <= 1e-3:
         raise InvalidParameterError("dt must lie in (0, 1e-3] for this oracle")
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -39,6 +39,7 @@ from .core import (
     momentum_marginal,
     resample_distribution,
     standard_schedule,
+    whole_number,
 )
 from .errors import InvalidParameterError
 from .evolver import EvolverConfig, evolve
@@ -117,16 +118,20 @@ class RunConfig:
     def __post_init__(self):
         if not self.h_list:
             raise InvalidParameterError("h list must be nonempty")
-        GridSpec(n_u=self.n_u, n_v=self.n_v)  # at least 2 points per axis
+        grid = GridSpec(n_u=self.n_u, n_v=self.n_v)  # whole, >= 2 per axis
         if not (math.isfinite(self.tau2) and self.tau2 > 0):
             raise InvalidParameterError("tau2 must be positive and finite")
         if self.d_rule[0] not in ("exponent", "absolute"):
             raise InvalidParameterError("d_rule must be exponent or absolute")
-        if self.seed < 0:
-            raise InvalidParameterError(f"seed {self.seed} must be >= 0")
-        if self.substeps < 1:
-            raise InvalidParameterError(
-                f"substeps {self.substeps} must be >= 1")
+        seed = whole_number(self.seed, 0,
+                            f"seed {self.seed} must be >= 0 and whole")
+        substeps = whole_number(self.substeps, 1,
+                                f"substeps {self.substeps} must be >= 1 "
+                                "and whole")
+        # kept as ints, as the artifacts write them
+        for name, value in (("n_u", grid.n_u), ("n_v", grid.n_v),
+                            ("seed", seed), ("substeps", substeps)):
+            object.__setattr__(self, name, value)
         if self.figures and not self.out_dir:
             raise InvalidParameterError("--figures needs --out")
         for h in self.h_list:

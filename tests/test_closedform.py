@@ -443,6 +443,27 @@ class TestRangeGuards:
             warnings.simplefilter("error", RuntimeWarning)
             assert quantum_momentum_pdf(p, SCH.tau1, tau2, SCH.tau3, H) == 0.0
 
+    @pytest.mark.parametrize("density", [quantum_momentum_pdf,
+                                         classical_momentum_pdf])
+    @pytest.mark.parametrize("schedule, h", [
+        (standard_schedule(0.1), 0.1), (Schedule(0.4, 0.5, 1.2), H)],
+        ids=["standard", "general"])
+    def test_underflow_is_zero_far_out(self, density, schedule, h):
+        # scipy's Airy functions are NaN past arguments of about 1e6 and
+        # its Bessel functions past about 1e9, and zeta^(3/2) overflows
+        # past p = -1e210; exp() has long underflowed by then
+        p = np.array([1e5, -1e5, 1e7, -1e7, 1e300, -1e300])
+        args = (schedule.tau1, schedule.tau2, schedule.tau3, h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = density(p, *args)
+            assert np.array_equal(got, np.zeros_like(p))
+            for v in p:
+                assert density(v, *args) == 0.0
+        assert math.isnan(density(math.nan, *args))
+        assert np.isnan(density(np.array([math.nan, 0.0]), *args)).tolist() \
+            == [True, False]
+
     def test_classical_far_tail_fallback(self):
         # past |z| = 36, where the quadrature form of D_{-1/2} would overflow
         val = classical(45.0)

@@ -289,7 +289,9 @@ class TestInitialField:
         with pytest.raises(InvalidParameterError, match="at least 8"):
             initial_coherent_field(params, small)
 
-    @pytest.mark.parametrize("n_u, n_v", [(1, 1024), (512, 1), (0, 0)])
+    @pytest.mark.parametrize("n_u, n_v", [(1, 1024), (512, 1), (0, 0),
+                                          (256.5, 1024), (512, True),
+                                          (math.nan, 8), (8, math.inf)])
     def test_grid_below_two_points_per_axis(self, h, n_u, n_v):
         with pytest.raises(InvalidParameterError,
                            match=f"grid {n_u}x{n_v} needs at least 2 points"):

@@ -718,6 +718,18 @@ class TestLangevin:
             langevin_sample(100, Schedule(6.0, 1.0, 1.0),
                             SemiclassicalParams(hbar=0.1))
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, math.nan])
+    def test_bad_seed_rejected(self, seed):
+        # numpy would raise its own ValueError or TypeError
+        with pytest.raises(InvalidParameterError, match="whole number >= 0"):
+            langevin_sample(10, SCH, PARAMS0, seed=seed)
+
+    def test_integral_float_seed_is_an_int(self):
+        ens = langevin_sample(10, SCH, PARAMS0, seed=7.0)
+        ref = langevin_sample(10, SCH, PARAMS0, seed=7)
+        assert all(type(e.seed) is int and e.seed == 7 for e in ens)
+        assert np.array_equal(ens[3].p, ref[3].p)
+
     def test_non_integer_sample_count_rejected(self):
         # numpy's normal draw would raise its own TypeError on a fractional
         # or bool size

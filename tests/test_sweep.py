@@ -95,6 +95,30 @@ class TestRunConfig:
         with pytest.raises(InvalidParameterError, match="overflows"):
             RunConfig(d_rule=("exponent", (-1000.0,)))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_u", 256.5, "grid 256.5x1024 needs at least 2 points"),
+        ("n_v", True, "grid 512xTrue needs at least 2 points"),
+        ("n_u", math.nan, "at least 2 points"),
+        ("substeps", 2.5, "substeps 2.5 must be >= 1"),
+        ("substeps", True, "substeps True must be >= 1"),
+        ("substeps", math.inf, "substeps inf must be >= 1"),
+        ("seed", True, "seed True must be >= 0"),
+        ("seed", 2.5, "seed 2.5 must be >= 0"),
+        ("seed", math.nan, "seed nan must be >= 0")])
+    def test_whole_number_fields(self, field, value, message):
+        # a bool or a fraction would reach the evolver's array shapes or
+        # the artifacts
+        with pytest.raises(InvalidParameterError, match=message):
+            RunConfig(**{field: value})
+
+    def test_whole_number_fields_kept_as_int(self):
+        cfg = RunConfig(n_u=256.0, n_v=np.int64(512), substeps=200.0,
+                        seed=3.0)
+        for name, want in (("n_u", 256), ("n_v", 512), ("substeps", 200),
+                           ("seed", 3)):
+            value = getattr(cfg, name)
+            assert type(value) is int and value == want
+
     @pytest.mark.parametrize("h_list, d_rule", [
         ((0.2,), ("absolute", (0.0, 0.01))),  # D = 0 runs anyway
         ((0.2,), ("absolute", (0.01, 0.01))),
@@ -207,6 +231,27 @@ class TestRunConfig:
         monkeypatch.setattr(sweep, "constants", refuse)
         monkeypatch.setattr(closedform, "constants", refuse)
         assert artifacts(tmp_path / "patched") == want
+
+
+class TestHistogramWindow:
+    @pytest.mark.parametrize("tau2, n_v, bins, hi", [
+        (1.0, 1024, 111, 19.75), (2.0, 512, 203, 42.75)])
+    def test_window_holds_all_but_1e4(self, tau2, n_v, bins, hi):
+        # the --oracle Langevin histogram's window at h = 0.2 on the sweep's
+        # grid: its upper edge grows past 16 until at most 1e-4 of the
+        # evolver's classical marginal lies outside, and not a bin further
+        cfg = RunConfig(h_list=(0.2,), tau2=tau2, n_u=512, n_v=n_v)
+        sch, grid, params, evc = point_setup(0.2, 0.2 ** (4.0 / 3.0), cfg)
+        sp = momentum_marginal(evolver.evolve(
+            initial_coherent_field(params, grid, "classical"), sch, params,
+            evc).final)
+        assert sweep._histogram_window(sp) == (bins, -8.0, hi)
+        cell = sp.q * sp.dp
+
+        def outside(top):
+            return cell[sp.p < -8.0].sum() + cell[sp.p >= top].sum()
+
+        assert outside(hi) <= 1e-4 < outside(hi - 0.25)
 
 
 class TestRunPoint:
