@@ -20,7 +20,7 @@ finite points (quantum_momentum_pdf by Airy, classical_momentum_pdf by
 Bessel forms; fig2's windows do not hold the mass and use these) and one on
 uniform grids (_unit_pair, an inverse FFT of the characteristic function;
 _grid_pdfs in lab momentum for fig3 and the sweep's measured L1s).
-constants()' classical terms keep a Gamma-mass convolution until the stored
+constants()' classical terms keep their Gamma-mass sums until the stored
 reference constants are regenerated (ROADMAP Direction 6).
 """
 
@@ -71,8 +71,8 @@ def _scales(tau1: float, tau2: float, tau3: float, h: float):
 def quantum_momentum_pdf(p, tau1: float, tau2: float, tau3: float, h: float):
     """Final-time quantum momentum density _quantum_unit_curve(p/S, g) / S.
 
-    Accepts scalar or array p; finite at every finite p, and 0.0 where the
-    density underflows.
+    Accepts scalar or array p; finite at every finite p, 0.0 where the
+    density underflows and at p = +-inf, NaN at NaN.
     """
     S, g = _scales(tau1, tau2, tau3, h)
     arr = np.asarray(p, dtype=float)
@@ -94,8 +94,8 @@ def classical_momentum_pdf(p, tau1: float, tau2: float, tau3: float, h: float):
     with w = -z; in the second case the leftover exponent
     -P^2/2 + w^2/2 = 1/(8g^2) - P/(2g) is formed without cancellation.
     Where z^2/4 vanishes the limit D_{-1/2}(0) is used. Accepts scalar or
-    array p; finite at every finite p, and 0.0 where the density
-    underflows.
+    array p; finite at every finite p, 0.0 where the density underflows
+    and at p = +-inf, NaN at NaN.
     """
     S, g = _scales(tau1, tau2, tau3, h)
     arr = np.asarray(p, dtype=float)
@@ -118,33 +118,32 @@ def classical_momentum_pdf(p, tau1: float, tau2: float, tau3: float, h: float):
                     * (_ive(-0.25, x[left]) + _ive(0.25, x[left])))
     expo = np.where(z < 0, lead, -0.5 * P * P)
     out[live] = np.exp(expo) * scaled / (2.0 * math.sqrt(math.pi * g) * S)
-    if arr.ndim == 0:
-        return float(out[0])
-    return out
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def _classical_convolution(P: np.ndarray, g: float):
-    """Density of Z + g*Xi^2 and its second derivative on a uniform P grid.
-
-    Convolves exact per-cell masses of the Gamma(1/2, 2g) component with a
-    sampled standard normal kernel phi and with phi'' = (t^2 - 1) phi;
-    cell-midpoint error is O(dP^2).
-    """
-    n = len(P)
-    d = float(P[-1] - P[0]) / (n - 1)
-    s_max = 2.0 * g * 45.0  # Gamma tail below ~1e-9 of total mass
-    M = int(math.ceil(s_max / d))
-    edges = d * np.arange(M + 1)
-    masses = np.diff(_erf(np.sqrt(edges / (2.0 * g))))
-    # c(P_i) = sum_j mass_j * phi(P_i - s_j), s_j the cell centres; the
-    # indices line up as a linear convolution over the common spacing d.
-    t = P[0] - 0.5 * d + np.arange(-(M - 1), n) * d
-    phi = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-    # the valid part of each full linear convolution, by one rfft pair
-    m = sfft.next_fast_len(len(t) + M - 1, real=True)
-    spec = sfft.rfft(masses, m)
-    return tuple(sfft.irfft(sfft.rfft(kernel, m) * spec, m)[M - 1:M - 1 + n]
-                 for kernel in (phi, (t * t - 1.0) * phi))
+    """Density of Z + g*Xi^2 and its second derivative on a uniform P grid:
+    c(P_i) = sum_j mass_j phi(P_i - s_j) and the same with phi'', for exact
+    Gamma(1/2, 2g) cell masses at s_j = (j + 1/2) d below 90 g (the rest is
+    ~1e-9); the error is O(d^2). P_i - s_j = t0 + (i - j) d, t0 = P[0] - d/2,
+    so each is a length-m cyclic convolution, m so long that no periodic
+    image of phi reaches the grid.
+    By Poisson summation the DFT of phi on t0 + l d is exp(i w t0 - w^2/2) / d
+    at w = 2 pi q / (m d), times -w^2 for phi'', up to aliases below
+    exp(-pi^2 / (2 d^2)), so like _unit_pair it needs d < 0.3. phi(t) and
+    exp(-w^2/2) are 0.0 past sqrt(-2 _UNDERFLOW_CUT): those modes, and the
+    masses that far past P[-1], are dropped."""
+    d = float(P[-1] - P[0]) / (len(P) - 1)
+    reach = math.sqrt(-2.0 * _UNDERFLOW_CUT)
+    M = min(math.ceil(90.0 * g / d), math.ceil((P[-1] + reach) / d))
+    masses = np.diff(_erf(np.sqrt(d * np.arange(M + 1) / (2.0 * g))))
+    m = sfft.next_fast_len(
+        math.ceil((max(M * d - P[0], P[-1]) + reach) / d), real=True)
+    w = 2.0 * math.pi * sfft.rfftfreq(m, d)
+    w = w[w <= reach]
+    spec = (sfft.rfft(masses, m)[:len(w)]
+            * np.exp(1j * w * (P[0] - 0.5 * d) - 0.5 * w * w) / d)
+    return tuple(sfft.irfft(s, m)[:len(P)] for s in (spec, -w * w * spec))
 
 
 def _quantum_args(P: np.ndarray, g: float):
@@ -160,13 +159,13 @@ def _quantum_unit_curve(P: np.ndarray, g: float) -> np.ndarray:
     underflows while exp(expo) overflows, Ai is airye's scaled value and its
     scale exp(-(4/3) zeta^(3/2)) joins the exponent. airye is NaN for
     zeta < 0, and plain airy is faster, so it serves every other point.
-    Where the exponent is below _UNDERFLOW_CUT the density is 0.0."""
+    It is 0.0 at +-inf and where the exponent is below _UNDERFLOW_CUT."""
     amp = 2.0 ** (1.0 / 6.0) * math.sqrt(math.pi) / g ** (2.0 / 3.0)
     expo, zeta = _quantum_args(P, g)
-    far = zeta > _AIRY_CUT
     # past the Airy cut the exponent is tested divided by zeta, so that
     # zeta^(3/2) cannot overflow; NaN is evaluated
-    live = ~(expo <= _UNDERFLOW_CUT)
+    live = ~((expo <= _UNDERFLOW_CUT) | np.isinf(P))
+    far = live & (zeta > _AIRY_CUT)
     live[far] = ~(expo[far] / zeta[far] - (4.0 / 3.0) * np.sqrt(zeta[far])
                   <= _UNDERFLOW_CUT / zeta[far])
     out = np.zeros_like(P)
@@ -238,7 +237,8 @@ def constants(tau2: float = 1.0) -> BoundConstants:
     derivatives of the closed-form densities; c_bar and c0 compare the two
     densities in L1 and through the observable exp(-p^2). All are sums on
     one uniform grid, as the stored reference constants were made: q and q''
-    from _unit_pair cut to |zeta| <= 50, c and c'' by _classical_convolution.
+    from _unit_pair cut to |zeta| <= 50, c and c'' from one rfft of the Gamma
+    cell masses and two irfft (_classical_convolution).
     """
     if not (math.isfinite(tau2) and tau2 > 0):
         raise InvalidParameterError("tau2 must be positive and finite")

@@ -332,10 +332,14 @@ class TestClassicalConvolution:
     """constants()' classical terms: exact Gamma cell masses convolved with
     the normal density and its second derivative."""
 
-    @pytest.mark.parametrize("tau2", [0.5, 1.0])
-    def test_against_direct_sum(self, tau2):
+    # at tau2 = 4 and 10 (d = 0.127 and 0.302) the masses past
+    # P[-1] + sqrt(1492) are cut, and the reference keeps them all
+    @pytest.mark.parametrize("tau2, n", [(0.5, 1 << 10), (1.0, 1 << 10),
+                                         (4.0, 1 << 11), (10.0, 1 << 11)],
+                             ids=["0.5", "1.0", "4.0", "10.0"])
+    def test_against_direct_sum(self, tau2, n):
         from scipy.special import erf
-        p = closedform._standard_grid(tau2, n=1 << 10)
+        p = closedform._standard_grid(tau2, n=n)
         c, c2 = closedform._classical_convolution(p, tau2)
         d = (p[-1] - p[0]) / (len(p) - 1)
         edges = d * np.arange(math.ceil(90.0 * tau2 / d) + 1)
@@ -345,6 +349,16 @@ class TestClassicalConvolution:
         for got, kernel in ((c, phi), (c2, (t * t - 1.0) * phi)):
             ref = kernel @ masses
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_one_rfft_and_two_irfft(self, monkeypatch):
+        calls = []
+        for name in ("rfft", "irfft"):
+            f = getattr(closedform.sfft, name)
+            monkeypatch.setattr(closedform.sfft, name,
+                                lambda *a, f=f, name=name, **k:
+                                calls.append(name) or f(*a, **k))
+        closedform._classical_convolution(closedform._standard_grid(1.0), 1.0)
+        assert sorted(calls) == ["irfft", "irfft", "rfft"]
 
 
 class TestDuhamelBound:
@@ -451,8 +465,10 @@ class TestRangeGuards:
     def test_underflow_is_zero_far_out(self, density, schedule, h):
         # scipy's Airy functions are NaN past arguments of about 1e6 and
         # its Bessel functions past about 1e9, and zeta^(3/2) overflows
-        # past p = -1e210; exp() has long underflowed by then
-        p = np.array([1e5, -1e5, 1e7, -1e7, 1e300, -1e300])
+        # past p = -1e210; exp() has long underflowed by then, and at
+        # +-inf the density is 0.0 too
+        p = np.array([1e5, -1e5, 1e7, -1e7, 1e300, -1e300, math.inf,
+                      -math.inf])
         args = (schedule.tau1, schedule.tau2, schedule.tau3, h)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -460,9 +476,9 @@ class TestRangeGuards:
             assert np.array_equal(got, np.zeros_like(p))
             for v in p:
                 assert density(v, *args) == 0.0
-        assert math.isnan(density(math.nan, *args))
-        assert np.isnan(density(np.array([math.nan, 0.0]), *args)).tolist() \
-            == [True, False]
+            assert math.isnan(density(math.nan, *args))
+            assert np.isnan(density(np.array([math.nan, 0.0, -math.inf]),
+                                    *args)).tolist() == [True, False, False]
 
     def test_classical_far_tail_fallback(self):
         # past |z| = 36, where the quadrature form of D_{-1/2} would overflow
