@@ -70,7 +70,7 @@ _OPTIONS = {
                       "stretch-window diffusion integrals (the kick window "
                       "is exact)"),
     "out": (str, "output directory for artifacts"),
-    "seed": (int, "seed recorded in outputs"),
+    "seed": (int, "seed of --oracle's Langevin sampler, recorded in outputs"),
     "oracle": (_switch, "also run the oracle cross-checks"),
     "figures": (_switch, "emit fig2.svg / fig3.svg"),
 }

@@ -19,7 +19,7 @@ Both densities are evaluated in (P = p/S, g), each by one evaluator at any
 finite points (quantum_momentum_pdf by Airy, classical_momentum_pdf by
 Bessel forms; fig2's windows do not hold the mass and use these) and one on
 uniform grids (_unit_pair, an inverse FFT of the characteristic function;
-_grid_pdfs in lab momentum for fig3 and the sweep's measured L1s).
+_grid_pdfs in lab momentum for the sweep's L1s and fig3 on _standard_grid).
 constants()' classical terms keep their Gamma-mass sums until the stored
 reference constants are regenerated (ROADMAP Direction 6).
 """
@@ -76,7 +76,8 @@ def quantum_momentum_pdf(p, tau1: float, tau2: float, tau3: float, h: float):
     """
     S, g = _scales(tau1, tau2, tau3, h)
     arr = np.asarray(p, dtype=float)
-    out = _quantum_unit_curve(np.atleast_1d(arr) / S, g) / S
+    with np.errstate(over="ignore"):  # P, expo and zeta may overflow to inf
+        out = _quantum_unit_curve(np.atleast_1d(arr) / S, g) / S
     return float(out[0]) if arr.ndim == 0 else out
 
 
@@ -99,9 +100,10 @@ def classical_momentum_pdf(p, tau1: float, tau2: float, tau3: float, h: float):
     """
     S, g = _scales(tau1, tau2, tau3, h)
     arr = np.asarray(p, dtype=float)
-    P = np.atleast_1d(arr) / S
-    z = 1.0 / (2.0 * g) - P
-    lead = 1.0 / (8.0 * g * g) - P / (2.0 * g)
+    with np.errstate(over="ignore"):  # +-inf past the float range
+        P = np.atleast_1d(arr) / S
+        z = 1.0 / (2.0 * g) - P
+        lead = 1.0 / (8.0 * g * g) - P / (2.0 * g)
     # the exponent is lead where z < 0, else -P^2/2, which is tested
     # through |P| so that it cannot overflow; NaN is evaluated
     live = ~np.where(z < 0, lead <= _UNDERFLOW_CUT,
@@ -159,12 +161,12 @@ def _quantum_unit_curve(P: np.ndarray, g: float) -> np.ndarray:
     underflows while exp(expo) overflows, Ai is airye's scaled value and its
     scale exp(-(4/3) zeta^(3/2)) joins the exponent. airye is NaN for
     zeta < 0, and plain airy is faster, so it serves every other point.
-    It is 0.0 at +-inf and where the exponent is below _UNDERFLOW_CUT."""
+    It is 0.0 where the exponent is below _UNDERFLOW_CUT or infinite."""
     amp = 2.0 ** (1.0 / 6.0) * math.sqrt(math.pi) / g ** (2.0 / 3.0)
     expo, zeta = _quantum_args(P, g)
-    # past the Airy cut the exponent is tested divided by zeta, so that
-    # zeta^(3/2) cannot overflow; NaN is evaluated
-    live = ~((expo <= _UNDERFLOW_CUT) | np.isinf(P))
+    # +inf: -6P past the float range (Ai^2 underflowed); past the Airy cut the
+    # exponent is tested over zeta, lest zeta^(3/2) overflow; NaN is evaluated
+    live = ~((expo <= _UNDERFLOW_CUT) | np.isinf(expo))
     far = live & (zeta > _AIRY_CUT)
     live[far] = ~(expo[far] / zeta[far] - (4.0 / 3.0) * np.sqrt(zeta[far])
                   <= _UNDERFLOW_CUT / zeta[far])
@@ -335,11 +337,8 @@ def duhamel_bound(side: str, h: float, D: float, schedule: Schedule) -> float:
     if is_standard_schedule(schedule, h):
         C = k.C_qu if side == "quantum" else k.C_cl
         return C * (1.0 + math.log(1.0 / h)) * D / h ** (4.0 / 3.0)
-    t2 = schedule.tau2 * schedule.tau2
     early = (schedule.tau1 + schedule.tau2) * D * math.exp(2 * schedule.tau1) / h
     late = schedule.tau3 * D * math.exp(2 * schedule.tau3)
     if side == "quantum":
         return k.C1 * early + k.C2 * late
-    pref = (k.C3 * (1.0 + 4.0 * t2) / (1.0 + 2.0 * t2)
-            + k.C4 * schedule.tau2 / math.sqrt(1.0 + 2.0 * t2))
-    return pref * early + 0.5 * k.C5 * late
+    return (k.C_cl - 0.5 * k.C5) * early + 0.5 * k.C5 * late

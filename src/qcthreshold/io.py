@@ -7,8 +7,6 @@ table, and the two-column (p, density) marginals all go through it.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .core import MomentumDistribution
@@ -36,7 +34,5 @@ def write_marginal_csv(path, dist: MomentumDistribution) -> None:
 
 
 def read_marginal_csv(path) -> MomentumDistribution:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    data = np.array([[float(a), float(b)] for a, b in rows[1:]])
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return MomentumDistribution(p=data[:, 0], q=data[:, 1])

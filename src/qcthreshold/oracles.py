@@ -315,10 +315,6 @@ class TrajectoryEnsemble:
     p: np.ndarray
     seed: int
 
-    @property
-    def count(self) -> int:
-        return len(self.x)
-
 
 #: Largest share of var(xi^T M xi) that the kick window's draw may leave
 #: to the mean of its tail; see _kick_window_law.

@@ -6,7 +6,8 @@ it, measures the final momentum distributions, and records the observable
 discrepancy, the L1 distance, and the analytic error bounds. The points
 run on threads of one process; their FFTs and loops release the GIL.
 cross_validate checks the independent solvers in oracles against the
-closed form and the spectral evolver on the sweep's own setup.
+closed form and the spectral evolver on the sweep's own setup. fig3 sums
+the closed forms on closedform's _standard_grid, as constants() does.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from . import __version__, oracles
 from .closedform import (
     _grid_pdfs,
+    _standard_grid,
     classical_momentum_pdf,
     constants,
     duhamel_bound,
@@ -215,12 +217,12 @@ def run_experiment(config: RunConfig, max_workers: int = None):
     """Run every sweep point, on up to ``max_workers`` threads (default
     min(4, CPUs, points)), write artifacts if an output directory is set,
     and return the records sorted by (h, D)."""
-    # the per-run memory estimate against 4 GiB, in float64 entries: 16 per
-    # cell of the largest grid (a handful of complex working copies) and 16
-    # node tables of the longest stretch window (Schedule.stretch: 16 nodes
-    # in each of ceil(substeps tau3) panels, tau3 longest at the least h).
-    # substeps is compared by division, so no value of it overflows a float
-    room = (4 << 30) // (16 * 8) - config.n_u * (2 * config.n_v)
+    # the 4 GiB per-run memory estimate, in float64 entries: 16 per cell of
+    # the points' largest grid (complex working copies) and 16 Schedule.stretch
+    # tables of ceil(substeps tau3) x 16 nodes, tau3 longest at the least h.
+    # substeps is only divided, so that no value of it overflows a float
+    grids = [_grid_for(h, D, config) for h, D, _ in config.points()]
+    room = (4 << 30) // (16 * 8) - max(g.n_u * g.n_v for g in grids)
     tau3 = _schedule_for(min(config.h_list), config.tau2).tau3
     if room < 0 or config.substeps > room // 16 / tau3:
         raise InvalidParameterError(
@@ -330,9 +332,8 @@ def write_bounds_csv(path, records) -> None:
 
 def observable_table(tau2: float = 1.0):
     """<g_n> under the two closed-form densities for n = 0 .. 8, with
-    g_n = p^n exp(-p^2) taken as a running product."""
-    sigma = math.sqrt(1.0 + 2.0 * tau2 * tau2)
-    p = np.linspace(-10.0 - 2 * sigma, 40.0 * tau2 + 12.0 * sigma, 1 << 14)
+    g_n = p^n exp(-p^2) taken as a running product, on _standard_grid."""
+    p = _standard_grid(tau2, 1 << 14)
     sch = _schedule_for(_H_REF, tau2)
     q, c = _grid_pdfs(p, sch.tau1, sch.tau2, sch.tau3, _H_REF)
     g, dp = np.exp(-p * p), float(p[1] - p[0])

@@ -465,9 +465,11 @@ class TestRangeGuards:
     def test_underflow_is_zero_far_out(self, density, schedule, h):
         # scipy's Airy functions are NaN past arguments of about 1e6 and
         # its Bessel functions past about 1e9, and zeta^(3/2) overflows
-        # past p = -1e210; exp() has long underflowed by then, and at
-        # +-inf the density is 0.0 too
-        p = np.array([1e5, -1e5, 1e7, -1e7, 1e300, -1e300, math.inf,
+        # past p = -1e210; exp() has long underflowed by then. Near the
+        # float range p / S and the Airy arguments overflow to +-inf, and
+        # at +-inf the density is 0.0 too
+        p = np.array([1e5, -1e5, 1e7, -1e7, 1e300, -1e300, 3e307, -3e307,
+                      1e308, -1e308, 1.7e308, -1.7e308, math.inf,
                       -math.inf])
         args = (schedule.tau1, schedule.tau2, schedule.tau3, h)
         with warnings.catch_warnings():

@@ -738,6 +738,6 @@ class TestLangevin:
                                match="whole number of samples"):
                 langevin_sample(m, SCH, PARAMS0)
         ens = langevin_sample(3.0, SCH, PARAMS0, seed=1)
-        assert [e.count for e in ens] == [3] * 4
+        assert [len(e.x) for e in ens] == [3] * 4
         np.testing.assert_array_equal(
             ens[3].p, langevin_sample(3, SCH, PARAMS0, seed=1)[3].p)
