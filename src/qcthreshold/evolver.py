@@ -6,10 +6,11 @@ grid operation is a Fourier or diagonal multiplier, and every window is
 taken in one step. Each window hands the next its output's (u, k_v)
 spectrum, so no spectrum is transformed twice, and every 2-D multiplier is
 built from 1-D factors. Each checkpoint's guard (_check_field) runs once
-per distinct values array: a checkpoint whose array the window left
-unchanged keeps the previous readings. Its position-tail reading comes
-from the (k_u, k_v) spectrum that window 1 or 3 forms of its input or
-output; at D = 0 they take that transform along u for the reading alone:
+per distinct values array, in one pass over cache-sized row blocks: a
+checkpoint whose array the window left unchanged keeps the previous
+readings. Its position-tail reading comes from the (k_u, k_v) spectrum
+that window 1 or 3 forms of its input or output; at D = 0 they take that
+transform along u for the reading alone:
 
   windows 1 and 3:  log-scale move and time-integrated lab diffusion
                     coefficients from Schedule.stretch (exact per window,
@@ -41,7 +42,9 @@ window 1 at D > 0 its fresh rfft, and otherwise a copy of the (u, k_v)
 spectrum, since at D = 0 that spectrum is passed on unchanged and
 window 3's input is the kicked spectrum from which the t2 Wigner field
 is phased next. Window 2 at D > 0 runs every step in place on a view of
-its kept columns, which are a prefix of the k_v axis.
+its kept columns, which are a prefix of the k_v axis, and sets the rest
+to zero; window 3 and both Moyal phases then take only the kept columns
+(all of them at D = 0), and each irfft zero-pads the rest.
 
 The Wigner-Moyal equation adds one term to the classical Fokker-Planck
 one, (h^2/3) chi_2(t) d^3/dp^3 (the Hamiltonian is cubic, the Lindblad
@@ -95,6 +98,9 @@ _MAX_TERMS = 200
 #: reach on the grid before it counts as growing.
 _MAX_PIECES = 64
 _GROWTH_TOL = 1e-12
+#: Entries per row block of _check_field's pass over a field (512 KiB of
+#: float64, so a block stays in a core's L2 cache for its three reductions).
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -152,8 +158,10 @@ def _moyal(field: PhaseSpaceField, spec: np.ndarray, schedule: Schedule,
     """The Wigner field at t2 or later whose classical counterpart is field:
     its (u, k_v) spectrum spec times exp(-i (h^2/3) tau2 k^3) in place,
     tau2 window 2's bump integral and k = k_v e^(a2) the lab wavenumber
-    at t2. Window 3 only shifts the frame and damps each k_v."""
-    k = _rk_axis(len(field.v), field.dv) * math.exp(a2)
+    at t2. Window 3 only shifts the frame and damps each k_v. spec may
+    hold only the first columns of the k_v axis; the irfft zero-pads the
+    rest."""
+    k = _rk_axis(len(field.v), field.dv)[:spec.shape[1]] * math.exp(a2)
     spec *= np.exp(-1j * (params.h ** 2 / 3.0) * schedule.tau2 * k ** 3)
     return replace(field, kind="wigner",
                    values=np.fft.irfft(spec, n=len(field.v), axis=1))
@@ -166,8 +174,12 @@ def _integrated_diffusion(field: PhaseSpaceField, params: SemiclassicalParams,
     and e^(+2a(t)). Returns the field, its (u, k_v) spectrum and the
     position-tail readings (_u_tail) of the input's and the output's
     (k_u, k_v) spectra; spec, the input's if carried, saves the rfft along
-    v and is left unchanged. At D = 0 the field and its (u, k_v) spectrum
-    are returned as they are, and the one reading serves both.
+    v and is left unchanged. A carried spec may hold only the first K
+    columns of the k_v axis, the rest being zero (window 3 at D > 0 gets
+    window 2's kept columns): every step then reads only those K, the
+    output spectrum is K wide too, and the irfft zero-pads the rest. At
+    D = 0 the field and its (u, k_v) spectrum are returned as they are,
+    and the one reading serves both.
 
     Every transform along u runs in place: on the fresh rfft at D > 0,
     and otherwise on a copy, since the caller still reads a carried spec
@@ -186,11 +198,16 @@ def _integrated_diffusion(field: PhaseSpaceField, params: SemiclassicalParams,
     mags = np.abs(k)
     u_in = _u_tail(mags)
     k *= np.exp(c * I_u * _k_axis(len(field.u), field.du) ** 2)[:, None]
-    k *= np.exp(c * I_v * _rk_axis(len(field.v), field.dv) ** 2)
+    k *= np.exp(c * I_v * _rk_axis(len(field.v), field.dv)[:k.shape[1]] ** 2)
     u_out = _u_tail(np.abs(k, out=mags))
     np.fft.ifft(k, axis=0, out=k)
     values = np.fft.irfft(k, n=len(field.v), axis=1)
     return replace(field, values=values), k, (u_in, u_out)
+
+
+def _abs_sum(*parts: np.ndarray) -> float:
+    """Sum of |values| over the given slices of a field."""
+    return float(sum(np.abs(part).sum() for part in parts))
 
 
 def _check_field(field: PhaseSpaceField, mass0: float, label: str,
@@ -199,13 +216,28 @@ def _check_field(field: PhaseSpaceField, mass0: float, label: str,
     the position-tail reading that the window next to the checkpoint took
     from the field's (k_u, k_v) spectrum; mass, min and the edge and corner
     shares read only the values array and the grid spacings, so a field
-    whose array a window left unchanged keeps its readings (_guard)."""
-    mass, low = field.mass(), float(field.values.min())
-    a, cell = np.abs(field.values), field.du * field.dv
-    total = max(a.sum() * cell, 1e-300)
-    corner = float((a[:4, :4].sum() + a[:4, -4:].sum() + a[-4:, :4].sum()
-                    + a[-4:, -4:].sum()) * cell / total)
-    v_edge = float((a[:, 0].sum() + a[:, -1].sum()) * cell / total)
+    whose array a window left unchanged keeps its readings (_guard).
+
+    Mass, min and the |values| total are read in one pass over row blocks
+    of about _BLOCK entries, each block's three reductions taken while it
+    is in cache and its block sums added in order; |values| is formed per
+    block in one reused buffer, and the edge and corner shares take it of
+    only the slices they read. A NaN anywhere makes the mass NaN, which
+    is the first check to raise."""
+    values, cell = field.values, field.du * field.dv
+    rows = max(1, _BLOCK // values.shape[1])
+    buf = np.empty((min(rows, len(values)), values.shape[1]))
+    mass, low, total = 0.0, math.inf, 0.0
+    for i in range(0, len(values), rows):
+        block = values[i:i + rows]
+        mass += float(block.sum())
+        low = min(low, float(block.min()))
+        total += float(np.abs(block, out=buf[:len(block)]).sum())
+    mass = mass * field.du * field.dv  # as PhaseSpaceField.mass
+    total = max(total * cell, 1e-300)
+    corner = _abs_sum(values[:4, :4], values[:4, -4:], values[-4:, :4],
+                      values[-4:, -4:]) * cell / total
+    v_edge = _abs_sum(values[:, 0], values[:, -1]) * cell / total
     if not abs(mass - mass0) <= 1e-4:
         raise SolverFailureError(f"mass drifted to {mass} at {label}")
     if not u_tail <= _U_TAIL_TOL:
@@ -222,7 +254,7 @@ def _check_field(field: PhaseSpaceField, mass0: float, label: str,
             f"momentum-edge mass {v_edge:.2e} at {label}: "
             "the momentum extent is too small for this run")
     return {"mass": mass, "min": low, "u_tail": u_tail, "v_edge": v_edge,
-            "u_edge": float((a[0, :].sum() + a[-1, :].sum()) * cell / total),
+            "u_edge": _abs_sum(values[0], values[-1]) * cell / total,
             "corner": corner}
 
 
@@ -423,6 +455,9 @@ def evolve(field: PhaseSpaceField, schedule: Schedule,
 
     t2, spec, window = _kick_window(replace(t1, kind="classical"),
                                     schedule, params, spec)
+    # past the kept columns (all of them at D = 0) the spectrum is zero:
+    # window 3 and the Moyal phase read only the kept ones
+    spec = spec[:, :window["kept_columns"]]
     t3, s3, tails = _stretch_window(t2, schedule, 3, params, config, spec)
     # The momentum marginal is insensitive to position-direction wraparound,
     # which large-D runs incur late in window 3; only the corners and the

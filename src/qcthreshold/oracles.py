@@ -33,7 +33,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .core import (_PANELS, MomentumDistribution, Schedule,
                    SemiclassicalParams, cumulative_integral, lobatto_nodes,
@@ -348,6 +347,9 @@ def _kick_window_law(c: np.ndarray):
     O(n) matvec and starts from a fixed vector, and each eigenvector's
     largest entry is made positive, so that a seed repeats exactly.
     """
+    # imported here, so that only the Langevin oracle loads scipy.sparse
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     n = len(c)
     j = np.arange(n)
     T = _tail_sums(c)

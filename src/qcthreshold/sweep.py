@@ -215,13 +215,15 @@ def run_point(h: float, D: float, exponent: float,
 
 def run_experiment(config: RunConfig, max_workers: int = None):
     """Run every sweep point, on up to ``max_workers`` threads (default
-    min(4, CPUs, points)), write artifacts if an output directory is set,
-    and return the records sorted by (h, D)."""
+    min(4, CPUs, points)), largest grid first and then larger D first,
+    write artifacts if an output directory is set, and return the records
+    sorted by (h, D)."""
     # the 4 GiB per-run memory estimate, in float64 entries: 16 per cell of
     # the points' largest grid (complex working copies) and 16 Schedule.stretch
     # tables of ceil(substeps tau3) x 16 nodes, tau3 longest at the least h.
     # substeps is only divided, so that no value of it overflows a float
-    grids = [_grid_for(h, D, config) for h, D, _ in config.points()]
+    pts = config.points()
+    grids = [_grid_for(h, D, config) for h, D, _ in pts]
     room = (4 << 30) // (16 * 8) - max(g.n_u * g.n_v for g in grids)
     tau3 = _schedule_for(min(config.h_list), config.tau2).tau3
     if room < 0 or config.substeps > room // 16 / tau3:
@@ -230,7 +232,11 @@ def run_experiment(config: RunConfig, max_workers: int = None):
             "per unit: per-run memory estimate exceeds 4 GiB")
     if config.out_dir:  # an unusable output path fails before any point
         os.makedirs(config.out_dir, exist_ok=True)
-    points = [(h, D, e, config) for h, D, e in config.points()]
+    # largest grid first, then larger D first: the longest points start
+    # first, so that none of them is left to run alone at the end
+    order = sorted(range(len(pts)),
+                   key=lambda i: (-grids[i].n_u * grids[i].n_v, -pts[i][1]))
+    points = [(*pts[i], config) for i in order]
     if max_workers is None:
         max_workers = min(4, os.cpu_count() or 1, len(points))
     if any(D > 0 for _, D, _, _ in points):

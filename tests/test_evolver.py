@@ -664,6 +664,51 @@ class TestFactoredMultipliers:
             == c.diagnostics["t2"]["kick_substeps"]
 
 
+    @pytest.mark.parametrize("n_u, exponent", [
+        (512, 1.0), (512, 4.0 / 3.0), (512, 2.0), (255, 4.0 / 3.0),
+        (255, 2.0)])
+    def test_window3_and_moyal_read_kept_columns(self, monkeypatch, n_u,
+                                                  exponent):
+        # evolve hands window 3 and the Moyal phase only the K kept columns
+        # of the kicked spectrum: its t3, final and t3 Wigner fields are
+        # theirs on the full, zero-padded spectrum of _kick_window, bit for
+        # bit, and window 3's output spectrum is the first K columns of
+        # theirs, whose other columns are zero. h = 0.1 on the sweep's
+        # grids, D = h on the wide 512x2048 one
+        h = 0.1
+        sch, grid, params, evc = point_setup(
+            h, h ** exponent, RunConfig(h_list=(h,), n_u=n_u))
+        field = initial_coherent_field(params, grid, "classical")
+        t1, spec, _ = _stretch_window(field, sch, 1, params, evc)
+        t2, spec, window = _kick_window(t1, sch, params, spec)
+        K = window["kept_columns"]
+        assert K < spec.shape[1]
+        t3, s3, _ = _stretch_window(t2, sch, 3, params, evc, spec)
+        assert s3.shape == spec.shape and not s3[:, K:].any()
+        want_s3 = s3.copy()  # _moyal phases s3 in place
+        w3 = _moyal(t3, s3, sch, params, t2.a)
+
+        spectra, widths = [], []
+
+        def diffusion(*args):
+            out = _integrated_diffusion(*args)
+            spectra.append(out[1].copy())  # before _moyal phases it
+            return out
+
+        def moyal(field, spec, *args):
+            widths.append(spec.shape[1])
+            return _moyal(field, spec, *args)
+
+        monkeypatch.setattr(evolver, "_integrated_diffusion", diffusion)
+        monkeypatch.setattr(evolver, "_moyal", moyal)
+        res = evolve(field, sch, params, evc)
+        assert widths == [K, K]
+        np.testing.assert_array_equal(spectra[1], want_s3[:, :K])
+        for got, want in ((res.checkpoints[3], t3), (res.final, t3),
+                          (res.wigner, w3)):
+            np.testing.assert_array_equal(got.values, want.values)
+
+
 class TestSpectrumOwnership:
     # the transforms along u run in place, so a spectrum that is still
     # read after a window must come through it unchanged
@@ -848,35 +893,62 @@ class TestGuards:
                            match="classical density reached -0.001 at t1"):
             evolver._check_field(bad, 1.0, "t1", _folded_u_tail(values))
 
-    def test_readings_match_their_formulas(self, coherent_128):
+    @staticmethod
+    def _planted_readings(field, block):
         # mass planted in one corner block, on both v edges (clear of the
-        # corner blocks) and on one u edge, each share below its limit; the
-        # six readings are the formulas below, bit for bit
-        values = coherent_128.values.copy()
+        # corner blocks) and on one u edge, each share below its limit:
+        # the planted values, _check_field's readings, and the formulas
+        # below with mass, min and the |values| total added row block by
+        # row block
+        values = field.values.copy()
         values[:4, -4:] += 1e-10
         values[4:-4, 0] += 1e-7
         values[4:-4, -1] += 2e-7
         values[-1, 4:-4] += 1e-5
-        field = replace(coherent_128, values=values)
+        field = replace(field, values=values)
         u_tail = _folded_u_tail(values)
         got = evolver._check_field(field, 1.0, "t1", u_tail)
         du, dv = field.du, field.dv
         cell = du * dv
-        a = np.abs(values)
-        total = a.sum() * cell
-        assert got == {
-            "mass": float(values.sum() * du * dv),
-            "min": float(values.min()),
+        rows = block // values.shape[1]
+        blocks = [values[i:i + rows] for i in range(0, len(values), rows)]
+        total = sum(float(np.abs(b).sum()) for b in blocks) * cell
+
+        def share(*parts):
+            return float(sum(np.abs(p).sum() for p in parts) * cell / total)
+
+        return values, got, {
+            "mass": sum(float(b.sum()) for b in blocks) * du * dv,
+            "min": min(float(b.min()) for b in blocks),
             "u_tail": u_tail,
-            "v_edge": float((a[:, 0].sum() + a[:, -1].sum()) * cell / total),
-            "u_edge": float((a[0, :].sum() + a[-1, :].sum()) * cell / total),
-            "corner": float((a[:4, :4].sum() + a[:4, -4:].sum()
-                             + a[-4:, :4].sum() + a[-4:, -4:].sum())
-                            * cell / total),
+            "v_edge": share(values[:, 0], values[:, -1]),
+            "u_edge": share(values[0], values[-1]),
+            "corner": share(values[:4, :4], values[:4, -4:],
+                            values[-4:, :4], values[-4:, -4:]),
         }
+
+    def test_readings_match_their_formulas(self, coherent_128):
+        # the six readings are the formulas, bit for bit; the 128 rows are
+        # one row block of _BLOCK entries
+        _, got, want = self._planted_readings(coherent_128, evolver._BLOCK)
+        assert got == want
         assert 1e-11 < got["corner"] < _EDGE_TOL
         assert 1e-7 < got["v_edge"] < _V_EDGE_TOL
         assert got["u_edge"] > 1e-5
+
+    def test_readings_add_row_blocks_in_order(self, monkeypatch,
+                                              coherent_128):
+        # with blocks of 20 rows the 128 rows are six full blocks and a
+        # last of 8. Under uniform noise below 1e-12 (seed 2) the blocked
+        # mass differs in its last bits from the whole-array sum, and the
+        # readings are the blocked ones
+        monkeypatch.setattr(evolver, "_BLOCK", 20 * 128)
+        noise = np.random.default_rng(2).uniform(0.0, 1e-12,
+                                                 coherent_128.values.shape)
+        field = replace(coherent_128, values=coherent_128.values + noise)
+        values, got, want = self._planted_readings(field, 20 * 128)
+        assert got == want
+        assert got["mass"] != float(values.sum() * field.du * field.dv)
 
     def test_negativity_guard_spares_wigner(self, coherent_128):
         # a cell just below -1e-6 is a fault in a classical density and a
@@ -890,6 +962,69 @@ class TestGuards:
                                  "t2", u_tail)
         wigner = replace(coherent_128, values=values, kind="wigner")
         assert evolver._check_field(wigner, 1.0, "t2", u_tail)["min"] == -2e-6
+
+    @pytest.fixture
+    def coherent_255(self):
+        # 255 rows of 1024 entries: row blocks of 64 rows, the last of 63
+        h = 0.1
+        field = initial_coherent_field(SemiclassicalParams(hbar=2 * h),
+                                       GridSpec.for_h(h, n_u=255, n_v=1024),
+                                       "classical")
+        rows = evolver._BLOCK // 1024
+        assert (rows, len(field.values) % rows) == (64, 63)
+        return field
+
+    def test_nan_in_last_block_fires_mass_guard(self, coherent_255):
+        values = coherent_255.values.copy()
+        values[250, 512] = np.nan
+        with pytest.raises(SolverFailureError, match="mass drifted to nan"):
+            evolver._check_field(replace(coherent_255, values=values), 1.0,
+                                 "t2", _folded_u_tail(coherent_255.values))
+
+    def test_min_in_last_partial_block(self, coherent_255):
+        # a cell far out in u and v, in the last block of 63 rows: its
+        # value is the min reading, and below -1e-6 it fires the
+        # negativity guard
+        values = coherent_255.values.copy()
+        values[250, 900] = -5e-7
+        u_tail = _folded_u_tail(values)
+        got = evolver._check_field(replace(coherent_255, values=values), 1.0,
+                                   "t2", u_tail)
+        assert got["min"] == -5e-7
+        values[250, 900] = -2e-6
+        with pytest.raises(SolverFailureError,
+                           match="classical density reached -2e-06 at t2"):
+            evolver._check_field(replace(coherent_255, values=values), 1.0,
+                                 "t2", _folded_u_tail(values))
+
+    @pytest.mark.parametrize("n_u", [255, 512])
+    def test_blocked_readings_match_whole_array_formulas(self, n_u):
+        # the blocked sums against the whole-array ones, to 1e-15 relative,
+        # on a field with mass planted on its edges and in a corner
+        h = 0.1
+        field = initial_coherent_field(SemiclassicalParams(hbar=2 * h),
+                                       GridSpec.for_h(h, n_u=n_u, n_v=1024),
+                                       "classical")
+        values = field.values.copy()
+        values[:4, -4:] += 1e-10
+        values[4:-4, 0] += 1e-7
+        values[-1, 4:-4] += 1e-5
+        field = replace(field, values=values)
+        got = evolver._check_field(field, 1.0, "t1", 0.0)
+        cell = field.du * field.dv
+        a = np.abs(values)
+        total = a.sum() * cell
+        want = {
+            "mass": float(values.sum() * field.du * field.dv),
+            "min": float(values.min()),
+            "v_edge": float((a[:, 0].sum() + a[:, -1].sum()) * cell / total),
+            "u_edge": float((a[0, :].sum() + a[-1, :].sum()) * cell / total),
+            "corner": float((a[:4, :4].sum() + a[:4, -4:].sum()
+                             + a[-4:, :4].sum() + a[-4:, -4:].sum())
+                            * cell / total),
+        }
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-15 * abs(value), key
 
     def test_undersized_momentum_extent_raises(self):
         # the kicked density needs lab momenta far beyond 16 sqrt(h); a

@@ -24,10 +24,12 @@ def test_all_names_resolve(module):
     assert not missing, f"qcthreshold.{module}.__all__ names {missing}"
 
 
-@pytest.mark.parametrize("module", ["scipy.signal", "scipy.interpolate"])
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.interpolate",
+                                    "scipy.sparse"])
 def test_import_skips_scipy_signal(module):
     # scipy.signal is about 0.5 s of import time and scipy.interpolate
-    # 35 ms, and no module uses either
+    # 35 ms, and no module uses either; scipy.sparse serves only the
+    # Langevin oracle, which imports it on first use
     src = str(Path(qcthreshold.__file__).resolve().parents[1])
     code = ("import sys, qcthreshold.cli, qcthreshold.oracles; "
             f"print({module!r} in sys.modules)")

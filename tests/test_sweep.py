@@ -191,6 +191,28 @@ class TestRunConfig:
         assert points and me not in points
         assert misses == [me]
 
+    def test_pool_takes_largest_grid_first(self, monkeypatch, tmp_path):
+        # the diffusive-shaped sweep on one thread: the wide 512x2048 D = h
+        # point runs first, then D falls, so D = 0 runs last; the records
+        # and records.csv stay sorted by (h, D)
+        calls = []
+
+        def recorded(h, D, exponent, config):
+            calls.append((h, D))
+            return run_point(h, D, exponent, config)
+
+        monkeypatch.setattr(sweep, "run_point", recorded)
+        h = 0.1
+        cfg = RunConfig(h_list=(h,), d_rule=("exponent", (1.0, 1.3333, 2.0)),
+                        out_dir=str(tmp_path))
+        records = run_experiment(cfg, max_workers=1)
+        assert calls == [(h, h), (h, h ** 1.3333), (h, h ** 2.0), (h, 0.0)]
+        assert records[-1].grid == "512x2048"
+        assert [(r.h, r.D) for r in records] == sorted(calls)
+        with open(tmp_path / "records.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(float(r["h"]), float(r["D"])) for r in rows] == sorted(calls)
+
     def test_threads_match_serial_run(self, small_records):
         # concurrent points share no mutable state: four threads, switched
         # often, give the serial records bit for bit, the wide-grid D = h
