@@ -42,9 +42,9 @@ window 1 at D > 0 its fresh rfft, and otherwise a copy of the (u, k_v)
 spectrum, since at D = 0 that spectrum is passed on unchanged and
 window 3's input is the kicked spectrum from which the t2 Wigner field
 is phased next. Window 2 at D > 0 runs every step in place on a view of
-its kept columns, which are a prefix of the k_v axis, and sets the rest
-to zero; window 3 and both Moyal phases then take only the kept columns
-(all of them at D = 0), and each irfft zero-pads the rest.
+its kept columns, which are a prefix of the k_v axis. A carried spectrum
+holds the first K columns of the k_v axis (all of them at D = 0): window
+2 hands on only its kept ones, and each irfft zero-pads the rest.
 
 The Wigner-Moyal equation adds one term to the classical Fokker-Planck
 one, (h^2/3) chi_2(t) d^3/dp^3 (the Hamiltonian is cubic, the Lindblad
@@ -129,10 +129,11 @@ def _rk_axis(n: int, spacing: float) -> np.ndarray:
     return 2.0 * math.pi * np.fft.rfftfreq(n, d=spacing)
 
 
-def _tail_fraction(mags: np.ndarray) -> float:
-    """Share of a 1-D profile of spectral magnitudes in its top tenth."""
-    tail = int(math.ceil(0.1 * len(mags)))
-    return float(mags[-tail:].sum()) / max(float(mags.sum()), 1e-300)
+def _tail_fraction(mags: np.ndarray, n: int) -> float:
+    """Share of a 1-D profile of spectral magnitudes in the top tenth of
+    n bins, those past the profile's length counting as zero."""
+    tail = mags[n - math.ceil(0.1 * n):]
+    return float(tail.sum()) / max(float(mags.sum()), 1e-300)
 
 
 def _u_tail(mags: np.ndarray) -> float:
@@ -143,11 +144,12 @@ def _u_tail(mags: np.ndarray) -> float:
     n = len(mags)
     folded = mags[:n // 2 + 1]
     folded[1:1 + (n - 1) // 2] += mags[:n // 2:-1]
-    return _tail_fraction(folded)
+    return _tail_fraction(folded, len(folded))
 
 
-def _check_v_tail(spec: np.ndarray) -> None:
-    tail_mass = _tail_fraction(np.abs(spec).sum(axis=0))
+def _check_v_tail(spec: np.ndarray, n: int) -> None:
+    """Momentum-tail check of spec, the first columns of n k_v bins."""
+    tail_mass = _tail_fraction(np.abs(spec).sum(axis=0), n)
     if not tail_mass <= _TAIL_TOL:
         raise ResolutionError(
             f"momentum spectral tail carries relative mass {tail_mass:.2e}")
@@ -158,9 +160,8 @@ def _moyal(field: PhaseSpaceField, spec: np.ndarray, schedule: Schedule,
     """The Wigner field at t2 or later whose classical counterpart is field:
     its (u, k_v) spectrum spec times exp(-i (h^2/3) tau2 k^3) in place,
     tau2 window 2's bump integral and k = k_v e^(a2) the lab wavenumber
-    at t2. Window 3 only shifts the frame and damps each k_v. spec may
-    hold only the first columns of the k_v axis; the irfft zero-pads the
-    rest."""
+    at t2. Window 3 only shifts the frame and damps each k_v. spec holds
+    the first K columns of the k_v axis; the irfft zero-pads the rest."""
     k = _rk_axis(len(field.v), field.dv)[:spec.shape[1]] * math.exp(a2)
     spec *= np.exp(-1j * (params.h ** 2 / 3.0) * schedule.tau2 * k ** 3)
     return replace(field, kind="wigner",
@@ -174,12 +175,11 @@ def _integrated_diffusion(field: PhaseSpaceField, params: SemiclassicalParams,
     and e^(+2a(t)). Returns the field, its (u, k_v) spectrum and the
     position-tail readings (_u_tail) of the input's and the output's
     (k_u, k_v) spectra; spec, the input's if carried, saves the rfft along
-    v and is left unchanged. A carried spec may hold only the first K
-    columns of the k_v axis, the rest being zero (window 3 at D > 0 gets
-    window 2's kept columns): every step then reads only those K, the
-    output spectrum is K wide too, and the irfft zero-pads the rest. At
-    D = 0 the field and its (u, k_v) spectrum are returned as they are,
-    and the one reading serves both.
+    v and is left unchanged. A carried spec holds the first K columns of
+    the k_v axis (window 3 gets window 2's kept ones): every step reads
+    only those K, the output spectrum is K wide too, and the irfft
+    zero-pads the rest. At D = 0 the field and its (u, k_v) spectrum are
+    returned as they are, and the one reading serves both.
 
     Every transform along u runs in place: on the fresh rfft at D > 0,
     and otherwise on a copy, since the caller still reads a carried spec
@@ -349,16 +349,17 @@ def _kick_window(field: PhaseSpaceField, schedule: Schedule,
                  params: SemiclassicalParams, spec: np.ndarray = None):
     """Window 2: the classical cubic kick, exact at every D.
 
-    Returns the kicked field, its (u, k_v) spectrum and its diagnostics;
-    spec, the input's spectrum if window 1 carried it, is consumed. The
-    input's momentum tail is checked before any other work. The frame is
-    static here. At D = 0 the kick multipliers commute, so one kick by the
-    window's bump integral tau2 is exact; its phase k_j x_i^2 tau2 =
-    theta_i j is linear in j = J a + b (J = isqrt n): the product of the
-    small tables exp(-i theta_i J a) and exp(-i theta_i b).
+    Returns the kicked field, its (u, k_v) spectrum of the first K columns
+    of the k_v axis and its diagnostics; spec, the input's spectrum if
+    window 1 carried it, is consumed. The input's momentum tail is checked
+    before any other work. The frame is static here. At D = 0 the kick
+    multipliers commute, so one kick by the window's bump integral tau2 is
+    exact; its phase k_j x_i^2 tau2 = theta_i j is linear in j = J a + b
+    (J = isqrt n): the product of the small tables exp(-i theta_i J a) and
+    exp(-i theta_i b).
 
     At D > 0 the k_v columns whose damping exp(-(D/2) e^(2a) tau2 k_v^2)
-    lies below e^-46 are set to zero. Each piece of the window maps every
+    lies below e^-46 are dropped. Each piece of the window maps every
     kept column by exp(i g_in u^2/2), then exp(-i beta k_u^2/2) in Fourier
     space, then exp(i g_out u^2/2), and the last piece ends with the
     damping. With the piece's matrix M (M' = [[0, -2i d], [-2 c(t), 0]] M
@@ -368,17 +369,17 @@ def _kick_window(field: PhaseSpaceField, schedule: Schedule,
     half its axis (the tables u2 and ku2) and applied as two strided slices
     of that table (_mirror_u, _mirror_k). Since the damping rises with
     k_v^2, the kept columns are the first K of the rfft axis: every step
-    runs in place on the view spec[:, :K], and only spec[:, K:] is
-    zeroed, so no column is gathered or copied. The window is one
-    piece unless a factor would grow on those tables; then it is the
+    runs in place on the view spec[:, :K], which is returned, so no column
+    is gathered or copied, and the irfft zero-pads the rest. The window is
+    one piece unless a factor would grow on those tables; then it is the
     fewest equal pieces (a power of two) for which none does. The output's
-    momentum tail is checked too. The diagnostics hold the piece count, the
-    series terms summed over the pieces of every try, max |det M - 1| (M is
-    unimodular) and the number of kept columns.
+    momentum tail is checked too. The diagnostics hold the piece count,
+    the series terms summed over the pieces of every try, max |det M - 1|
+    (M is unimodular) and the number of kept columns.
     """
     spec = np.fft.rfft(field.values, axis=1) if spec is None else spec
-    _check_v_tail(spec)
     kv = _rk_axis(len(field.v), field.dv)
+    _check_v_tail(spec, len(kv))
     if params.D == 0.0:
         n, J = spec.shape[1], math.isqrt(spec.shape[1])
         t = -1j * (kv[1] / field.s_p * (field.s_x * field.u) ** 2
@@ -417,16 +418,15 @@ def _kick_window(field: PhaseSpaceField, schedule: Schedule,
         info = {"kick_substeps": m, "window_terms": terms,
                 "window_det_defect": float(np.abs(det_defect).max()),
                 "kept_columns": K}
-        cols = spec[:, :K]  # a view: every step below runs in place
+        spec = spec[:, :K]  # a view: every step below runs in place
         for b, gi, go in zip(beta, g_in, g_out):
-            _mirror_u(cols, np.exp(1j * np.multiply.outer(u2, gi)))
-            np.fft.fft(cols, axis=0, out=cols)
-            _mirror_k(cols, np.exp(-1j * np.multiply.outer(ku2, b)))
-            np.fft.ifft(cols, axis=0, out=cols)
-            _mirror_u(cols, np.exp(1j * np.multiply.outer(u2, go)))
-        cols *= np.exp(-log_damp[:K])
-        spec[:, K:] = 0.0
-        _check_v_tail(spec)
+            _mirror_u(spec, np.exp(1j * np.multiply.outer(u2, gi)))
+            np.fft.fft(spec, axis=0, out=spec)
+            _mirror_k(spec, np.exp(-1j * np.multiply.outer(ku2, b)))
+            np.fft.ifft(spec, axis=0, out=spec)
+            _mirror_u(spec, np.exp(1j * np.multiply.outer(u2, go)))
+        spec *= np.exp(-log_damp[:K])
+        _check_v_tail(spec, len(kv))
     values = np.fft.irfft(spec, n=len(field.v), axis=1)
     return replace(field, values=values), spec, info
 
@@ -434,11 +434,14 @@ def _kick_window(field: PhaseSpaceField, schedule: Schedule,
 def evolve(field: PhaseSpaceField, schedule: Schedule,
            params: SemiclassicalParams,
            config: EvolverConfig = EvolverConfig()) -> EvolveResult:
-    """Run the classical density through the schedule, then derive and
-    guard the Wigner field at t2 and t3 (_moyal on each carried spectrum,
-    dropped once phased). Returns the final field, the t0-t3 checkpoints,
-    their readings and the t3 Wigner field; for a Wigner input the t2, t3
-    and final fields and readings are the Wigner ones.
+    """Run the input through the classical schedule, then derive and guard
+    the Wigner field at t2 and t3 (_moyal on each carried spectrum, dropped
+    once phased). Returns the final field, the t0-t3 checkpoints, their
+    readings and the t3 Wigner field; for a Wigner input the t2, t3 and
+    final fields and readings are the Wigner ones. The propagation keeps
+    its input's kind, so only a classical one must stay nonnegative. Each
+    carried spectrum holds the k_v axis' first K columns (window 2's kept
+    ones), and each irfft zero-pads the rest.
 
     Each checkpoint's position-tail reading comes from the (k_u, k_v)
     spectrum that window 1 or 3 forms of its input and output, so t0 and
@@ -453,11 +456,7 @@ def evolve(field: PhaseSpaceField, schedule: Schedule,
     t1, spec, tails = _stretch_window(field, schedule, 1, params, config)
     diagnostics = _guard((field, t1), ("t0", "t1"), tails, mass0)
 
-    t2, spec, window = _kick_window(replace(t1, kind="classical"),
-                                    schedule, params, spec)
-    # past the kept columns (all of them at D = 0) the spectrum is zero:
-    # window 3 and the Moyal phase read only the kept ones
-    spec = spec[:, :window["kept_columns"]]
+    t2, spec, window = _kick_window(t1, schedule, params, spec)
     t3, s3, tails = _stretch_window(t2, schedule, 3, params, config, spec)
     # The momentum marginal is insensitive to position-direction wraparound,
     # which large-D runs incur late in window 3; only the corners and the

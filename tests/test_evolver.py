@@ -26,6 +26,7 @@ from qcthreshold.core import (
     measure_central_moments,
     momentum_marginal,
     position_marginal,
+    resample_distribution,
     standard_schedule,
 )
 from qcthreshold.errors import (
@@ -47,6 +48,15 @@ from qcthreshold.evolver import (
     _stretch_window,
     _window_matrices,
     evolve,
+)
+from qcthreshold.oracles import (
+    DensityMatrixField,
+    _coherent_state,
+    coherent_wavefunction,
+    dm_momentum_marginal,
+    lindblad_dm_evolve,
+    momentum_distribution,
+    schrodinger_closed,
 )
 from qcthreshold.sweep import RunConfig, point_setup
 
@@ -564,12 +574,12 @@ class TestFactoredMultipliers:
         pytest.param(255, 10.0, 10, 8, id="255-few-kept"),
     ])
     def test_mirrored_chirp_and_heat_factors(self, n_u, D, kept, pieces):
-        # the window's output spectrum against the same pieces with each
-        # chirp and heat factor taken by np.exp on the whole symmetric u
-        # axis ((i - n_u/2) du, the field's u to roundoff) and k_u axis,
-        # from the matrices of _window_matrices, on the kept columns
-        # gathered by a boolean mask; an odd n_u has no u = 0 point and no
-        # Nyquist bin. h = 0.1, tau2 = 2 on 512 v-points: at D = h^2 every
+        # the window's output spectrum, its K kept columns wide, against the
+        # same pieces with each chirp and heat factor taken by np.exp on the
+        # whole symmetric u axis ((i - n_u/2) du, the field's u to roundoff)
+        # and k_u axis, from the matrices of _window_matrices, on the kept
+        # columns gathered by a boolean mask; an odd n_u has no u = 0 point and
+        # no Nyquist bin. h = 0.1, tau2 = 2 on 512 v-points: at D = h^2 every
         # one of the 257 k_v columns is kept, at D = 10 only 10 are. At
         # D = h^(4/3) one piece's heat factor grows on the k_u axis
         # (log-modulus +65.3 at its largest |k_u| on 256 u-points) and two
@@ -616,11 +626,11 @@ class TestFactoredMultipliers:
                                * np.exp(-1j * np.multiply.outer(ku2, b)),
                                axis=0)
             cols = cols * np.exp(1j * np.multiply.outer(u2, go))
-        want[:] = 0.0
         want[:, keep] = cols * np.exp(-log_damp[keep])
         _, got, info = _kick_window(t1, sch, params)
         assert (info["kept_columns"], info["kick_substeps"]) == (kept, pieces)
-        assert _rel_max_abs(got, want) <= 1e-15
+        assert got.shape == (n_u, kept)
+        assert _rel_max_abs(got, want[:, :kept]) <= 1e-15
 
     @pytest.mark.parametrize("D", [0.0, H ** (4.0 / 3.0)],
                              ids=["closed", "diffusive"])
@@ -669,12 +679,12 @@ class TestFactoredMultipliers:
         (255, 2.0)])
     def test_window3_and_moyal_read_kept_columns(self, monkeypatch, n_u,
                                                   exponent):
-        # evolve hands window 3 and the Moyal phase only the K kept columns
-        # of the kicked spectrum: its t3, final and t3 Wigner fields are
-        # theirs on the full, zero-padded spectrum of _kick_window, bit for
-        # bit, and window 3's output spectrum is the first K columns of
-        # theirs, whose other columns are zero. h = 0.1 on the sweep's
-        # grids, D = h on the wide 512x2048 one
+        # _kick_window hands on only its K kept columns, and evolve passes
+        # them to window 3 and the Moyal phase as they are: its t3, final
+        # and t3 Wigner fields are theirs on the kicked spectrum zero-padded
+        # to the full k_v axis, bit for bit, and window 3's output spectrum
+        # is the first K columns of theirs, whose other columns are zero.
+        # h = 0.1 on the sweep's grids, D = h on the wide 512x2048 one
         h = 0.1
         sch, grid, params, evc = point_setup(
             h, h ** exponent, RunConfig(h_list=(h,), n_u=n_u))
@@ -682,9 +692,11 @@ class TestFactoredMultipliers:
         t1, spec, _ = _stretch_window(field, sch, 1, params, evc)
         t2, spec, window = _kick_window(t1, sch, params, spec)
         K = window["kept_columns"]
-        assert K < spec.shape[1]
-        t3, s3, _ = _stretch_window(t2, sch, 3, params, evc, spec)
-        assert s3.shape == spec.shape and not s3[:, K:].any()
+        full = np.zeros((len(t1.u), len(t1.v) // 2 + 1), dtype=complex)
+        assert spec.shape == (len(t1.u), K) and K < full.shape[1]
+        full[:, :K] = spec
+        t3, s3, _ = _stretch_window(t2, sch, 3, params, evc, full)
+        assert s3.shape == full.shape and not s3[:, K:].any()
         want_s3 = s3.copy()  # _moyal phases s3 in place
         w3 = _moyal(t3, s3, sch, params, t2.a)
 
@@ -742,12 +754,69 @@ class TestSpectrumOwnership:
             if D == H else GridSpec.for_h(H, n_u=256, n_v=512)
         field, params = _initial("wigner", D=D, grid=grid)
         t1, spec, _ = _stretch_window(field, SCH, 1, params, EvolverConfig())
-        t2, spec, _ = _kick_window(replace(t1, kind="classical"), SCH,
-                                   params, spec)
+        t2, spec, _ = _kick_window(t1, SCH, params, spec)
         want = _moyal(t2, spec.copy(), SCH, params, t2.a)
         got = evolve(field, SCH, params).checkpoints[2]
         assert got.kind == "wigner" and got.a == want.a
         np.testing.assert_array_equal(got.values, want.values)
+
+
+def _fock1(h, D, kind):
+    """The n = 1 Fock state's Wigner function
+    (r^2/h - 1) exp(-r^2/2h) / (2 pi h), r^2 = x^2 + p^2, on the default
+    grid at t0 as a field of the given kind, and its parameters. It is
+    normalized, and negative for r^2 < h, down to -1/(2 pi h) at r = 0."""
+    params = SemiclassicalParams(hbar=2 * h, D=D)
+    f0 = initial_coherent_field(params, GridSpec.for_h(h), kind)
+    r2 = np.add.outer(f0.u ** 2, f0.v ** 2)
+    return replace(f0, values=f0.values * (r2 / h - 1.0)), params
+
+
+def _oracle_l1(md, ref):
+    """L1 distance over (-14, 46) between an oracle's momentum marginal ref
+    and md resampled onto ref's points there."""
+    mask = (ref.p > -14.0) & (ref.p < 46.0)
+    got = resample_distribution(md, ref.p[mask])
+    return float(np.abs(got.q - ref.q[mask]).sum() * ref.dp)
+
+
+class TestFockInput:
+    # any normalized Wigner input is accepted, negative values included:
+    # the n = 1 Fock state's classically propagated field stays negative
+    # (-1.59 at t2 for h = 0.1, D = 0), and only a classical density's
+    # negative value is a fault
+
+    @pytest.mark.parametrize("h", [0.1, 0.05])
+    def test_closed_matches_schrodinger(self, h):
+        # against the exact D = 0 evolution of psi_1 = x psi_0 / sqrt(h)
+        sch = standard_schedule(h)
+        field, params = _fock1(h, 0.0, "wigner")
+        md = momentum_marginal(evolve(field, sch, params).final)
+        psi0 = coherent_wavefunction(h)
+        psi1 = replace(psi0, values=psi0.values * psi0.xi / math.sqrt(h))
+        ref = momentum_distribution(schrodinger_closed(psi1, sch, h)[3], h)
+        assert _oracle_l1(md, ref) < 1e-10
+
+    def test_diffusive_matches_lindblad(self):
+        # against the Lindblad oracle on psi_1 psi_1^*, whose diagonals
+        # psi_1(xi_i) psi_1(xi_(i - r)) are rolled copies of psi_1
+        h = 0.05
+        sch = standard_schedule(h)
+        field, params = _fock1(h, h ** (4.0 / 3.0), "wigner")
+        md = momentum_marginal(evolve(field, sch, params).final)
+        xi, psi0 = _coherent_state(h, 512, 14.0)
+        psi1 = xi * psi0 / math.sqrt(h)
+        rho0 = DensityMatrixField(xi=xi, diagonals=np.stack(
+            [psi1 * np.roll(psi1, r) for r in range(len(xi) // 2 + 1)]
+        ).astype(complex))
+        cps = lindblad_dm_evolve(rho0, sch, params, steps=60)
+        assert _oracle_l1(md, dm_momentum_marginal(cps[3], params)) < 1e-4
+
+    def test_classical_input_rejected(self):
+        field, params = _fock1(0.1, 0.0, "classical")
+        with pytest.raises(SolverFailureError,
+                           match="classical density reached .* at t0"):
+            evolve(field, standard_schedule(0.1), params)
 
 
 class TestGuards:
@@ -801,6 +870,44 @@ class TestGuards:
                                           EvolverConfig())
             with pytest.raises(ResolutionError, match="momentum spectral tail"):
                 _kick_window(t1, SCH, params, spec)
+
+    @pytest.mark.parametrize("source, K", [
+        pytest.param((0.1, 4.0 / 3.0), 196, id="196"),
+        pytest.param((0.05, 2.0), 513, id="513"),
+        pytest.param(None, 470, id="planted")])
+    def test_output_tail_reads_top_tenth_of_all_bins(self, source, K):
+        # the output check reads the top tenth of all 513 k_v bins, bins
+        # 461-512, those past the K kept columns counting as zero: mass
+        # planted in a kept column raises from bin 461 on and not below
+        # it, though at K = 196 and 470 the bin below is in the top tenth
+        # of the kept columns. The others are window 2's output on the
+        # sweep's 512x1024 grid; the planted spectrum is 470 columns wide,
+        # its mass all in column 0
+        n = 513
+        if source is None:
+            spec = np.zeros((4, K), dtype=complex)
+            spec[:, 0] = 1.0
+        else:
+            h, exponent = source
+            sch, grid, params, evc = point_setup(h, h ** exponent,
+                                                 RunConfig(h_list=(h,)))
+            field = initial_coherent_field(params, grid, "classical")
+            t1, spec, _ = _stretch_window(field, sch, 1, params, evc)
+            _, spec, window = _kick_window(t1, sch, params, spec)
+            assert len(t1.v) // 2 + 1 == n and window["kept_columns"] == K
+        assert spec.shape[1] == K and n - math.ceil(0.1 * n) == 461
+        evolver._check_v_tail(spec, n)
+        for col in (min(K, 461) - 1, 461):
+            if col >= K:
+                continue
+            planted = spec.copy()
+            planted[0, col] += 1e-6 * np.abs(spec).sum()
+            if col < 461:
+                evolver._check_v_tail(planted, n)
+            else:
+                with pytest.raises(ResolutionError,
+                                   match="momentum spectral tail"):
+                    evolver._check_v_tail(planted, n)
 
     def test_coarse_position_axis_raises_resolution_error(self):
         # the kick folds each momentum row, sharpening the state along u
