@@ -159,13 +159,13 @@ class Schedule:
         """Window 1 (H1 = xp) or 3 (H3 = -xp) from log-scale a0: its end
         log-scale a0 + tau1 or a0 - tau3 and (int e^(-2a) dt, int e^(2a) dt)
         over it, with a(t) = a0 +- int chi_i and both integrals taken on
-        max(1, ceil(per_unit tau_i)) equal Lobatto panels."""
+        ceil(per_unit tau_i) equal Lobatto panels, per_unit whole and >= 1."""
         if i == 2:
             raise InvalidParameterError("window 2 is the kick, not a stretch")
+        per_unit = whole_number(per_unit, 1, "per_unit must be >= 1 and whole")
         start, tau = self.window(i)
         sign = 1.0 if i == 1 else -1.0
-        t, width = lobatto_nodes(start, tau, 1,
-                                 max(1, math.ceil(per_unit * tau)))
+        t, width = lobatto_nodes(start, tau, 1, math.ceil(per_unit * tau))
         a = a0 + sign * cumulative_integral(self.chi(i, t), width)
         weights = _CUMINT[-1] * (width / 2.0)
         return (a0 + sign * tau,

@@ -5,12 +5,12 @@ The co-moving frame absorbs the stretch/squeeze transport exactly, so every
 grid operation is a Fourier or diagonal multiplier, and every window is
 taken in one step. Each window hands the next its output's (u, k_v)
 spectrum, so no spectrum is transformed twice, and every 2-D multiplier is
-built from 1-D factors. Each checkpoint's guard (_check_field) runs once
-per distinct values array, in one pass over cache-sized row blocks: a
-checkpoint whose array the window left unchanged keeps the previous
-readings. Its position-tail reading comes from the (k_u, k_v) spectrum
-that window 1 or 3 forms of its input or output; at D = 0 they take that
-transform along u for the reading alone:
+built from 1-D factors. Each field evolve keeps is guarded once, by
+_check_field's one pass over cache-sized row blocks; a field whose array
+a window left unchanged keeps the previous readings. Its position-tail
+reading comes from the (k_u, k_v) spectrum that window 1 or 3 forms of
+its input or output; at D = 0 they take that transform along u for the
+reading alone:
 
   windows 1 and 3:  log-scale move and time-integrated lab diffusion
                     coefficients from Schedule.stretch (exact per window,
@@ -52,6 +52,8 @@ operators linear). It is diagonal in k_v, like every other operator in the
 co-moving frame, so it commutes with them all: from t2 on, a Wigner field
 is the classical one times exp(-i (h^2/3) tau2 k^3), so evolve runs the
 classical density and derives the Wigner one from its carried spectra.
+For a Wigner input the derived fields are its t2 and t3 checkpoints, and
+its unphased propagation past t1 is neither guarded nor kept.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (STRETCH_PANELS_PER_UNIT, PhaseSpaceField, Schedule,
-                   SemiclassicalParams, cumulative_integral, lobatto_nodes)
+                   SemiclassicalParams, cumulative_integral, lobatto_nodes,
+                   whole_number)
 from .errors import InvalidParameterError, ResolutionError, SolverFailureError
 
 __all__ = ["EvolverConfig", "EvolveResult", "evolve"]
@@ -109,16 +112,19 @@ class EvolverConfig:
     substeps_per_unit: int = STRETCH_PANELS_PER_UNIT
 
     def __post_init__(self):
-        if self.substeps_per_unit < 1:
-            raise InvalidParameterError("substeps_per_unit must be >= 1")
+        whole_number(self.substeps_per_unit, 1,
+                     "substeps_per_unit must be >= 1 and whole")
 
 
 @dataclass(frozen=True)
 class EvolveResult:
-    final: PhaseSpaceField
     checkpoints: tuple  # fields at t0, t1, t2, t3
     diagnostics: dict
     wigner: PhaseSpaceField  # the guarded Wigner field at t3
+
+    @property
+    def final(self) -> PhaseSpaceField:  # the t3 checkpoint, stored once
+        return self.checkpoints[-1]
 
 
 def _k_axis(n: int, spacing: float) -> np.ndarray:
@@ -434,22 +440,20 @@ def _kick_window(field: PhaseSpaceField, schedule: Schedule,
 def evolve(field: PhaseSpaceField, schedule: Schedule,
            params: SemiclassicalParams,
            config: EvolverConfig = EvolverConfig()) -> EvolveResult:
-    """Run the input through the classical schedule, then derive and guard
-    the Wigner field at t2 and t3 (_moyal on each carried spectrum, dropped
-    once phased). Returns the final field, the t0-t3 checkpoints, their
-    readings and the t3 Wigner field; for a Wigner input the t2, t3 and
-    final fields and readings are the Wigner ones. The propagation keeps
-    its input's kind, so only a classical one must stay nonnegative. Each
-    carried spectrum holds the k_v axis' first K columns (window 2's kept
-    ones), and each irfft zero-pads the rest.
+    """Run the input through the classical schedule, then derive the Wigner
+    field at t2 and t3 (_moyal on each carried spectrum, dropped once
+    phased). Returns the t0-t3 checkpoints (final is t3), their readings
+    and the t3 Wigner field. The propagation keeps its input's kind, so
+    only a classical one must stay nonnegative.
 
-    Each checkpoint's position-tail reading comes from the (k_u, k_v)
-    spectrum that window 1 or 3 forms of its input and output, so t0 and
-    t1 are guarded after window 1, t2 and t3 after window 3, and the
-    derived Wigner t2 and t3 last, into a table of their own; each shares
-    its classical counterpart's reading, as their spectra differ by a
-    unimodular phase in k_v. All three pairs follow _guard's one rule, and
-    at D = 0 the t3 Wigner field is the t2 one in t3's frame."""
+    Each field evolve keeps is guarded once: t0 and t1 after window 1, a
+    classical input's t2 and t3 after window 3, and the derived Wigner t2
+    and t3 last; for a Wigner input these are its t2 and t3 checkpoints
+    and readings, and its unphased t2 and t3 are neither guarded nor kept.
+    A derived field shares its classical counterpart's position-tail
+    reading, as their spectra differ by a unimodular phase in k_v. Every
+    pair follows _guard's one rule: at D = 0 the t3 Wigner field is the t2
+    one in t3's frame."""
     mass0 = field.mass()
     if not abs(mass0 - 1.0) <= 1e-6:
         raise InvalidParameterError("input field is not normalized")
@@ -458,20 +462,15 @@ def evolve(field: PhaseSpaceField, schedule: Schedule,
 
     t2, spec, window = _kick_window(t1, schedule, params, spec)
     t3, s3, tails = _stretch_window(t2, schedule, 3, params, config, spec)
-    # The momentum marginal is insensitive to position-direction wraparound,
-    # which large-D runs incur late in window 3; only the corners and the
-    # momentum edges are enforced (see _check_field).
-    diagnostics.update(_guard((t2, t3), ("t2", "t3"), tails, mass0))
-
+    if field.kind == "classical":
+        diagnostics.update(_guard((t2, t3), ("t2", "t3"), tails, mass0))
     w2 = _moyal(t2, spec, schedule, params, t2.a)
     del spec
-    if t3.values is t2.values:  # window 3 only moved the frame
-        w3 = replace(w2, a=t3.a)
-    else:
-        w3 = _moyal(t3, s3, schedule, params, t2.a)
-    del s3
-    derived = _guard((w2, w3), ("t2", "t3"), tails, mass0)
+    w3 = replace(w2, a=t3.a) if params.D == 0.0 else \
+        _moyal(t3, s3, schedule, params, t2.a)
+    readings = _guard((w2, w3), ("t2", "t3"), tails, mass0)
     if field.kind == "wigner":
-        diagnostics, t2, t3 = {**diagnostics, **derived}, w2, w3
+        diagnostics.update(readings)
+        t2, t3 = w2, w3
     diagnostics["t2"].update(window)
-    return EvolveResult(t3, (field, t1, t2, t3), diagnostics, w3)
+    return EvolveResult((field, t1, t2, t3), diagnostics, w3)

@@ -8,7 +8,6 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
 
 from qcthreshold.core import (
     _CUMINT,
@@ -32,26 +31,7 @@ from qcthreshold.core import (
 )
 from qcthreshold.errors import InvalidParameterError
 
-
-def _quad(f, a, b):
-    return quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-
-
-# the raw bump's integral Z over (0, 1)
-_Z = _quad(lambda s: math.exp(1.0 / (4.0 * s * (s - 1.0))), 0.0, 1.0)
-
-
-def _bump_integral(sch, i, ta, tb):
-    """int_ta^tb chi_i dt by quad, with chi_i built from math.exp and Z
-    alone, none of the package's quadrature."""
-    start, tau = sch.window(i)
-
-    def chi(t):
-        s = (t - start) / tau
-        return math.exp(1.0 / (4.0 * s * (s - 1.0))) / _Z \
-            if 0.0 < s < 1.0 else 0.0
-
-    return _quad(chi, ta, tb)
+from bump_reference import BUMP_Z, bump_integral, tight_quad
 
 
 @lru_cache(maxsize=None)
@@ -61,8 +41,8 @@ def _stretch_by_quad(h, i):
     sch = standard_schedule(h)
     start, tau = sch.window(i)
     a0, sign = (0.0, 1.0) if i == 1 else (sch.tau1, -1.0)
-    return np.array([_quad(lambda t: math.exp(
-        e * (a0 + sign * _bump_integral(sch, i, start, t))),
+    return np.array([tight_quad(lambda t: math.exp(
+        e * (a0 + sign * bump_integral(sch, i, start, t))),
         start, start + tau) for e in (-2.0, 2.0)])
 
 
@@ -93,8 +73,8 @@ class TestBump:
 
     def test_midpoint_value(self):
         # chi(1/2) = Z^-1 e^-1 with Z the raw-shape integral
-        assert self.UNIT.chi(1, 0.5) == pytest.approx(math.exp(-1.0) / _Z,
-                                                      rel=1e-14)
+        assert self.UNIT.chi(1, 0.5) == pytest.approx(
+            math.exp(-1.0) / BUMP_Z, rel=1e-14)
 
     @pytest.mark.parametrize("table", [_LOBATTO, _CUMINT])
     def test_shared_tables_read_only(self, table):
@@ -180,7 +160,7 @@ class TestSchedule:
         t, width = lobatto_nodes(start, tau, pieces, -(-_PANELS // pieces))
         got = cumulative_integral(sch.chi(2, t), width)[:, -1, -1]
         edges = start + tau * np.arange(pieces + 1) / pieces
-        want = [_bump_integral(sch, 2, ta, tb)
+        want = [bump_integral(sch, 2, ta, tb)
                 for ta, tb in zip(edges[:-1], edges[1:])]
         assert np.abs(got - want).max() <= 1e-15
 
@@ -201,6 +181,12 @@ class TestStretch:
     def test_kick_window_rejected(self):
         with pytest.raises(InvalidParameterError, match="kick"):
             standard_schedule(0.05).stretch(2, 0.0)
+
+    def test_panel_count_must_be_whole(self):
+        # a count below 1 is not taken as one panel
+        for per_unit in (0, -5, math.nan, math.inf, True, 2.5):
+            with pytest.raises(InvalidParameterError, match="per_unit"):
+                standard_schedule(0.05).stretch(1, 0.0, per_unit)
 
     @pytest.mark.parametrize("h", [0.2, 1e-3, 1e-10])
     def test_default_panels_converged(self, h):

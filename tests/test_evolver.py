@@ -60,32 +60,10 @@ from qcthreshold.oracles import (
 )
 from qcthreshold.sweep import RunConfig, point_setup
 
+from bump_reference import GL_W, GL_X, bump_integral
+
 H = 0.05
 SCH = standard_schedule(H)
-# 5-point Gauss-Legendre nodes and weights on [0, 1]
-_GL_X = (np.polynomial.legendre.leggauss(5)[0] + 1.0) / 2.0
-_GL_W = np.polynomial.legendre.leggauss(5)[1] / 2.0
-
-
-def _quad(f, a, b):
-    return integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-
-
-# the raw bump's integral Z over (0, 1)
-_Z = _quad(lambda s: math.exp(1.0 / (4.0 * s * (s - 1.0))), 0.0, 1.0)
-
-
-def _bump_integral(schedule, i, ta, tb):
-    """int_ta^tb chi_i dt by quad, with chi_i built from math.exp and Z
-    alone, none of the package's quadrature."""
-    start, tau = schedule.window(i)
-
-    def chi(t):
-        s = (t - start) / tau
-        return math.exp(1.0 / (4.0 * s * (s - 1.0))) / _Z \
-            if 0.0 < s < 1.0 else 0.0
-
-    return _quad(chi, ta, tb)
 
 
 def _initial(kind, D=0.0, grid=None):
@@ -115,7 +93,7 @@ def _composed_kick_window(field, params, n, schedule=SCH):
     stays in k_v throughout."""
     start, tau = schedule.window(2)
     edges = [start + tau * j / n for j in range(n + 1)]
-    deltas = [_bump_integral(schedule, 2, edges[j], edges[j + 1])
+    deltas = [bump_integral(schedule, 2, edges[j], edges[j + 1])
               for j in range(n)]
     dt, a = tau / n, field.a
     x = field.s_x * field.u
@@ -319,7 +297,7 @@ class TestSubsteps:
         # integral
         field, params = _initial("classical")
         start, tau = SCH.window(2)
-        delta = _bump_integral(SCH, 2, start, start + tau)
+        delta = bump_integral(SCH, 2, start, start + tau)
         kicked = _kick_window(field, SCH, params)[0]
         x2 = (field.s_x * field.u) ** 2
         mass = field.values.sum(axis=1) * field.dv
@@ -361,11 +339,11 @@ class TestSubsteps:
         dt = tau / n
         I_u = I_v = 0.0
         for j in range(n):
-            t_nodes = start + tau * j / n + dt * _GL_X
-            a_nodes = np.array([_bump_integral(SCH, 1, start, t)
+            t_nodes = start + tau * j / n + dt * GL_X
+            a_nodes = np.array([bump_integral(SCH, 1, start, t)
                                 for t in t_nodes])
-            I_u += dt * float((_GL_W * np.exp(-2.0 * a_nodes)).sum())
-            I_v += dt * float((_GL_W * np.exp(2.0 * a_nodes)).sum())
+            I_u += dt * float((GL_W * np.exp(-2.0 * a_nodes)).sum())
+            I_v += dt * float((GL_W * np.exp(2.0 * a_nodes)).sum())
         # the end log-scale is exact: chi_1 integrates to tau1
         moved = replace(field, a=field.a + tau)
         ref = _integrated_diffusion(moved, params, I_u, I_v)[0]
@@ -457,7 +435,7 @@ class TestDiffusiveEvolution:
         kx, _ = _window_inputs(H ** (4.0 / 3.0))
         E, _ = _window_matrices(SCH, kx, 0.0, 1)
         start, tau = SCH.window(2)
-        kick = -2.0 * kx * _bump_integral(SCH, 2, start, start + tau)
+        kick = -2.0 * kx * bump_integral(SCH, 2, start, start + tau)
         assert np.abs(E[0, 2] - kick).max() <= 1e-10 * np.abs(kick).max()
         assert not E[0, [0, 1, 3]].any()
 
@@ -494,9 +472,14 @@ class TestCheckpointReadings:
     # array and t3 keeps t2's; those checkpoints reuse the readings, and the
     # derived t3 Wigner field reuses the t2 one's
 
-    @pytest.mark.parametrize("D, passes", [(0.0, 3), (H ** (4.0 / 3.0), 6)],
-                             ids=["closed", "diffusive"])
-    def test_guard_passes(self, monkeypatch, D, passes):
+    @pytest.mark.parametrize("kind, D, passes", [
+        ("classical", 0.0, 3), ("classical", H ** (4.0 / 3.0), 6),
+        ("wigner", 0.0, 2), ("wigner", H ** (4.0 / 3.0), 4)],
+        ids=["closed", "diffusive", "wigner-closed", "wigner-diffusive"])
+    def test_guard_passes(self, monkeypatch, kind, D, passes):
+        # each field evolve keeps is guarded once: t0 and t1, a classical
+        # input's t2 and t3, and the derived Wigner t2 and t3 for both
+        # kinds, but not a Wigner input's unphased t2 and t3
         seen = []
         check_field = evolver._check_field
 
@@ -505,9 +488,10 @@ class TestCheckpointReadings:
             return check_field(field, *args)
 
         monkeypatch.setattr(evolver, "_check_field", counted)
-        field, params = _initial("classical", D=D)
-        evolve(field, SCH, params)
+        field, params = _initial(kind, D=D)
+        res = evolve(field, SCH, params)
         assert len(seen) == passes
+        assert res.final is res.checkpoints[3]
 
     @pytest.mark.parametrize("kind", ["wigner", "classical"])
     def test_unchanged_checkpoints_copy_readings(self, closed_runs, kind):
@@ -554,7 +538,7 @@ class TestFactoredMultipliers:
         f0 = initial_coherent_field(params, GridSpec.for_h(h), "classical")
         t1, _, _ = _stretch_window(f0, sch, 1, params, EvolverConfig())
         start, tau = sch.window(2)
-        delta = _bump_integral(sch, 2, start, start + tau)
+        delta = bump_integral(sch, 2, start, start + tau)
         k = 2.0 * math.pi * np.fft.rfftfreq(len(t1.v), d=t1.dv) \
             / t1.s_p
         x = t1.s_x * t1.u
@@ -642,7 +626,7 @@ class TestFactoredMultipliers:
         res = evolve(field, SCH, params)
         final, a2 = res.final, res.checkpoints[2].a
         start, tau = SCH.window(2)
-        delta = _bump_integral(SCH, 2, start, start + tau)
+        delta = bump_integral(SCH, 2, start, start + tau)
         want = np.fft.irfft(np.fft.rfft(final.values, axis=1)
                             * _moyal_multiplier(final, delta, params.h, a2),
                             n=len(final.v), axis=1)
@@ -821,8 +805,11 @@ class TestFockInput:
 
 class TestGuards:
     def test_invalid_config(self):
-        with pytest.raises(InvalidParameterError):
-            EvolverConfig(substeps_per_unit=0)
+        # a panel count must be a whole number >= 1 (a bool is not one)
+        for n in (0, math.nan, math.inf, True, 2.5):
+            with pytest.raises(InvalidParameterError,
+                               match="substeps_per_unit"):
+                EvolverConfig(substeps_per_unit=n)
 
     @pytest.mark.parametrize("cap, match", [("_MAX_PIECES", "still grows")])
     def test_window_caps_raise(self, monkeypatch, cap, match):

@@ -42,33 +42,11 @@ from qcthreshold.oracles import (
     schrodinger_closed,
 )
 
+from bump_reference import GL_W, GL_X, bump_integral
+
 H = 0.05
 SCH = standard_schedule(H)
-# 5-point Gauss-Legendre nodes and weights on [0, 1]
-_GL_X = (np.polynomial.legendre.leggauss(5)[0] + 1.0) / 2.0
-_GL_W = np.polynomial.legendre.leggauss(5)[1] / 2.0
 PARAMS0 = SemiclassicalParams(hbar=2 * H)
-
-
-def _quad(f, a, b):
-    return quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-
-
-# the raw bump's integral Z over (0, 1)
-_Z = _quad(lambda s: math.exp(1.0 / (4.0 * s * (s - 1.0))), 0.0, 1.0)
-
-
-def _bump_integral(schedule, i, ta, tb):
-    """int_ta^tb chi_i dt by quad, with chi_i built from math.exp and Z
-    alone, none of the package's quadrature."""
-    start, tau = schedule.window(i)
-
-    def chi(t):
-        s = (t - start) / tau
-        return math.exp(1.0 / (4.0 * s * (s - 1.0))) / _Z \
-            if 0.0 < s < 1.0 else 0.0
-
-    return _quad(chi, ta, tb)
 
 
 class TestSchrodinger:
@@ -194,10 +172,10 @@ def _lindblad_substep_window(rho, schedule, params, i, steps):
     start, tau = schedule.window(i)
 
     def gauss_int(ta, tb, expfac):
-        nodes = ta + (tb - ta) * _GL_X
+        nodes = ta + (tb - ta) * GL_X
         a_nodes = a0 + sign * np.array(
-            [_bump_integral(schedule, i, start, t) for t in nodes])
-        return (tb - ta) * float((_GL_W * np.exp(expfac * a_nodes)).sum())
+            [bump_integral(schedule, i, start, t) for t in nodes])
+        return (tb - ta) * float((GL_W * np.exp(expfac * a_nodes)).sum())
 
     def p_decoherence(vals, coeff):
         spec = np.fft.fft2(vals)
@@ -211,7 +189,7 @@ def _lindblad_substep_window(rho, schedule, params, i, steps):
         tb = start + tau * (j + 1) / steps
         if i == 2:
             half = np.exp(1j * phase_unit
-                          * (_bump_integral(schedule, 2, ta, tb) / 2.0))
+                          * (bump_integral(schedule, 2, ta, tb) / 2.0))
             half = half * np.exp(-(D / (2.0 * hbar ** 2)) * (s * diff) ** 2
                                  * ((tb - ta) / 2.0))
             coeff = (D / 2.0) * (tb - ta) / s ** 2
@@ -595,7 +573,7 @@ class TestLangevin:
             start, tau = sch.window(i)
             A = sign * tau
             noise, _ = quad(lambda t: math.exp(
-                2.0 * (A - sign * _bump_integral(sch, i, start, t))),
+                2.0 * (A - sign * bump_integral(sch, i, start, t))),
                 start, start + tau, epsabs=0.0, epsrel=1e-12, limit=200)
             return math.exp(2.0 * A) * var0 + D * noise
 
